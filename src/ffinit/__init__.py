@@ -1,11 +1,11 @@
 """Layered recurrent energy networks with feedforward-initialized inference.
 
-The package implements a chain of hidden layers over a clamped visible
-vector, where each hidden layer integrates a bottom-up and a top-down
-dendritic branch. It provides the branch predictions and feedforward
-initialization (:mod:`ffinit.network`), a scalar energy with analytic
-gradient for tied weights (:mod:`ffinit.energy`), direct / leaky /
-Langevin relaxation with convergence tracing (:mod:`ffinit.inference`),
+A chain of hard-sigmoid hidden layers sits over a clamped visible
+vector; each hidden layer moves to the rate of the gain-weighted mean of
+its bottom-up and top-down branch predictions, the one update rule
+stated in :mod:`ffinit.network`. The package also provides a scalar
+energy with analytic gradient for tied weights (:mod:`ffinit.energy`),
+direct / leaky / Langevin relaxation (:mod:`ffinit.inference`),
 random-tied and trained auto-encoder weight regimes
 (:mod:`ffinit.learning`), dataset and checkpoint handling
 (:mod:`ffinit.data`), and an experiment harness plus CLI
@@ -34,11 +34,12 @@ from .network import (
     activation_subderivative,
     bottom_up,
     branch_combine,
+    branch_predictions,
     feedforward_init,
     mutual_prediction_residual,
     top_down,
 )
-from .energy import EnergyModel, energy, energy_gradient
+from .energy import EnergyModel, energy, energy_gradient, energy_model_or_none
 from .inference import (
     ConvergenceTrace,
     RelaxationConfig,
@@ -62,6 +63,7 @@ from .learning import (
     TrainRule,
     init_random_tied,
     local_branch_update,
+    norm_matched_random,
     reconstruction_error,
     train_stacked_ae,
 )
@@ -80,12 +82,13 @@ __version__ = "0.1.0"
 __all__ = [
     "Activation", "LayerSpec", "NetworkParams", "NetworkState",
     "apply_activation", "activation_subderivative", "bottom_up", "top_down",
-    "branch_combine", "feedforward_init", "mutual_prediction_residual",
-    "EnergyModel", "energy", "energy_gradient",
+    "branch_predictions", "branch_combine", "feedforward_init",
+    "mutual_prediction_residual",
+    "EnergyModel", "energy", "energy_gradient", "energy_model_or_none",
     "Scheme", "RelaxationConfig", "ConvergenceTrace",
     "direct_update_layer", "relax", "infer_from_feedforward",
-    "TrainConfig", "TrainRule", "init_random_tied", "train_stacked_ae",
-    "local_branch_update", "reconstruction_error",
+    "TrainConfig", "TrainRule", "init_random_tied", "norm_matched_random",
+    "train_stacked_ae", "local_branch_update", "reconstruction_error",
     "DataSource", "DatasetHandle", "load_idx_images", "synth_blobs",
     "synth_autoencodable", "subset", "save_params", "load_params",
     "DatasetSpec", "ExperimentSpec", "ExperimentReport", "RegimeResult",

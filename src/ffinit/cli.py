@@ -16,35 +16,36 @@ import json
 import logging
 import struct
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import save_params, load_params, synth_autoencodable, synth_blobs
-from .energy import EnergyModel
-from .exceptions import FfinitError, NotAnEnergyModelError
+from .energy import energy_model_or_none
+from .exceptions import FfinitError, InvalidInputError, check_count
 from .harness import (
-    _build_dataset,
+    build_dataset,
     experiment_spec_from_config,
     override_seed,
     run_experiment,
+    write_training_curve,
 )
 from .inference import infer_from_feedforward
 from .learning import train_stacked_ae
 from .network import LayerSpec, mutual_prediction_residual
 
 
-def _load_config(path: str):
-    doc = json.loads(Path(path).read_text())
-    return experiment_spec_from_config(doc)
+def _load_config(args):
+    """The experiment spec of ``--config``, with ``--seed`` applied when given."""
+    spec = experiment_spec_from_config(json.loads(Path(args.config).read_text()))
+    return spec if args.seed is None else override_seed(spec, args.seed)
 
 
 def _cmd_experiment(args) -> int:
-    spec = _load_config(args.config)
-    if args.seed is not None:
-        spec = override_seed(spec, args.seed)
+    spec = _load_config(args)
     if args.out is not None:
-        spec = type(spec)(**{**spec.__dict__, "output_dir": args.out})
+        spec = replace(spec, output_dir=args.out)
     report = run_experiment(spec)
     for rr in report.regimes:
         if len(rr.initial_steps):
@@ -56,10 +57,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    spec = _load_config(args.config)
-    if args.seed is not None:
-        spec = override_seed(spec, args.seed)
-    data = _build_dataset(spec.dataset, spec.sizes, spec.seed)
+    spec = _load_config(args)
+    data = build_dataset(spec.dataset, spec.sizes, spec.seed)
     curve = []
     params = train_stacked_ae(
         data, spec.sizes, spec.train,
@@ -67,9 +66,7 @@ def _cmd_train(args) -> int:
     save_params(params, args.out)
     print(f"saved model to {args.out}")
     if args.curve:
-        lines = ["epoch,pair_index,reconstruction_error"]
-        lines += [f"{epoch},{pair},{err!r}" for pair, epoch, err in curve]
-        Path(args.curve).write_text("\n".join(lines) + "\n")
+        write_training_curve(curve, args.curve)
         print(f"saved training curve to {args.curve}")
     for pair in range(1, spec.sizes.n_hidden_layers + 1):
         errs = [err for p, _, err in curve if p == pair]
@@ -79,24 +76,22 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    spec = _load_config(args.config)
-    if args.seed is not None:
-        spec = override_seed(spec, args.seed)
+    spec = _load_config(args)
     params = load_params(args.model)
-    data = _build_dataset(spec.dataset, params.spec, spec.seed)
+    data = build_dataset(spec.dataset, params.spec, spec.seed)
+    if not 0 <= args.index < len(data):
+        raise InvalidInputError(
+            f"--index {args.index} is outside the dataset's {len(data)} items")
     x = data.items[args.index]
-    try:
-        energy_model = EnergyModel(params)
-    except NotAnEnergyModelError:
-        energy_model = None
+    energy_model = energy_model_or_none(params)
     state, trace = infer_from_feedforward(params, x, spec.relaxation,
                                           energy_model=energy_model)
     residual = float(mutual_prediction_residual(params, state).max())
     if args.out:
-        lines = ["iter,step_magnitude" + (",energy" if energy_model else "")]
+        lines = ["iter,step_magnitude" + (",energy" if energy_model is not None else "")]
         for i, step in enumerate(trace.step_magnitudes):
             row = f"{i},{float(step)!r}"
-            if energy_model:
+            if energy_model is not None:
                 row += f",{float(trace.energies[i + 1])!r}"
             lines.append(row)
         Path(args.out).write_text("\n".join(lines) + "\n")
@@ -108,6 +103,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_make_fixtures(args) -> int:
+    check_count("--seed", args.seed, 0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -133,25 +129,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true",
                         help="log training diagnostics to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="JSON experiment config")
+    config.add_argument("--seed", type=int, help="override every seed in the config")
 
-    p = sub.add_parser("experiment", help="run a regime-comparison experiment")
-    p.add_argument("--config", required=True, help="JSON experiment config")
-    p.add_argument("--seed", type=int, help="override every seed in the config")
+    p = sub.add_parser("experiment", parents=[config],
+                       help="run a regime-comparison experiment")
     p.add_argument("--out", help="override the config's output directory")
     p.set_defaults(func=_cmd_experiment)
 
-    p = sub.add_parser("train", help="train a stacked auto-encoder")
-    p.add_argument("--config", required=True, help="JSON experiment config")
-    p.add_argument("--seed", type=int, help="override every seed in the config")
+    p = sub.add_parser("train", parents=[config], help="train a stacked auto-encoder")
     p.add_argument("--out", required=True, help="checkpoint file to write")
     p.add_argument("--curve", help="optional CSV path for the training curve")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("infer", help="relax one dataset item with a saved model")
-    p.add_argument("--config", required=True, help="JSON experiment config")
+    p = sub.add_parser("infer", parents=[config],
+                       help="relax one dataset item with a saved model")
     p.add_argument("--model", required=True, help="checkpoint file to load")
     p.add_argument("--index", type=int, default=0, help="dataset item to clamp")
-    p.add_argument("--seed", type=int, help="override every seed in the config")
     p.add_argument("--out", help="optional CSV path for the per-iteration trace")
     p.set_defaults(func=_cmd_infer)
 

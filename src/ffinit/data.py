@@ -104,7 +104,7 @@ def load_idx_images(path: str | Path) -> DatasetHandle:
                          source=DataSource.IDX_FILE)
 
 
-def default_mnist_images_path(filename: str = "train-images-idx3-ubyte") -> Path:
+def default_mnist_images_path() -> Path:
     """Resolve an MNIST IDX file from the ``FFINIT_MNIST_DIR`` directory.
 
     This package never downloads data; point the environment variable at
@@ -116,12 +116,12 @@ def default_mnist_images_path(filename: str = "train-images-idx3-ubyte") -> Path
         raise DatasetError(
             f"no dataset path given and {MNIST_DIR_ENV} is not set; set it to a "
             "directory containing the MNIST IDX files or configure an explicit path")
-    for candidate in (filename, filename.replace("-idx", ".idx")):
+    for candidate in ("train-images-idx3-ubyte", "train-images.idx3-ubyte"):
         path = Path(directory) / candidate
         if path.exists():
             return path
     raise DatasetError(
-        f"{MNIST_DIR_ENV}={directory} does not contain {filename}; download the "
+        f"{MNIST_DIR_ENV}={directory} does not contain train-images-idx3-ubyte; download the "
         "standard MNIST IDX files into that directory")
 
 

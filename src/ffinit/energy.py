@@ -35,8 +35,9 @@ from .network import (
     NetworkParams,
     NetworkState,
     activation_subderivative,
-    apply_activation,
+    branch_predictions,
     check_state,
+    layer_rates,
 )
 
 
@@ -68,6 +69,15 @@ class EnergyModel:
         return 1.0 if k < self.params.n_layers else 0.5
 
 
+def energy_model_or_none(params: NetworkParams) -> EnergyModel | None:
+    """The energy model of tied parameters, or None for parameters that
+    define no energy (untied weights or unequal branch gains)."""
+    try:
+        return EnergyModel(params)
+    except NotAnEnergyModelError:
+        return None
+
+
 def energy(model: EnergyModel, state: NetworkState) -> float:
     """Evaluate the scalar energy of a full network state.
 
@@ -78,12 +88,11 @@ def energy(model: EnergyModel, state: NetworkState) -> float:
     """
     p = model.params
     check_state(p, state)
-    rho = lambda x: apply_activation(p.activation, x)
     e = 0.5 * float(state.visible @ state.visible)
     for k in range(1, p.n_layers + 1):
         h = state.hidden[k - 1]
         e += model.layer_quadratic_weight(k) * float(h @ h)
-    rates = [rho(state.visible)] + [rho(h) for h in state.hidden]
+    rates = layer_rates(p, state)
     for k in range(1, p.n_layers + 1):
         e -= float(rates[k] @ (p.ff_weights[k - 1] @ rates[k - 1]))
     e -= float(p.fb_offsets[0] @ rates[0])
@@ -102,23 +111,21 @@ def energy_gradient(model: EnergyModel, state: NetworkState) -> tuple[np.ndarray
 
         2 * q_k * s_i - rho'(s_i) * (sum_j W_ij rho(s_j) + beta_i)
 
-    with ``rho'`` the subderivative of the non-linearity (for the hard
-    sigmoid: 1 on the closed interval [0, 1], 0 outside). The clamped
-    visible units receive no gradient.
+    with ``rho'`` the subderivative of the hard sigmoid (1 on the closed
+    interval [0, 1], 0 outside). The input term is the sum of the layer's
+    branch predictions, ``d_bu + d_td``. The clamped visible units
+    receive no gradient.
 
     Returns:
         One gradient array per hidden layer.
     """
     p = model.params
     check_state(p, state)
-    rho = lambda x: apply_activation(p.activation, x)
+    rates = layer_rates(p, state)
     grads = []
-    for k in range(1, p.n_layers + 1):
-        h = state.hidden[k - 1]
-        below = state.visible if k == 1 else state.hidden[k - 2]
-        total_in = p.ff_offsets[k - 1] + p.ff_weights[k - 1] @ rho(below)
-        if k < p.n_layers:
-            total_in = total_in + p.fb_offsets[k] + p.fb_weights[k] @ rho(state.hidden[k])
+    for k, h in enumerate(state.hidden, start=1):
+        d_bu, d_td = branch_predictions(p, rates, k)
+        total_in = d_bu if d_td is None else d_bu + d_td
         q = model.layer_quadratic_weight(k)
         grads.append(2.0 * q * h - activation_subderivative(p.activation, h) * total_in)
     return tuple(grads)

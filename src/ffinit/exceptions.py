@@ -1,4 +1,8 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the value checks of the
+configuration objects that raise them."""
+
+import math
+import numbers
 
 
 class FfinitError(Exception):
@@ -59,3 +63,18 @@ class ConstructionError(FfinitError, RuntimeError):
 
 class CheckpointError(FfinitError, ValueError):
     """A model checkpoint file is malformed or has an unsupported version."""
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Raise ConfigurationError unless ``value`` is an integer (not a bool) ``>= minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_real(name: str, value, minimum: float, strict: bool = False) -> None:
+    """Raise ConfigurationError unless ``value`` is a finite number ``>= minimum``
+    (``> minimum`` when ``strict``); NaN never passes."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value < minimum or (strict and value == minimum)):
+        raise ConfigurationError(
+            f"{name} must be a finite number {'>' if strict else '>='} {minimum}, got {value!r}")

@@ -24,10 +24,22 @@ from .data import (
     synth_autoencodable,
     synth_blobs,
 )
-from .energy import EnergyModel
-from .exceptions import ConfigurationError, DatasetError, NotAnEnergyModelError
+from .energy import energy_model_or_none
+from .exceptions import (
+    ConfigurationError,
+    DatasetError,
+    FfinitError,
+    check_count,
+    check_real,
+)
 from .inference import RelaxationConfig, Scheme, infer_from_feedforward
-from .learning import TrainConfig, TrainRule, init_random_tied, train_stacked_ae
+from .learning import (
+    TrainConfig,
+    TrainRule,
+    init_random_tied,
+    norm_matched_random,
+    train_stacked_ae,
+)
 from .network import Activation, LayerSpec, NetworkParams, mutual_prediction_residual
 
 REGIME_RANDOM_TIED = "random-tied"
@@ -53,6 +65,12 @@ class DatasetSpec:
     n_clusters: int = 8
     spread: float = 0.02
 
+    def __post_init__(self):
+        check_count("dataset n_items", self.n_items, 0)
+        check_count("dataset d", self.d, 0)
+        check_count("dataset n_clusters", self.n_clusters, 1)
+        check_real("dataset spread", self.spread, 0.0)
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -76,8 +94,8 @@ class ExperimentSpec:
                     f"unknown regime {regime!r}; known regimes: {KNOWN_REGIMES}")
         if len(set(self.regimes)) != len(self.regimes):
             raise ConfigurationError("regimes must not repeat")
-        if self.n_inputs_evaluated < 0:
-            raise ConfigurationError("n_inputs_evaluated must be >= 0")
+        check_count("n_inputs_evaluated", self.n_inputs_evaluated, 0)
+        check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -101,7 +119,8 @@ class ExperimentReport:
     seed: int
 
 
-def _build_dataset(dspec: DatasetSpec, sizes: LayerSpec, seed: int) -> DatasetHandle:
+def build_dataset(dspec: DatasetSpec, sizes: LayerSpec, seed: int) -> DatasetHandle:
+    """Load or generate the dataset a spec names, sized for ``sizes``."""
     if dspec.source is DataSource.IDX_FILE:
         path = Path(dspec.path) if dspec.path else default_mnist_images_path()
         try:
@@ -127,38 +146,13 @@ def _build_dataset(dspec: DatasetSpec, sizes: LayerSpec, seed: int) -> DatasetHa
     return data
 
 
-def _norm_matched_random(spec: ExperimentSpec, target: NetworkParams) -> NetworkParams:
-    """Random tied params rescaled per layer to the target's weight norms."""
-    base = init_random_tied(spec.sizes, Activation.HARD_SIGMOID,
-                            spec.train.init_scale, spec.train.seed)
-    ws = []
-    for w, w_target in zip(base.ff_weights, target.ff_weights):
-        norm = np.linalg.norm(w)
-        scale = np.linalg.norm(w_target) / norm if norm > 0 else 1.0
-        ws.append(w * scale)
-    return NetworkParams(spec=base.spec,
-                         ff_weights=tuple(ws),
-                         fb_weights=tuple(w.T.copy() for w in ws),
-                         ff_offsets=base.ff_offsets,
-                         fb_offsets=base.fb_offsets,
-                         branch_gains=base.branch_gains,
-                         activation=base.activation)
-
-
 def _evaluate_regime(regime: str, params: NetworkParams, items: np.ndarray,
                      cfg: RelaxationConfig) -> RegimeResult:
-    try:
-        energy_model = EnergyModel(params)
-    except NotAnEnergyModelError:
-        energy_model = None
-    traces = []
-    initial, iters, conv, resid = [], [], [], []
+    energy_model = energy_model_or_none(params)
+    traces, resid = [], []
     for x in items:
         state, trace = infer_from_feedforward(params, x, cfg, energy_model=energy_model)
         traces.append(trace)
-        initial.append(trace.step_magnitudes[0])
-        iters.append(trace.iters_run)
-        conv.append(trace.converged)
         resid.append(float(mutual_prediction_residual(params, state).max()))
     n_iters = max((t.iters_run for t in traces), default=0)
     stats = np.empty((n_iters, 3))
@@ -171,18 +165,16 @@ def _evaluate_regime(regime: str, params: NetworkParams, items: np.ndarray,
             energy_means.append(float(np.mean(evals)))
     return RegimeResult(
         regime=regime,
-        initial_steps=np.asarray(initial),
-        iters_to_tol=np.asarray(iters, dtype=int),
-        converged=np.asarray(conv, dtype=bool),
+        initial_steps=np.asarray([t.step_magnitudes[0] for t in traces]),
+        iters_to_tol=np.asarray([t.iters_run for t in traces], dtype=int),
+        converged=np.asarray([t.converged for t in traces], dtype=bool),
         final_residuals=np.asarray(resid),
         step_stats=stats,
         energy_means=np.asarray(energy_means) if energy_means is not None else None,
     )
 
 
-def run_experiment(spec: ExperimentSpec,
-                   regime_params: dict[str, NetworkParams] | None = None
-                   ) -> ExperimentReport:
+def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Run the regime comparison and write its CSV outputs.
 
     Builds the dataset, constructs the parameters of every requested
@@ -195,17 +187,10 @@ def run_experiment(spec: ExperimentSpec,
     per layer to match the Frobenius norm of the trained weights so that
     the comparison is not confounded by weight scale.
 
-    Args:
-        spec: The experiment description.
-        regime_params: Optional per-regime parameter injection, mainly a
-            testing seam (e.g. evaluating the trained-ae regime with
-            ground-truth parameters instead of training).
-
     Returns:
         The in-memory report that was also written to disk.
     """
-    regime_params = dict(regime_params or {})
-    data = _build_dataset(spec.dataset, spec.sizes, spec.seed)
+    data = build_dataset(spec.dataset, spec.sizes, spec.seed)
     if spec.n_inputs_evaluated > len(data):
         raise DatasetError(
             f"n_inputs_evaluated={spec.n_inputs_evaluated} exceeds dataset size {len(data)}")
@@ -214,22 +199,15 @@ def run_experiment(spec: ExperimentSpec,
     curve: list[tuple[int, int, float]] = []
     params_by_regime: dict[str, NetworkParams] = {}
     if REGIME_TRAINED_AE in spec.regimes:
-        if REGIME_TRAINED_AE in regime_params:
-            params_by_regime[REGIME_TRAINED_AE] = regime_params[REGIME_TRAINED_AE]
-        else:
-            params_by_regime[REGIME_TRAINED_AE] = train_stacked_ae(
-                data, spec.sizes, spec.train,
-                progress=lambda pair, epoch, err: curve.append((pair, epoch, err)))
+        params_by_regime[REGIME_TRAINED_AE] = train_stacked_ae(
+            data, spec.sizes, spec.train,
+            progress=lambda pair, epoch, err: curve.append((pair, epoch, err)))
     if REGIME_RANDOM_TIED in spec.regimes:
-        if REGIME_RANDOM_TIED in regime_params:
-            params_by_regime[REGIME_RANDOM_TIED] = regime_params[REGIME_RANDOM_TIED]
-        elif REGIME_TRAINED_AE in params_by_regime:
-            params_by_regime[REGIME_RANDOM_TIED] = _norm_matched_random(
-                spec, params_by_regime[REGIME_TRAINED_AE])
-        else:
-            params_by_regime[REGIME_RANDOM_TIED] = init_random_tied(
-                spec.sizes, Activation.HARD_SIGMOID, spec.train.init_scale,
-                spec.train.seed)
+        trained = params_by_regime.get(REGIME_TRAINED_AE)
+        params_by_regime[REGIME_RANDOM_TIED] = (
+            init_random_tied(spec.sizes, Activation.HARD_SIGMOID, spec.train.init_scale,
+                             spec.train.seed) if trained is None
+            else norm_matched_random(trained, spec.train.init_scale, spec.train.seed))
 
     results = tuple(
         _evaluate_regime(regime, params_by_regime[regime], items, spec.relaxation)
@@ -250,6 +228,17 @@ def _fmt(x: float) -> str:
 
 def _log10(x: float) -> float:
     return math.log10(x) if x > 0.0 else float("-inf")
+
+
+def _write_lines(path: Path, lines: list[str]) -> None:
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def write_training_curve(curve, path: str | Path) -> None:
+    """Write ``(pair, epoch, error)`` rows as the training-curve CSV with
+    columns ``epoch,pair_index,reconstruction_error``."""
+    _write_lines(Path(path), ["epoch,pair_index,reconstruction_error"]
+                 + [f"{epoch},{pair},{_fmt(err)}" for pair, epoch, err in curve])
 
 
 def emit_csv(report: ExperimentReport, out_dir: str | Path) -> None:
@@ -275,9 +264,8 @@ def emit_csv(report: ExperimentReport, out_dir: str | Path) -> None:
             lines.append(f"{i},{_fmt(mean_)},{_fmt(min_)},{_fmt(max_)},{e}")
             log_lines.append(
                 f"{i},{_fmt(_log10(mean_))},{_fmt(_log10(min_))},{_fmt(_log10(max_))}")
-        (out / f"{rr.regime}.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
-        (out / f"{rr.regime}_log10.csv").write_text(
-            "\n".join(log_lines) + "\n", encoding="ascii")
+        _write_lines(out / f"{rr.regime}.csv", lines)
+        _write_lines(out / f"{rr.regime}_log10.csv", log_lines)
 
     lines = ["regime,metric,value"]
     for rr in report.regimes:
@@ -296,13 +284,10 @@ def emit_csv(report: ExperimentReport, out_dir: str | Path) -> None:
         )
         for name, value in metrics:
             lines.append(f"{rr.regime},{name},{_fmt(value)}")
-    (out / "summary.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_lines(out / "summary.csv", lines)
 
     if report.training_curve is not None:
-        lines = ["epoch,pair_index,reconstruction_error"]
-        for pair, epoch, err in report.training_curve:
-            lines.append(f"{epoch},{pair},{_fmt(err)}")
-        (out / "training_curve.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+        write_training_curve(report.training_curve, out / "training_curve.csv")
 
 
 def experiment_spec_from_config(doc: dict) -> ExperimentSpec:
@@ -326,39 +311,35 @@ def experiment_spec_from_config(doc: dict) -> ExperimentSpec:
     try:
         sizes = LayerSpec(sizes=tuple(doc["sizes"]))
         regimes = tuple(doc["regimes"])
-    except KeyError as exc:
-        raise ConfigurationError(f"config is missing required key {exc}") from exc
-
-    dsub = dict(doc.get("dataset", {}))
-    take(dsub, {"source", "path", "n_items", "d", "n_clusters", "spread"}, "dataset")
-    try:
+        dsub = take(dict(doc.get("dataset", {})),
+                    {"source", "path", "n_items", "d", "n_clusters", "spread"}, "dataset")
         if "source" in dsub:
             dsub["source"] = DataSource(dsub["source"])
-        dataset = DatasetSpec(**dsub)
-        rsub = dict(doc.get("relaxation", {}))
-        take(rsub, {"scheme", "tau", "noise_scale", "max_iters", "tol", "seed"},
-             "relaxation")
+        rsub = take(dict(doc.get("relaxation", {})),
+                    {"scheme", "tau", "noise_scale", "max_iters", "tol", "seed"}, "relaxation")
         if "scheme" in rsub:
             rsub["scheme"] = Scheme(rsub["scheme"])
-        relaxation = RelaxationConfig(**rsub)
-        tsub = dict(doc.get("train", {}))
-        take(tsub, {"learning_rate", "epochs", "batch_size", "rule", "tie_decoder",
-                    "init_scale", "seed"}, "train")
+        tsub = take(dict(doc.get("train", {})),
+                    {"learning_rate", "epochs", "batch_size", "rule", "tie_decoder",
+                     "init_scale", "seed"}, "train")
         if "rule" in tsub:
             tsub["rule"] = TrainRule(tsub["rule"])
-        train = TrainConfig(**tsub)
-    except ValueError as exc:
+        return ExperimentSpec(
+            dataset=DatasetSpec(**dsub),
+            sizes=sizes,
+            regimes=regimes,
+            relaxation=RelaxationConfig(**rsub),
+            train=TrainConfig(**tsub),
+            n_inputs_evaluated=doc.get("n_inputs_evaluated", 100),
+            output_dir=str(doc.get("output_dir", "out")),
+            seed=doc.get("seed", 0),
+        )
+    except FfinitError:
+        raise
+    except KeyError as exc:
+        raise ConfigurationError(f"config is missing required key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"invalid config value: {exc}") from exc
-    return ExperimentSpec(
-        dataset=dataset,
-        sizes=sizes,
-        regimes=regimes,
-        relaxation=relaxation,
-        train=train,
-        n_inputs_evaluated=int(doc.get("n_inputs_evaluated", 100)),
-        output_dir=str(doc.get("output_dir", "out")),
-        seed=int(doc.get("seed", 0)),
-    )
 
 
 def override_seed(spec: ExperimentSpec, seed: int) -> ExperimentSpec:

@@ -1,18 +1,20 @@
 """Relaxation engines for clamped-input inference.
 
-All schemes share one sweep structure: within an iteration, every
-odd-indexed hidden layer is updated simultaneously from the current even
-layers, then every even layer from the new odd layers. Layers of equal
-parity are never adjacent, so the simultaneous update within a parity
-class is exact. One iteration means one full odd+even sweep, and the
-recorded step magnitude is the L2 norm of the change of the
-concatenation of all hidden layers over that full sweep.
+Every scheme applies the layer update rule of :mod:`ffinit.network`:
+hidden layer ``k`` has the target ``T_k = rho(branch_combine(d_bu,
+d_td))``. Within an iteration, every odd-indexed hidden layer is updated
+simultaneously from the current even layers, then every even layer from
+the new odd layers. Layers of equal parity are never adjacent, so the
+simultaneous update within a parity class is exact. A layer moves to
 
-Per-layer update target: ``rho(branch_combine(bottom_up, top_down))``
-(top layer: bottom-up branch only). The ``direct-alternating`` scheme
-jumps each layer straight to its target; ``leaky`` mixes the old state
-with the target with weight ``1 / tau``; ``langevin`` is the leaky
-update with i.i.d. Gaussian noise added to each target.
+    s_k <- (1 - 1/tau) s_k + (1/tau) (T_k + noise)
+
+``direct-alternating`` is ``tau = 1`` without noise (a full jump to the
+target), ``leaky`` is ``tau >= 1`` without noise, and ``langevin`` adds
+i.i.d. Gaussian noise of standard deviation ``noise_scale``. One
+iteration is one full odd+even sweep, and its recorded step magnitude
+is the L2 norm of the change of the concatenation of all hidden layers
+over that sweep.
 """
 
 from __future__ import annotations
@@ -22,17 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigurationError, DimensionError
+from .exceptions import ConfigurationError, DimensionError, check_count, check_real
 from .network import (
     NetworkParams,
     NetworkState,
     apply_activation,
     branch_combine,
-    bottom_up,
+    branch_predictions,
     check_state,
     feedforward_init,
-    mutual_prediction_residual,
-    top_down,
+    layer_rates,
 )
 from .energy import EnergyModel, energy
 
@@ -49,7 +50,7 @@ class RelaxationConfig:
 
     Attributes:
         scheme: Update rule; ``direct-alternating`` always performs full
-            jumps (``tau`` is ignored and treated as 1).
+            jumps, so construction sets its ``tau`` to 1.
         tau: Time constant of the leaky/Langevin mixing, ``>= 1``.
         noise_scale: Standard deviation of the per-unit Gaussian noise;
             must be positive for ``langevin`` and zero for the
@@ -68,19 +69,18 @@ class RelaxationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau < 1.0:
-            raise ConfigurationError(f"tau must be >= 1, got {self.tau}")
-        if self.noise_scale < 0.0:
-            raise ConfigurationError(f"noise_scale must be >= 0, got {self.noise_scale}")
+        check_real("tau", self.tau, 1.0)
+        check_real("noise_scale", self.noise_scale, 0.0)
         if self.scheme is Scheme.LANGEVIN and self.noise_scale == 0.0:
             raise ConfigurationError("langevin requires noise_scale > 0")
         if self.scheme is not Scheme.LANGEVIN and self.noise_scale != 0.0:
             raise ConfigurationError(
                 f"scheme {self.scheme.value} is deterministic; noise_scale must be 0")
-        if self.max_iters < 1:
-            raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol <= 0.0:
-            raise ConfigurationError(f"tol must be > 0, got {self.tol}")
+        check_count("max_iters", self.max_iters, 1)
+        check_real("tol", self.tol, 0.0, strict=True)
+        check_count("seed", self.seed, 0)
+        if self.scheme is Scheme.DIRECT_ALTERNATING:
+            object.__setattr__(self, "tau", 1.0)
 
 
 @dataclass(frozen=True)
@@ -88,24 +88,24 @@ class ConvergenceTrace:
     """Per-iteration record of a relaxation run.
 
     ``step_magnitudes[i]`` is the step of iteration ``i`` (one entry per
-    iteration run). When recorded, ``energies`` and ``residuals`` carry
-    one extra leading entry for the initial state, so ``energies[i + 1]``
-    is the energy after iteration ``i`` and ``residuals[i + 1]`` the
-    per-layer mutual-prediction residual maxima after iteration ``i``.
+    iteration run). When recorded, ``energies`` carries one extra leading
+    entry for the initial state, so ``energies[i + 1]`` is the energy
+    after iteration ``i``.
     """
 
     step_magnitudes: np.ndarray
-    iters_run: int
     converged: bool
     energies: np.ndarray | None = None
-    residuals: np.ndarray | None = None
 
-    def __post_init__(self):
-        steps = np.asarray(self.step_magnitudes, dtype=float)
-        object.__setattr__(self, "step_magnitudes", steps)
-        if steps.shape != (self.iters_run,):
-            raise DimensionError(
-                f"trace has {steps.shape[0]} step magnitudes for {self.iters_run} iterations")
+    @property
+    def iters_run(self) -> int:
+        return len(self.step_magnitudes)
+
+
+def _layer_target(params: NetworkParams, rates, k: int) -> np.ndarray:
+    """Update target ``rho(branch_combine(d_bu, d_td))`` of hidden layer ``k``."""
+    return apply_activation(params.activation,
+                            branch_combine(params, *branch_predictions(params, rates, k)))
 
 
 def direct_update_layer(params: NetworkParams, state: NetworkState, k: int) -> np.ndarray:
@@ -118,33 +118,27 @@ def direct_update_layer(params: NetworkParams, state: NetworkState, k: int) -> n
     check_state(params, state)
     if not 1 <= k <= params.n_layers:
         raise DimensionError(f"layer index {k} out of range 1..{params.n_layers}")
-    below = state.visible if k == 1 else state.hidden[k - 2]
-    d_bu = bottom_up(params, below, k)
-    d_td = top_down(params, state.hidden[k], k) if k < params.n_layers else None
-    return apply_activation(params.activation, branch_combine(params, d_bu, d_td))
+    return _layer_target(params, layer_rates(params, state), k)
 
 
 def relax(params: NetworkParams, state: NetworkState, cfg: RelaxationConfig,
-          energy_model: EnergyModel | None = None,
-          record_residuals: bool = False) -> tuple[NetworkState, ConvergenceTrace]:
+          energy_model: EnergyModel | None = None) -> tuple[NetworkState, ConvergenceTrace]:
     """Run the configured relaxation scheme from a given state.
 
     Iterates until the full-sweep step magnitude drops below ``cfg.tol``
-    or ``cfg.max_iters`` is reached. Langevin runs have no deterministic
-    fixed point, so they never set ``converged`` and always run the full
-    budget. The input state is left untouched; the visible vector of the
-    returned state is the clamped input, bit for bit.
+    or ``cfg.max_iters`` is reached. Noisy (Langevin) runs have no
+    deterministic fixed point, so they never set ``converged`` and always
+    run the full budget. The input state is left untouched; the visible
+    vector of the returned state is the clamped input, bit for bit.
 
     Args:
         params: Network parameters (shared, read-only).
         state: Starting state; exclusively owned by this run.
-        cfg: Scheme, time constant, noise, budget, and tolerance.
+        cfg: Time constant, noise, budget, and tolerance.
         energy_model: When given, the trace records the energy of the
             initial state and after every iteration. Construct it via
             :class:`ffinit.energy.EnergyModel`, which rejects untied
             parameters.
-        record_residuals: When true, the trace records the per-layer
-            mutual-prediction residual maxima alongside the energies.
 
     Returns:
         The relaxed state and its convergence trace.
@@ -154,66 +148,49 @@ def relax(params: NetworkParams, state: NetworkState, cfg: RelaxationConfig,
     L = params.n_layers
     visible = state.visible
     hidden = [np.array(h) for h in state.hidden]
-    eff_tau = 1.0 if cfg.scheme is Scheme.DIRECT_ALTERNATING else cfg.tau
-    rng = np.random.default_rng(cfg.seed) if cfg.scheme is Scheme.LANGEVIN else None
+    rng = np.random.default_rng(cfg.seed) if cfg.noise_scale > 0.0 else None
 
-    energies = [] if energy_model is not None else None
-    residuals = [] if record_residuals else None
+    energies = []
 
-    def snapshot(hs):
-        if energies is not None or residuals is not None:
-            st = NetworkState(visible=visible, hidden=tuple(hs))
-            if energies is not None:
-                energies.append(energy(energy_model, st))
-            if residuals is not None:
-                residuals.append(mutual_prediction_residual(params, st))
+    def snapshot():
+        if energy_model is not None:
+            energies.append(energy(energy_model, NetworkState(visible=visible,
+                                                              hidden=tuple(hidden))))
 
-    snapshot(hidden)
+    snapshot()
     steps: list[float] = []
     converged = False
     rho_v = apply_activation(act, visible)
 
     for _ in range(cfg.max_iters):
         before = np.concatenate(hidden)
-        for parity in (1, 0):
+        for first in (1, 2):
             rates = [rho_v] + [apply_activation(act, h) for h in hidden]
-            targets = {}
-            for k in range(1, L + 1):
-                if k % 2 != parity:
-                    continue
-                d_bu = params.ff_offsets[k - 1] + params.ff_weights[k - 1] @ rates[k - 1]
-                d_td = None
-                if k < L:
-                    d_td = params.fb_offsets[k] + params.fb_weights[k] @ rates[k + 1]
-                t = apply_activation(act, branch_combine(params, d_bu, d_td))
+            for k in range(first, L + 1, 2):
+                t = _layer_target(params, rates, k)
                 if rng is not None:
                     t = t + rng.normal(0.0, cfg.noise_scale, size=t.shape)
-                targets[k] = t
-            for k, t in targets.items():
-                if eff_tau == 1.0:
+                if cfg.tau == 1.0:
                     hidden[k - 1] = t
                 else:
-                    hidden[k - 1] = (1.0 - 1.0 / eff_tau) * hidden[k - 1] + (1.0 / eff_tau) * t
+                    hidden[k - 1] = (1.0 - 1.0 / cfg.tau) * hidden[k - 1] + (1.0 / cfg.tau) * t
         steps.append(float(np.linalg.norm(np.concatenate(hidden) - before)))
-        snapshot(hidden)
-        if cfg.scheme is not Scheme.LANGEVIN and steps[-1] < cfg.tol:
+        snapshot()
+        if rng is None and steps[-1] < cfg.tol:
             converged = True
             break
 
     trace = ConvergenceTrace(
         step_magnitudes=np.asarray(steps),
-        iters_run=len(steps),
         converged=converged,
-        energies=np.asarray(energies) if energies is not None else None,
-        residuals=np.asarray(residuals) if residuals is not None else None,
+        energies=np.asarray(energies) if energy_model is not None else None,
     )
     return NetworkState(visible=visible, hidden=tuple(hidden)), trace
 
 
 def infer_from_feedforward(params: NetworkParams, visible: np.ndarray,
                            cfg: RelaxationConfig,
-                           energy_model: EnergyModel | None = None,
-                           record_residuals: bool = False
+                           energy_model: EnergyModel | None = None
                            ) -> tuple[NetworkState, ConvergenceTrace]:
     """Feedforward-initialize on a clamped input, then relax.
 
@@ -223,5 +200,4 @@ def infer_from_feedforward(params: NetworkParams, visible: np.ndarray,
     converges after very few sweeps.
     """
     state = feedforward_init(params, visible)
-    return relax(params, state, cfg, energy_model=energy_model,
-                 record_residuals=record_residuals)
+    return relax(params, state, cfg, energy_model=energy_model)

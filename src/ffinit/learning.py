@@ -20,7 +20,14 @@ from typing import Callable
 import numpy as np
 
 from .data import DatasetHandle
-from .exceptions import ConfigurationError, DatasetError, DivergenceError, InvalidInputError
+from .exceptions import (
+    ConfigurationError,
+    DatasetError,
+    DivergenceError,
+    InvalidInputError,
+    check_count,
+    check_real,
+)
 from .network import (
     Activation,
     LayerSpec,
@@ -57,14 +64,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0.0:
-            raise ConfigurationError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.init_scale < 0.0:
-            raise ConfigurationError(f"init_scale must be >= 0, got {self.init_scale}")
+        check_real("learning_rate", self.learning_rate, 0.0)
+        check_count("epochs", self.epochs, 1)
+        check_count("batch_size", self.batch_size, 1)
+        check_real("init_scale", self.init_scale, 0.0)
+        check_count("seed", self.seed, 0)
         if self.tie_decoder and self.rule is TrainRule.LOCAL_BRANCH:
             raise ConfigurationError("tie_decoder is incompatible with the local-branch rule")
 
@@ -99,6 +103,25 @@ def init_random_tied(spec: LayerSpec, activation: Activation,
                          branch_gains=(1.0, 1.0), activation=activation)
 
 
+def norm_matched_random(target: NetworkParams, init_scale: float = 1.0,
+                        seed: int = 0) -> NetworkParams:
+    """Random tied parameters with each layer rescaled to the target's norm.
+
+    Starts from ``init_random_tied(target.spec, ...)`` and scales every
+    feedforward matrix to the Frobenius norm of the target's matrix, so
+    a comparison against ``target`` is not confounded by weight scale.
+    Feedback stays the exact transpose and offsets stay zero.
+    """
+    base = init_random_tied(target.spec, Activation.HARD_SIGMOID, init_scale, seed)
+    ws = []
+    for w, w_target in zip(base.ff_weights, target.ff_weights):
+        norm = np.linalg.norm(w)
+        ws.append(w * (np.linalg.norm(w_target) / norm if norm > 0 else 1.0))
+    return NetworkParams(spec=base.spec, ff_weights=tuple(ws),
+                         fb_weights=tuple(w.T.copy() for w in ws),
+                         ff_offsets=base.ff_offsets, fb_offsets=base.fb_offsets)
+
+
 def local_branch_update(W_row: np.ndarray, offset: float, soma: float,
                         presyn_rates: np.ndarray, lr: float) -> tuple[np.ndarray, float]:
     """One error-correcting step for a single dendritic branch.
@@ -127,19 +150,14 @@ def local_branch_update(W_row: np.ndarray, offset: float, soma: float,
     return W_row + step * presyn_rates, float(offset) + step
 
 
-def _pair_reconstruction(x: np.ndarray, w, b, v, c, act: Activation) -> np.ndarray:
-    hid = apply_activation(act, apply_activation(act, x) @ w.T + b)
-    return apply_activation(act, hid @ v.T + c)
-
-
 def _pair_error(x: np.ndarray, w, b, v, c, act: Activation) -> float:
-    rec = _pair_reconstruction(x, w, b, v, c, act)
+    hid = apply_activation(act, apply_activation(act, x) @ w.T + b)
+    rec = apply_activation(act, hid @ v.T + c)
     return float(np.mean(np.sum((x - rec) ** 2, axis=1)))
 
 
 def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
-                     progress: ProgressFn | None = None,
-                     activation: Activation = Activation.HARD_SIGMOID) -> NetworkParams:
+                     progress: ProgressFn | None = None) -> NetworkParams:
     """Greedy bottom-up training of the layer pairs as auto-encoders.
 
     Pair ``k`` is trained to reconstruct its input codes (the raw data
@@ -158,7 +176,6 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
             invoked after every epoch with the pair's current full-data
             reconstruction error (the error is only computed when a
             callback is supplied).
-        activation: Rate non-linearity used for coding and training.
 
     Returns:
         The trained parameters (untied unless ``cfg.tie_decoder``).
@@ -184,6 +201,7 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     ws, vs, bs, cs = _random_tied_arrays(spec, cfg.init_scale, rng)
     lr = cfg.learning_rate
+    activation = Activation.HARD_SIGMOID
 
     codes = np.array(items, dtype=float)
     for k in range(1, spec.n_hidden_layers + 1):
@@ -237,8 +255,7 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
         codes = apply_activation(activation, codes @ w.T + b)
 
     return NetworkParams(spec=spec, ff_weights=tuple(ws), fb_weights=tuple(vs),
-                         ff_offsets=tuple(bs), fb_offsets=tuple(cs),
-                         branch_gains=(1.0, 1.0), activation=activation)
+                         ff_offsets=tuple(bs), fb_offsets=tuple(cs))
 
 
 def reconstruction_error(params: NetworkParams, data: DatasetHandle, k: int) -> float:

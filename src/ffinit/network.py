@@ -1,19 +1,26 @@
-"""Layered recurrent network: parameters, state, and branch predictions.
+"""Layered recurrent network: parameters, state, and the layer update rule.
 
-A network is a chain of layers ``0..L`` where layer 0 is the clamped
-visible layer and layers ``1..L`` are hidden. Each hidden layer receives
-two groups of connections, modeled as separate dendritic branches: a
-bottom-up branch from the layer below and a top-down branch from the
-layer above (the top layer has no layer above and therefore only a
-bottom-up branch). Each branch produces an affine prediction of the
-layer's state on the voltage scale, i.e. before the rate non-linearity
-is applied; combining the branch predictions and applying the
-non-linearity is the job of the relaxation schemes in
-:mod:`ffinit.inference`.
+A network is a chain of layers ``0..L``: layer 0 is the clamped visible
+layer and layers ``1..L`` are hidden. A unit's rate is the hard sigmoid
+of its state, ``rho(s) = min(1, max(0, s))``. Hidden layer ``k`` has two
+dendritic branches, each an affine prediction of the layer's state on
+the voltage scale: bottom-up from the layer below and top-down from the
+layer above (the top layer ``L`` has only the bottom-up branch),
 
-Layer indexing convention: ``bottom_up(..., k)`` predicts *into* hidden
-layer ``k`` (``1 <= k <= L``) and ``top_down(..., k)`` predicts *into*
-layer ``k`` from the layer above (``0 <= k <= L - 1``).
+    d_bu = b_k + W_k rho(s_{k-1}),    d_td = c_{k+1} + V_{k+1} rho(s_{k+1}).
+
+The layer update rule moves the layer to the rate of the gain-weighted
+mean of its branch predictions,
+
+    s_k <- rho((g_bu d_bu + g_td d_td) / (g_bu + g_td)),    s_L <- rho(g_bu d_bu / g_bu),
+
+so a state that every branch predicts exactly is a fixed point.
+:func:`branch_predictions` is the only place that computes ``(d_bu,
+d_td)`` from layer rates and :func:`branch_combine` the only place that
+weighs them; relaxation (:mod:`ffinit.inference`), the energy gradient
+and :func:`mutual_prediction_residual` all go through them. The checked
+single-branch helpers :func:`bottom_up` (into hidden layer ``1..L``) and
+:func:`top_down` (into layer ``0..L-1``) take a layer state instead.
 """
 
 from __future__ import annotations
@@ -23,25 +30,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigurationError, DimensionError, InvalidInputError
+from .exceptions import ConfigurationError, DimensionError, InvalidInputError, check_count
 
 
 class Activation(enum.Enum):
     """Element-wise rate non-linearity applied to unit voltages."""
 
     HARD_SIGMOID = "hard-sigmoid"
-    LOGISTIC_SIGMOID = "logistic-sigmoid"
 
 
 def apply_activation(activation: Activation, x: np.ndarray) -> np.ndarray:
     """Apply the rate non-linearity element-wise.
 
     The hard sigmoid is the bounded rectification ``max(0, min(1, x))``;
-    it is exactly the identity on ``[0, 1]`` and saturates outside. The
-    logistic sigmoid maps into the open interval ``(0, 1)``.
+    it is exactly the identity on ``[0, 1]`` and saturates outside.
 
     Args:
-        activation: Which non-linearity to apply.
+        activation: The non-linearity; the hard sigmoid is the only one.
         x: Voltage array, all entries finite.
 
     Returns:
@@ -53,9 +58,7 @@ def apply_activation(activation: Activation, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("activation input must be finite")
-    if activation is Activation.HARD_SIGMOID:
-        return np.clip(x, 0.0, 1.0)
-    return 1.0 / (1.0 + np.exp(-x))
+    return np.clip(x, 0.0, 1.0)
 
 
 def activation_subderivative(activation: Activation, x: np.ndarray) -> np.ndarray:
@@ -66,10 +69,7 @@ def activation_subderivative(activation: Activation, x: np.ndarray) -> np.ndarra
     that downstream computations are deterministic.
     """
     x = np.asarray(x, dtype=float)
-    if activation is Activation.HARD_SIGMOID:
-        return ((x >= 0.0) & (x <= 1.0)).astype(float)
-    s = 1.0 / (1.0 + np.exp(-x))
-    return s * (1.0 - s)
+    return ((x >= 0.0) & (x <= 1.0)).astype(float)
 
 
 def _frozen_vector(x, name: str) -> np.ndarray:
@@ -87,12 +87,12 @@ class LayerSpec:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.sizes)
+        sizes = tuple(self.sizes)
         if len(sizes) < 2:
             raise ConfigurationError("a network needs a visible and at least one hidden layer")
-        if any(n < 1 for n in sizes):
-            raise ConfigurationError(f"all layer sizes must be >= 1, got {sizes}")
-        object.__setattr__(self, "sizes", sizes)
+        for n in sizes:
+            check_count("every layer size", n, 1)
+        object.__setattr__(self, "sizes", tuple(int(n) for n in sizes))
 
     @property
     def n_hidden_layers(self) -> int:
@@ -207,20 +207,8 @@ def check_state(params: NetworkParams, state: NetworkState) -> None:
 
 
 def bottom_up(params: NetworkParams, h_below: np.ndarray, k: int) -> np.ndarray:
-    """Bottom-up branch prediction into hidden layer ``k``.
-
-    Computes ``b_k + W_k @ rho(h_below)`` where ``h_below`` is the state
-    of layer ``k - 1``. The result is on the voltage scale: the rate
-    non-linearity is *not* applied to it here.
-
-    Args:
-        params: Network parameters.
-        h_below: State of layer ``k - 1``, length ``n_{k-1}``.
-        k: Target hidden layer, ``1 <= k <= L``.
-
-    Returns:
-        Prediction vector of length ``n_k``.
-    """
+    """Bottom-up prediction ``d_bu`` into hidden layer ``k`` (``1 <= k <= L``)
+    from the state ``h_below`` of layer ``k - 1``, on the voltage scale."""
     if not 1 <= k <= params.n_layers:
         raise DimensionError(f"bottom_up layer index {k} out of range 1..{params.n_layers}")
     h_below = np.asarray(h_below, dtype=float)
@@ -233,19 +221,11 @@ def bottom_up(params: NetworkParams, h_below: np.ndarray, k: int) -> np.ndarray:
 
 
 def top_down(params: NetworkParams, h_above: np.ndarray, k: int) -> np.ndarray:
-    """Top-down branch prediction into layer ``k`` from layer ``k + 1``.
+    """Top-down prediction ``d_td`` into layer ``k`` (``0 <= k <= L - 1``)
+    from the state ``h_above`` of layer ``k + 1``, on the voltage scale.
 
-    Computes ``c_{k+1} + V_{k+1} @ rho(h_above)``, again on the voltage
-    scale. ``k = 0`` predicts the visible layer, which is useful for
+    ``k = 0`` predicts the visible layer, which is useful for
     reconstruction diagnostics even though the visible layer is clamped.
-
-    Args:
-        params: Network parameters.
-        h_above: State of layer ``k + 1``, length ``n_{k+1}``.
-        k: Receiving layer, ``0 <= k <= L - 1``.
-
-    Returns:
-        Prediction vector of length ``n_k``.
     """
     if not 0 <= k <= params.n_layers - 1:
         raise DimensionError(f"top_down layer index {k} out of range 0..{params.n_layers - 1}")
@@ -258,29 +238,49 @@ def top_down(params: NetworkParams, h_above: np.ndarray, k: int) -> np.ndarray:
     return params.fb_offsets[k] + params.fb_weights[k] @ rates
 
 
+def layer_rates(params: NetworkParams, state: NetworkState) -> list[np.ndarray]:
+    """Rates ``rho(s_j)`` of every layer ``j = 0..L`` of a state, visible first."""
+    return [apply_activation(params.activation, s) for s in (state.visible, *state.hidden)]
+
+
+def branch_predictions(params: NetworkParams, rates, k: int
+                       ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Bottom-up and top-down branch predictions into hidden layer ``k``.
+
+    ``rates[j]`` is the rate ``rho(s_j)`` of layer ``j`` (``j = 0`` is the
+    visible layer). Returns ``(d_bu, d_td)`` on the voltage scale, with
+    ``d_td`` None for the top layer. Nothing is validated here, so that
+    relaxation can call it every sweep; callers check the state once.
+    """
+    d_bu = params.ff_offsets[k - 1] + params.ff_weights[k - 1] @ rates[k - 1]
+    if k == params.n_layers:
+        return d_bu, None
+    return d_bu, params.fb_offsets[k] + params.fb_weights[k] @ rates[k + 1]
+
+
 def branch_combine(params: NetworkParams, d_bu: np.ndarray,
                    d_td: np.ndarray | None = None) -> np.ndarray:
-    """Gain-weighted convex combination of the branch predictions.
+    """Gain-weighted mean of the branch predictions.
 
-    With equal gains this is the plain mean of the two predictions; for
-    the top layer, which has no top-down branch, callers pass only
-    ``d_bu`` and the combination reduces to it. Written over a list of
-    (gain, prediction) pairs so further branch types could be added
-    without changing the combination rule.
+    Computes ``(g_bu * d_bu + g_td * d_td) / (g_bu + g_td)``; for the top
+    layer, which has no top-down branch, ``g_bu * d_bu / g_bu``.
 
     Raises:
+        DimensionError: If the two predictions differ in length.
         ConfigurationError: If the gains of the supplied branches sum to
             zero, which would leave the combination undefined.
     """
-    branches = [(params.branch_gains[0], np.asarray(d_bu, dtype=float))]
-    if d_td is not None:
-        branches.append((params.branch_gains[1], np.asarray(d_td, dtype=float)))
-    if any(d.shape != branches[0][1].shape for _, d in branches):
-        raise DimensionError("branch predictions must all have the same length")
-    total_gain = sum(g for g, _ in branches)
+    g_bu, g_td = params.branch_gains
+    d_bu = np.asarray(d_bu, dtype=float)
+    if d_td is None:
+        combined, total_gain = g_bu * d_bu, g_bu
+    else:
+        d_td = np.asarray(d_td, dtype=float)
+        if d_td.shape != d_bu.shape:
+            raise DimensionError("branch predictions must have the same length")
+        combined, total_gain = g_bu * d_bu + g_td * d_td, g_bu + g_td
     if total_gain == 0.0:
         raise ConfigurationError("the gains of the supplied branches sum to zero")
-    combined = sum(g * d for g, d in branches)
     return combined / total_gain
 
 
@@ -318,14 +318,9 @@ def mutual_prediction_residual(params: NetworkParams, state: NetworkState) -> np
         Array of length ``L`` with one residual per hidden layer.
     """
     check_state(params, state)
-    L = params.n_layers
-    out = np.empty(L)
-    for k in range(1, L + 1):
-        below = state.visible if k == 1 else state.hidden[k - 2]
-        d_bu = bottom_up(params, below, k)
-        worst = np.max(np.abs(d_bu - state.hidden[k - 1])) if d_bu.size else 0.0
-        if k < L:
-            d_td = top_down(params, state.hidden[k], k)
-            worst = max(worst, np.max(np.abs(d_td - state.hidden[k - 1])))
-        out[k - 1] = worst
+    rates = layer_rates(params, state)
+    out = np.empty(params.n_layers)
+    for k, h in enumerate(state.hidden, start=1):
+        out[k - 1] = max(np.max(np.abs(d - h))
+                         for d in branch_predictions(params, rates, k) if d is not None)
     return out

@@ -1,0 +1,142 @@
+"""End-to-end tests of the ``ffinit`` command line on a 16-8-4 network."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ffinit
+from ffinit import CheckpointError, load_params
+from ffinit.cli import main
+
+CONFIG = {
+    "dataset": {"source": "synthetic-blobs", "n_items": 64, "n_clusters": 4, "spread": 0.05},
+    "sizes": [16, 8, 4],
+    "regimes": ["trained-ae", "random-tied"],
+    "relaxation": {"max_iters": 50},
+    "train": {"epochs": 2, "batch_size": 16},
+    "n_inputs_evaluated": 8,
+}
+REGIME_FILES = {"trained-ae.csv", "trained-ae_log10.csv", "random-tied.csv",
+                "random-tied_log10.csv", "summary.csv", "training_curve.csv"}
+
+
+def write_config(tmp_path: Path, **changes) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**CONFIG, **changes}))
+    return str(path)
+
+
+def run(*argv) -> int:
+    return main([str(a) for a in argv])
+
+
+@pytest.fixture
+def config(tmp_path):
+    return write_config(tmp_path)
+
+
+@pytest.fixture
+def model(tmp_path, config):
+    path = tmp_path / "model.json"
+    assert run("train", "--config", config, "--seed", 5, "--out", path) == 0
+    return path
+
+
+def read_dir(path: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+class TestExperiment:
+    def test_writes_every_csv(self, tmp_path, config):
+        assert run("experiment", "--config", config, "--seed", 5, "--out", tmp_path / "a") == 0
+        files = read_dir(tmp_path / "a")
+        assert set(files) == REGIME_FILES
+        rows = files["summary.csv"].decode().splitlines()
+        assert rows[0] == "regime,metric,value"
+        assert len(rows) == 1 + 9 * 2
+
+    def test_same_seed_gives_identical_bytes(self, tmp_path, config):
+        for name in ("a", "b"):
+            assert run("experiment", "--config", config, "--seed", 5,
+                       "--out", tmp_path / name) == 0
+        assert read_dir(tmp_path / "a") == read_dir(tmp_path / "b")
+
+
+class TestTrain:
+    def test_curve_matches_the_experiment_training_curve(self, tmp_path, config):
+        curve = tmp_path / "curve.csv"
+        assert run("train", "--config", config, "--seed", 5, "--out", tmp_path / "m.json",
+                   "--curve", curve) == 0
+        assert run("experiment", "--config", config, "--seed", 5, "--out", tmp_path / "e") == 0
+        assert curve.read_bytes() == (tmp_path / "e" / "training_curve.csv").read_bytes()
+        assert len(curve.read_text().splitlines()) == 1 + 2 * 2
+
+
+class TestInfer:
+    def test_writes_a_trace_without_energy_for_untied_weights(self, tmp_path, config, model):
+        out = tmp_path / "trace.csv"
+        assert run("infer", "--config", config, "--seed", 5, "--model", model,
+                   "--index", 3, "--out", out) == 0
+        rows = out.read_text().splitlines()
+        assert rows[0] == "iter,step_magnitude"
+        assert [r.split(",")[0] for r in rows[1:]] == [str(i) for i in range(len(rows) - 1)]
+
+    def test_writes_energies_for_tied_weights(self, tmp_path):
+        config = write_config(tmp_path, train={"epochs": 2, "batch_size": 16,
+                                               "tie_decoder": True})
+        model, out = tmp_path / "tied.json", tmp_path / "trace.csv"
+        assert run("train", "--config", config, "--out", model) == 0
+        assert run("infer", "--config", config, "--model", model, "--out", out) == 0
+        assert out.read_text().splitlines()[0] == "iter,step_magnitude,energy"
+
+
+def assert_usage_error(capsys, *argv):
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestErrors:
+    @pytest.mark.parametrize("index", [64, 5000, -1])
+    def test_index_outside_the_dataset(self, capsys, config, model, index):
+        assert_usage_error(capsys, "infer", "--config", config, "--model", model,
+                           "--index", index)
+
+    @pytest.mark.parametrize("changes", [
+        {"n_inputs_evaluated": "x"},
+        {"seed": "x"},
+        {"sizes": "ab"},
+        {"sizes": 5},
+        {"n_inputs_evaluated": 2.5},
+        {"relaxation": {"max_iters": 2.5}},
+        {"relaxation": {"tol": float("nan")}},
+        {"train": {"epochs": 2.5}},
+        {"dataset": {"n_items": "x"}},
+    ], ids=lambda changes: json.dumps(changes).replace(" ", ""))
+    def test_invalid_config_value(self, tmp_path, capsys, changes):
+        config = write_config(tmp_path, **changes)
+        assert_usage_error(capsys, "experiment", "--config", config, "--out", tmp_path / "o")
+
+    def test_negative_seed(self, tmp_path, capsys, config):
+        assert_usage_error(capsys, "experiment", "--config", config, "--seed", -1,
+                           "--out", tmp_path / "o")
+
+    def test_logistic_checkpoint_rejected(self, tmp_path, capsys, config, model):
+        doc = json.loads(model.read_text())
+        doc["activation"] = "logistic-sigmoid"
+        model.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError):
+            load_params(model)
+        assert_usage_error(capsys, "infer", "--config", config, "--model", model)
+
+    def test_exit_code_of_python_m_ffinit(self, config, model):
+        env = {**os.environ, "PYTHONPATH": str(Path(ffinit.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ffinit", "infer", "--config", config, "--model", str(model),
+             "--index", "5000"], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")

@@ -204,12 +204,12 @@ class TestCheckpointRoundTrip:
                                fb_offsets=tuple(rng.normal(size=n)
                                                 for n in (6, 5)),
                                branch_gains=(1.25, 0.75),
-                               activation=Activation.LOGISTIC_SIGMOID)
+                               activation=Activation.HARD_SIGMOID)
         path = tmp_path / "model.json"
         save_params(params, path)
         loaded = load_params(path)
         assert loaded.spec == params.spec
-        assert loaded.activation is Activation.LOGISTIC_SIGMOID
+        assert loaded.activation is Activation.HARD_SIGMOID
         assert loaded.branch_gains == (1.25, 0.75)
         for group in ("ff_weights", "fb_weights", "ff_offsets", "fb_offsets"):
             for a, b in zip(getattr(params, group), getattr(loaded, group)):

@@ -16,6 +16,7 @@ from ffinit import (
     init_random_tied,
     local_branch_update,
     mutual_prediction_residual,
+    norm_matched_random,
     reconstruction_error,
     synth_autoencodable,
     synth_blobs,
@@ -161,14 +162,7 @@ class TestTrainStackedAe:
         cfg = TrainConfig(learning_rate=0.02, epochs=300, batch_size=16,
                           init_scale=0.3, seed=3)
         trained = train_stacked_ae(data, spec, cfg)
-        base = init_random_tied(spec, Activation.HARD_SIGMOID, 0.3, seed=3)
-        ws = [w * (np.linalg.norm(wt) / np.linalg.norm(w))
-              for w, wt in zip(base.ff_weights, trained.ff_weights)]
-        from ffinit import NetworkParams
-        matched = NetworkParams(spec=spec, ff_weights=tuple(ws),
-                                fb_weights=tuple(w.T.copy() for w in ws),
-                                ff_offsets=base.ff_offsets,
-                                fb_offsets=base.fb_offsets)
+        matched = norm_matched_random(trained, 0.3, seed=3)
         r_trained = np.mean([mutual_prediction_residual(
             trained, feedforward_init(trained, x)).mean() for x in data.items[:40]])
         r_random = np.mean([mutual_prediction_residual(
@@ -184,14 +178,7 @@ class TestTrainStackedAe:
         cfg = TrainConfig(learning_rate=0.02, epochs=300, batch_size=16,
                           init_scale=0.3, seed=3)
         trained = train_stacked_ae(data, spec, cfg)
-        base = init_random_tied(spec, Activation.HARD_SIGMOID, 0.3, seed=3)
-        ws = [w * (np.linalg.norm(wt) / np.linalg.norm(w))
-              for w, wt in zip(base.ff_weights, trained.ff_weights)]
-        from ffinit import NetworkParams
-        matched = NetworkParams(spec=spec, ff_weights=tuple(ws),
-                                fb_weights=tuple(w.T.copy() for w in ws),
-                                ff_offsets=base.ff_offsets,
-                                fb_offsets=base.fb_offsets)
+        matched = norm_matched_random(trained, 0.3, seed=3)
         r_trained = np.mean([mutual_prediction_residual(
             trained, feedforward_init(trained, x)).mean() for x in data.items[:40]])
         r_random = np.mean([mutual_prediction_residual(
