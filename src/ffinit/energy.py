@@ -78,30 +78,38 @@ def energy_model_or_none(params: NetworkParams) -> EnergyModel | None:
         return None
 
 
-def energy(model: EnergyModel, state: NetworkState) -> float:
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of the last axes: a scalar for vectors, one value per row for blocks."""
+    return np.einsum("...i,...i->...", a, b)
+
+
+def energy(model: EnergyModel, state: NetworkState) -> float | np.ndarray:
     """Evaluate the scalar energy of a full network state.
 
     The visible layer contributes its quadratic, coupling, and bias
     terms like any other layer; being clamped, those contributions are
     constant across an inference run but keep energies comparable
     between states of the same clamped input.
+
+    Returns:
+        A float, or for a block state one energy per row, shape ``(B,)``.
     """
     p = model.params
     check_state(p, state)
-    e = 0.5 * float(state.visible @ state.visible)
+    e = 0.5 * _row_dot(state.visible, state.visible)
     for k in range(1, p.n_layers + 1):
         h = state.hidden[k - 1]
-        e += model.layer_quadratic_weight(k) * float(h @ h)
+        e = e + model.layer_quadratic_weight(k) * _row_dot(h, h)
     rates = layer_rates(p, state)
     for k in range(1, p.n_layers + 1):
-        e -= float(rates[k] @ (p.ff_weights[k - 1] @ rates[k - 1]))
-    e -= float(p.fb_offsets[0] @ rates[0])
+        e = e - _row_dot(rates[k], rates[k - 1] @ p.ff_weights[k - 1].T)
+    e = e - rates[0] @ p.fb_offsets[0]
     for k in range(1, p.n_layers + 1):
         offsets = p.ff_offsets[k - 1].copy()
         if k < p.n_layers:
             offsets += p.fb_offsets[k]
-        e -= float(offsets @ rates[k])
-    return e
+        e = e - rates[k] @ offsets
+    return float(e) if np.ndim(e) == 0 else e
 
 
 def energy_gradient(model: EnergyModel, state: NetworkState) -> tuple[np.ndarray, ...]:

@@ -54,20 +54,18 @@ class DatasetSpec:
     ``path`` only applies to ``idx-file`` (when omitted the loader falls
     back to the ``FFINIT_MNIST_DIR`` directory); the remaining fields
     parameterize the synthetic generators. ``n_items`` truncates a
-    loaded IDX dataset or sizes a synthetic one. ``d`` defaults to the
-    network's visible size when left at 0.
+    loaded IDX dataset or sizes a synthetic one. The item dimension is
+    always the network's visible size.
     """
 
     source: DataSource = DataSource.SYNTHETIC_BLOBS
     path: str | None = None
     n_items: int = 2000
-    d: int = 0
     n_clusters: int = 8
     spread: float = 0.02
 
     def __post_init__(self):
         check_count("dataset n_items", self.n_items, 0)
-        check_count("dataset d", self.d, 0)
         check_count("dataset n_clusters", self.n_clusters, 1)
         check_real("dataset spread", self.spread, 0.0)
 
@@ -108,6 +106,7 @@ class RegimeResult:
     converged: np.ndarray
     final_residuals: np.ndarray
     step_stats: np.ndarray
+    n_active: np.ndarray
     energy_means: np.ndarray | None
 
 
@@ -137,11 +136,8 @@ def build_dataset(dspec: DatasetSpec, sizes: LayerSpec, seed: int) -> DatasetHan
             data = subset(data, dspec.n_items)
         return data
     if dspec.source is DataSource.SYNTHETIC_BLOBS:
-        d = dspec.d if dspec.d > 0 else sizes.visible_size
-        if d != sizes.visible_size:
-            raise DatasetError(
-                f"blob dimension {d} does not match visible size {sizes.visible_size}")
-        return synth_blobs(dspec.n_items, d, dspec.n_clusters, dspec.spread, seed)
+        return synth_blobs(dspec.n_items, sizes.visible_size, dspec.n_clusters,
+                           dspec.spread, seed)
     data, _ = synth_autoencodable(dspec.n_items, sizes, seed)
     return data
 
@@ -149,28 +145,29 @@ def build_dataset(dspec: DatasetSpec, sizes: LayerSpec, seed: int) -> DatasetHan
 def _evaluate_regime(regime: str, params: NetworkParams, items: np.ndarray,
                      cfg: RelaxationConfig) -> RegimeResult:
     energy_model = energy_model_or_none(params)
-    traces, resid = [], []
-    for x in items:
-        state, trace = infer_from_feedforward(params, x, cfg, energy_model=energy_model)
-        traces.append(trace)
-        resid.append(float(mutual_prediction_residual(params, state).max()))
-    n_iters = max((t.iters_run for t in traces), default=0)
+    state, traces = infer_from_feedforward(params, items, cfg, energy_model=energy_model)
+    resid = mutual_prediction_residual(params, state).max(axis=1)
+    iters = np.asarray([t.iters_run for t in traces], dtype=int)
+    n_iters = int(iters.max(initial=0))
     stats = np.empty((n_iters, 3))
-    energy_means = [] if energy_model is not None else None
+    n_active = np.empty(n_iters, dtype=int)
+    energy_means = np.empty(n_iters) if energy_model is not None else None
     for i in range(n_iters):
-        vals = np.array([t.step_magnitudes[i] for t in traces if t.iters_run > i])
+        active = [t for t in traces if t.iters_run > i]
+        vals = np.array([t.step_magnitudes[i] for t in active])
         stats[i] = (vals.mean(), vals.min(), vals.max())
+        n_active[i] = len(active)
         if energy_means is not None:
-            evals = [t.energies[i + 1] for t in traces if t.iters_run > i]
-            energy_means.append(float(np.mean(evals)))
+            energy_means[i] = np.mean([t.energies[i + 1] for t in active])
     return RegimeResult(
         regime=regime,
         initial_steps=np.asarray([t.step_magnitudes[0] for t in traces]),
-        iters_to_tol=np.asarray([t.iters_run for t in traces], dtype=int),
+        iters_to_tol=iters,
         converged=np.asarray([t.converged for t in traces], dtype=bool),
-        final_residuals=np.asarray(resid),
+        final_residuals=resid,
         step_stats=stats,
-        energy_means=np.asarray(energy_means) if energy_means is not None else None,
+        n_active=n_active,
+        energy_means=energy_means,
     )
 
 
@@ -245,10 +242,13 @@ def emit_csv(report: ExperimentReport, out_dir: str | Path) -> None:
     """Write the report as CSV files under ``out_dir``.
 
     Per regime: ``<regime>.csv`` with columns
-    ``iter,step_mag_mean,step_mag_min,step_mag_max,energy_mean`` (the
+    ``iter,step_mag_mean,step_mag_min,step_mag_max,energy_mean,n_active``
+    and ``<regime>_log10.csv`` with the same step statistics in log10.
+    ``n_active`` counts the inputs still relaxing at that iteration, and
+    the ``step_mag_*`` statistics and ``energy_mean`` average over those
+    ``n_active`` inputs only; inputs that have converged drop out. The
     energy column is populated only for regimes whose parameters admit
-    an energy, i.e. tied weights) and ``<regime>_log10.csv`` with the
-    same step statistics in log10. ``summary.csv`` holds one
+    an energy, i.e. tied weights. ``summary.csv`` holds one
     ``regime,metric,value`` row per summary statistic, and
     ``training_curve.csv`` the per-epoch reconstruction errors when
     training took place. Floats use shortest round-trip decimals, so
@@ -257,11 +257,11 @@ def emit_csv(report: ExperimentReport, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for rr in report.regimes:
-        lines = ["iter,step_mag_mean,step_mag_min,step_mag_max,energy_mean"]
+        lines = ["iter,step_mag_mean,step_mag_min,step_mag_max,energy_mean,n_active"]
         log_lines = ["iter,log10_step_mag_mean,log10_step_mag_min,log10_step_mag_max"]
         for i, (mean_, min_, max_) in enumerate(rr.step_stats):
             e = _fmt(rr.energy_means[i]) if rr.energy_means is not None else ""
-            lines.append(f"{i},{_fmt(mean_)},{_fmt(min_)},{_fmt(max_)},{e}")
+            lines.append(f"{i},{_fmt(mean_)},{_fmt(min_)},{_fmt(max_)},{e},{rr.n_active[i]}")
             log_lines.append(
                 f"{i},{_fmt(_log10(mean_))},{_fmt(_log10(min_))},{_fmt(_log10(max_))}")
         _write_lines(out / f"{rr.regime}.csv", lines)
@@ -312,7 +312,7 @@ def experiment_spec_from_config(doc: dict) -> ExperimentSpec:
         sizes = LayerSpec(sizes=tuple(doc["sizes"]))
         regimes = tuple(doc["regimes"])
         dsub = take(dict(doc.get("dataset", {})),
-                    {"source", "path", "n_items", "d", "n_clusters", "spread"}, "dataset")
+                    {"source", "path", "n_items", "n_clusters", "spread"}, "dataset")
         if "source" in dsub:
             dsub["source"] = DataSource(dsub["source"])
         rsub = take(dict(doc.get("relaxation", {})),

@@ -5,9 +5,10 @@ stack. ``ae-gradient`` does exact gradient descent on each pair's
 reconstruction loss, backpropagating through the pair's decoder into its
 encoder (and no further: training is local to the pair). ``local-branch``
 freezes the encoders at their random-tied initialization and fits only
-the top-down branch of each pair with the error-correcting delta rule,
-i.e. a linear regression of the branch's voltage-scale prediction onto
-the feedforward activation it should predict.
+the top-down branch of each pair with the error-correcting delta rule
+(:func:`local_branch_update`), i.e. a linear regression of the branch's
+voltage-scale prediction onto the feedforward activation it should
+predict.
 """
 
 from __future__ import annotations
@@ -122,32 +123,37 @@ def norm_matched_random(target: NetworkParams, init_scale: float = 1.0,
                          ff_offsets=base.ff_offsets, fb_offsets=base.fb_offsets)
 
 
-def local_branch_update(W_row: np.ndarray, offset: float, soma: float,
-                        presyn_rates: np.ndarray, lr: float) -> tuple[np.ndarray, float]:
-    """One error-correcting step for a single dendritic branch.
+def local_branch_update(weights: np.ndarray, offsets: np.ndarray, soma: np.ndarray,
+                        presyn_rates: np.ndarray, lr: float) -> None:
+    """One error-correcting step for a layer of dendritic branches over a batch.
 
-    The branch predicts the somatic value as
-    ``d = offset + W_row @ presyn_rates``; the update moves the weights
-    and offset along ``lr * (soma - d)``, which is exactly the negative
-    gradient step on the half squared prediction error
-    ``(soma - d)^2 / 2``. Repeated application on a fixed
-    (soma, presyn) pair contracts ``|soma - d|`` monotonically whenever
-    ``lr < 2 / (1 + ||presyn_rates||^2)``.
+    Branch ``i`` predicts its somatic value from presynaptic rates ``r``
+    as ``d_i = offsets[i] + weights[i] @ r``. For a batch of ``B`` rows
+    (``soma`` is ``(B, n_out)``, ``presyn_rates`` is ``(B, n_in)``) the
+    update moves the weights and offsets along the batch mean of
+    ``lr * (soma - d) r^T`` and ``lr * (soma - d)``, which is exactly the
+    negative gradient step on the mean half squared prediction error
+    ``|soma - d|^2 / 2``. Repeated application to a fixed batch of one
+    contracts ``|soma - d|`` monotonically whenever
+    ``lr < 2 / (1 + ||r||^2)``.
 
-    Returns:
-        The updated ``(W_row, offset)`` pair; the inputs are not modified.
+    ``weights`` (``(n_out, n_in)``) and ``offsets`` (``(n_out,)``) are
+    float arrays updated in place, as training updates its decoder.
     """
-    W_row = np.asarray(W_row, dtype=float)
+    soma = np.asarray(soma, dtype=float)
     presyn_rates = np.asarray(presyn_rates, dtype=float)
-    if W_row.shape != presyn_rates.shape:
+    if (weights.ndim != 2 or offsets.shape != weights.shape[:1]
+            or presyn_rates.ndim != 2 or presyn_rates.shape[1] != weights.shape[1]
+            or soma.shape != (len(presyn_rates), len(weights))):
         raise InvalidInputError(
-            f"weight row and presynaptic rates differ in length: "
-            f"{W_row.shape} vs {presyn_rates.shape}")
+            f"weights {weights.shape}, offsets {offsets.shape}, soma {soma.shape} and "
+            f"presynaptic rates {presyn_rates.shape} do not fit together")
     if np.any(presyn_rates < 0.0) or np.any(presyn_rates > 1.0):
         raise InvalidInputError("presynaptic rates must lie in [0, 1]")
-    d = float(offset) + float(W_row @ presyn_rates)
-    step = lr * (float(soma) - d)
-    return W_row + step * presyn_rates, float(offset) + step
+    err = soma - (presyn_rates @ weights.T + offsets)
+    scale = lr / len(presyn_rates)
+    weights += scale * (err.T @ presyn_rates)
+    offsets += scale * err.sum(axis=0)
 
 
 def _pair_error(x: np.ndarray, w, b, v, c, act: Activation) -> float:
@@ -217,9 +223,7 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
                 gradient_seen |= np.any(
                     activation_subderivative(activation, pre_h) > 0.0, axis=0)
                 if cfg.rule is TrainRule.LOCAL_BRANCH:
-                    err = xb - (hid @ v.T + c)
-                    v += (lr / batch) * (err.T @ hid)
-                    c += (lr / batch) * err.sum(axis=0)
+                    local_branch_update(v, c, xb, hid, lr)
                 else:
                     pre_y = hid @ v.T + c
                     rec = apply_activation(activation, pre_y)

@@ -72,10 +72,11 @@ def activation_subderivative(activation: Activation, x: np.ndarray) -> np.ndarra
     return ((x >= 0.0) & (x <= 1.0)).astype(float)
 
 
-def _frozen_vector(x, name: str) -> np.ndarray:
+def _frozen_block(x, name: str) -> np.ndarray:
     arr = np.array(x, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionError(f"{name} must be a 1-d vector, got shape {arr.shape}")
+    if arr.ndim not in (1, 2):
+        raise DimensionError(
+            f"{name} must be a 1-d vector or a 2-d block, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
 
@@ -176,53 +177,62 @@ class NetworkParams:
 class NetworkState:
     """A clamped visible vector plus one activation vector per hidden layer.
 
-    The visible vector is clamped: no inference operation ever modifies
-    it, and the backing arrays are read-only to enforce that.
+    A state may also be a block of ``B`` states: then the visible layer
+    is a ``(B, n_0)`` array and hidden layer ``k`` a ``(B, n_k)`` array,
+    row ``i`` of each belonging to input ``i``. The visible layer is
+    clamped: no inference operation ever modifies it, and the backing
+    arrays are read-only to enforce that.
     """
 
     visible: np.ndarray
     hidden: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "visible", _frozen_vector(self.visible, "visible"))
+        object.__setattr__(self, "visible", _frozen_block(self.visible, "visible"))
         object.__setattr__(
             self, "hidden",
-            tuple(_frozen_vector(h, f"hidden[{k}]") for k, h in enumerate(self.hidden)),
+            tuple(_frozen_block(h, f"hidden[{k}]") for k, h in enumerate(self.hidden)),
         )
 
 
 def check_state(params: NetworkParams, state: NetworkState) -> None:
-    """Raise DimensionError unless the state's shapes match the parameters."""
+    """Raise DimensionError unless the state's shapes match the parameters.
+
+    Every layer of a block state must have the visible layer's row count.
+    """
     sizes = params.spec.sizes
-    if state.visible.shape != (sizes[0],):
+    rows = state.visible.shape[:-1]
+    if state.visible.shape[-1] != sizes[0]:
         raise DimensionError(
-            f"visible has length {state.visible.shape[0]}, expected {sizes[0]}")
+            f"visible has length {state.visible.shape[-1]}, expected {sizes[0]}")
     if len(state.hidden) != params.n_layers:
         raise DimensionError(
             f"state has {len(state.hidden)} hidden layers, expected {params.n_layers}")
     for k, h in enumerate(state.hidden, start=1):
-        if h.shape != (sizes[k],):
+        if h.shape != rows + (sizes[k],):
             raise DimensionError(
-                f"hidden layer {k} has length {h.shape[0]}, expected {sizes[k]}")
+                f"hidden layer {k} has shape {h.shape}, expected {rows + (sizes[k],)}")
 
 
 def bottom_up(params: NetworkParams, h_below: np.ndarray, k: int) -> np.ndarray:
     """Bottom-up prediction ``d_bu`` into hidden layer ``k`` (``1 <= k <= L``)
-    from the state ``h_below`` of layer ``k - 1``, on the voltage scale."""
+    from the state ``h_below`` of layer ``k - 1`` (a vector or a block of
+    rows), on the voltage scale."""
     if not 1 <= k <= params.n_layers:
         raise DimensionError(f"bottom_up layer index {k} out of range 1..{params.n_layers}")
     h_below = np.asarray(h_below, dtype=float)
-    if h_below.shape != (params.spec.sizes[k - 1],):
+    if h_below.ndim not in (1, 2) or h_below.shape[-1] != params.spec.sizes[k - 1]:
         raise DimensionError(
             f"bottom_up into layer {k} expects input of length "
             f"{params.spec.sizes[k - 1]}, got {h_below.shape}")
     rates = apply_activation(params.activation, h_below)
-    return params.ff_offsets[k - 1] + params.ff_weights[k - 1] @ rates
+    return params.ff_offsets[k - 1] + rates @ params.ff_weights[k - 1].T
 
 
 def top_down(params: NetworkParams, h_above: np.ndarray, k: int) -> np.ndarray:
     """Top-down prediction ``d_td`` into layer ``k`` (``0 <= k <= L - 1``)
-    from the state ``h_above`` of layer ``k + 1``, on the voltage scale.
+    from the state ``h_above`` of layer ``k + 1`` (a vector or a block of
+    rows), on the voltage scale.
 
     ``k = 0`` predicts the visible layer, which is useful for
     reconstruction diagnostics even though the visible layer is clamped.
@@ -230,12 +240,12 @@ def top_down(params: NetworkParams, h_above: np.ndarray, k: int) -> np.ndarray:
     if not 0 <= k <= params.n_layers - 1:
         raise DimensionError(f"top_down layer index {k} out of range 0..{params.n_layers - 1}")
     h_above = np.asarray(h_above, dtype=float)
-    if h_above.shape != (params.spec.sizes[k + 1],):
+    if h_above.ndim not in (1, 2) or h_above.shape[-1] != params.spec.sizes[k + 1]:
         raise DimensionError(
             f"top_down into layer {k} expects input of length "
             f"{params.spec.sizes[k + 1]}, got {h_above.shape}")
     rates = apply_activation(params.activation, h_above)
-    return params.fb_offsets[k] + params.fb_weights[k] @ rates
+    return params.fb_offsets[k] + rates @ params.fb_weights[k].T
 
 
 def layer_rates(params: NetworkParams, state: NetworkState) -> list[np.ndarray]:
@@ -243,19 +253,24 @@ def layer_rates(params: NetworkParams, state: NetworkState) -> list[np.ndarray]:
     return [apply_activation(params.activation, s) for s in (state.visible, *state.hidden)]
 
 
-def branch_predictions(params: NetworkParams, rates, k: int
+def branch_predictions(params: NetworkParams, rates, k: int,
+                       d_bu: np.ndarray | None = None
                        ) -> tuple[np.ndarray, np.ndarray | None]:
     """Bottom-up and top-down branch predictions into hidden layer ``k``.
 
     ``rates[j]`` is the rate ``rho(s_j)`` of layer ``j`` (``j = 0`` is the
-    visible layer). Returns ``(d_bu, d_td)`` on the voltage scale, with
-    ``d_td`` None for the top layer. Nothing is validated here, so that
+    visible layer), a vector or a ``(B, n_j)`` block. Returns ``(d_bu,
+    d_td)`` on the voltage scale, with ``d_td`` None for the top layer.
+    A caller that already holds ``d_bu`` passes it in, and then
+    ``rates[k - 1]`` is not read: relaxation computes the clamped drive
+    into layer 1 once per run. Nothing is validated here, so that
     relaxation can call it every sweep; callers check the state once.
     """
-    d_bu = params.ff_offsets[k - 1] + params.ff_weights[k - 1] @ rates[k - 1]
+    if d_bu is None:
+        d_bu = params.ff_offsets[k - 1] + rates[k - 1] @ params.ff_weights[k - 1].T
     if k == params.n_layers:
         return d_bu, None
-    return d_bu, params.fb_offsets[k] + params.fb_weights[k] @ rates[k + 1]
+    return d_bu, params.fb_offsets[k] + rates[k + 1] @ params.fb_weights[k].T
 
 
 def branch_combine(params: NetworkParams, d_bu: np.ndarray,
@@ -287,14 +302,15 @@ def branch_combine(params: NetworkParams, d_bu: np.ndarray,
 def feedforward_init(params: NetworkParams, visible: np.ndarray) -> NetworkState:
     """Initialize a state by a single bottom-up sweep.
 
-    Sets ``h_k = rho(bottom_up(h_{k-1}))`` for ``k = 1..L`` starting from
-    the clamped visible vector. Applying the non-linearity at every step
-    makes the result a fixed point of the direct relaxation update
-    whenever both branches of every layer agree on their predictions.
-    The function is pure: two calls with equal inputs agree exactly.
+    Sets ``h_k = rho(b_k + W_k rho(h_{k-1}))`` for ``k = 1..L`` starting
+    from the clamped visible vector, or from every row of a ``(B, n_0)``
+    block of them. Applying the non-linearity at every step makes the
+    result a fixed point of the direct relaxation update whenever both
+    branches of every layer agree on their predictions. The function is
+    pure: two calls with equal inputs agree exactly.
     """
     visible = np.asarray(visible, dtype=float)
-    if visible.shape != (params.spec.visible_size,):
+    if visible.ndim not in (1, 2) or visible.shape[-1] != params.spec.visible_size:
         raise DimensionError(
             f"visible must have length {params.spec.visible_size}, got {visible.shape}")
     hidden = []
@@ -315,12 +331,16 @@ def mutual_prediction_residual(params: NetworkParams, state: NetworkState) -> np
     i.e. when consecutive layers reconstruct each other perfectly.
 
     Returns:
-        Array of length ``L`` with one residual per hidden layer.
+        Array of length ``L`` with one residual per hidden layer, or of
+        shape ``(B, L)`` for a block state.
     """
     check_state(params, state)
     rates = layer_rates(params, state)
-    out = np.empty(params.n_layers)
+    out = np.empty(state.visible.shape[:-1] + (params.n_layers,))
     for k, h in enumerate(state.hidden, start=1):
-        out[k - 1] = max(np.max(np.abs(d - h))
-                         for d in branch_predictions(params, rates, k) if d is not None)
+        d_bu, d_td = branch_predictions(params, rates, k)
+        err = np.abs(d_bu - h).max(axis=-1)
+        if d_td is not None:
+            err = np.maximum(err, np.abs(d_td - h).max(axis=-1))
+        out[..., k - 1] = err
     return out

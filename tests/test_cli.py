@@ -116,6 +116,7 @@ class TestErrors:
         {"relaxation": {"tol": float("nan")}},
         {"train": {"epochs": 2.5}},
         {"dataset": {"n_items": "x"}},
+        {"dataset": {"d": 16}},
     ], ids=lambda changes: json.dumps(changes).replace(" ", ""))
     def test_invalid_config_value(self, tmp_path, capsys, changes):
         config = write_config(tmp_path, **changes)

@@ -4,6 +4,7 @@ import pytest
 from ffinit import (
     Activation,
     ConfigurationError,
+    DimensionError,
     EnergyModel,
     LayerSpec,
     NetworkState,
@@ -14,6 +15,7 @@ from ffinit import (
     bottom_up,
     branch_combine,
     direct_update_layer,
+    energy,
     feedforward_init,
     infer_from_feedforward,
     init_random_tied,
@@ -292,3 +294,132 @@ class TestInferFromFeedforward:
             _, t_trace = infer_from_feedforward(trained, x, cfg)
             _, r_trace = infer_from_feedforward(random_params, x, cfg)
             assert t_trace.step_magnitudes[0] <= 0.1 * r_trace.step_magnitudes[0]
+
+
+def block_of(states):
+    """Stack single-input states into one block state."""
+    return NetworkState(visible=np.stack([s.visible for s in states]),
+                        hidden=tuple(np.stack(h) for h in zip(*(s.hidden for s in states))))
+
+
+class TestBlockRelaxation:
+    """A block of inputs relaxes as one state whose rows stop independently."""
+
+    def test_batch_of_one_is_bit_identical_to_the_oracles(self):
+        rng = np.random.default_rng(20)
+        params = random_tied_params(rng, sizes=(30, 20, 20, 20), with_offsets=True)
+        x = rng.uniform(0, 1, size=30)
+        state = feedforward_init(params, x)
+        block, traces = relax(params, feedforward_init(params, x[None]),
+                              RelaxationConfig(max_iters=25, tol=1e-300))
+        oracle_hidden, oracle_steps = sweep_oracle(params, state, 25)
+        assert len(traces) == 1
+        assert all(np.array_equal(h[0], o) for h, o in zip(block.hidden, oracle_hidden))
+        assert np.array_equal(traces[0].step_magnitudes, np.asarray(oracle_steps))
+        assert np.array_equal(block.visible[0], x)
+
+    def test_batch_of_one_equals_the_vector_call(self):
+        rng = np.random.default_rng(21)
+        params = random_tied_params(rng, sizes=(12, 9, 7, 5), with_offsets=True)
+        model = EnergyModel(params)
+        x = rng.uniform(0, 1, size=12)
+        cfg = RelaxationConfig(max_iters=40)
+        one, trace = infer_from_feedforward(params, x, cfg, energy_model=model)
+        block, (row_trace,) = infer_from_feedforward(params, x[None], cfg,
+                                                     energy_model=model)
+        assert all(np.array_equal(h[0], g) for h, g in zip(block.hidden, one.hidden))
+        assert np.array_equal(row_trace.step_magnitudes, trace.step_magnitudes)
+        assert np.array_equal(row_trace.energies, trace.energies)
+        assert row_trace.converged == trace.converged
+        assert np.array_equal(mutual_prediction_residual(params, block)[0],
+                              mutual_prediction_residual(params, one))
+        assert energy(model, block)[0] == energy(model, one)
+
+    def test_rows_match_their_per_item_runs(self):
+        rng = np.random.default_rng(22)
+        for scheme in (RelaxationConfig(max_iters=200),
+                       RelaxationConfig(scheme=Scheme.LEAKY, tau=2.5, max_iters=200)):
+            for _ in range(5):
+                params = random_tied_params(rng, random_sizes(rng, max_size=40),
+                                            with_offsets=True)
+                model = EnergyModel(params)
+                items = rng.uniform(0, 1, size=(9, params.spec.visible_size))
+                block, traces = infer_from_feedforward(params, items, scheme,
+                                                       energy_model=model)
+                assert block.hidden[0].shape == (9, params.spec.sizes[1])
+                residuals = mutual_prediction_residual(params, block)
+                assert residuals.shape == (9, params.n_layers)
+                for i, x in enumerate(items):
+                    state, trace = infer_from_feedforward(params, x, scheme,
+                                                          energy_model=model)
+                    assert traces[i].iters_run == trace.iters_run
+                    assert traces[i].converged == trace.converged
+                    for h, g in zip(block.hidden, state.hidden):
+                        assert np.abs(h[i] - g).max() <= 1e-12
+                    assert np.abs(traces[i].step_magnitudes
+                                  - trace.step_magnitudes).max() <= 1e-12
+                    assert np.abs(traces[i].energies - trace.energies).max() <= 1e-12
+                    assert np.abs(residuals[i]
+                                  - mutual_prediction_residual(params, state)).max() <= 1e-12
+
+    def test_a_converged_row_is_frozen_at_its_own_convergence(self):
+        data, params = synth_autoencodable(2, LayerSpec(sizes=(8, 6, 5, 4)), seed=3)
+        rng = np.random.default_rng(23)
+        at_rest = feedforward_init(params, data.items[0])
+        far = NetworkState(visible=data.items[1],
+                           hidden=tuple(rng.uniform(0, 1, size=n) for n in (6, 5, 4)))
+        cfg = RelaxationConfig(max_iters=200)
+        block, (t_rest, t_far) = relax(params, block_of([at_rest, far]), cfg)
+        alone, t_alone = relax(params, at_rest, cfg)
+        assert t_rest.converged and t_rest.iters_run == t_alone.iters_run == 1
+        assert t_far.iters_run > t_rest.iters_run
+        for h, g, start in zip(block.hidden, alone.hidden, at_rest.hidden):
+            assert np.abs(h[0] - g).max() <= 1e-12
+            assert np.abs(h[0] - start).max() <= 1e-12
+        far_alone, t_far_alone = relax(params, far, cfg)
+        assert t_far.iters_run == t_far_alone.iters_run
+        assert all(np.abs(h[1] - g).max() <= 1e-12
+                   for h, g in zip(block.hidden, far_alone.hidden))
+
+    def test_tied_block_energies_never_increase(self):
+        rng = np.random.default_rng(24)
+        for _ in range(10):
+            params = random_tied_params(rng, random_sizes(rng), scale=1.5,
+                                        with_offsets=True)
+            states = [random_state(rng, params) for _ in range(6)]
+            _, traces = relax(params, block_of(states),
+                              RelaxationConfig(max_iters=30, tol=1e-12),
+                              energy_model=EnergyModel(params))
+            for trace in traces:
+                assert len(trace.energies) == trace.iters_run + 1
+                assert np.all(np.diff(trace.energies) <= 1e-10)
+
+    def test_langevin_rows_match_their_per_item_runs(self):
+        rng = np.random.default_rng(25)
+        params = random_tied_params(rng, sizes=(10, 8, 6), with_offsets=True)
+        cfg = RelaxationConfig(scheme=Scheme.LANGEVIN, noise_scale=0.05, tau=2.0,
+                               max_iters=20, seed=7)
+        states = [random_state(rng, params) for _ in range(5)]
+        block, traces = relax(params, block_of(states), cfg)
+        for i, state in enumerate(states):
+            alone, trace = relax(params, state, cfg)
+            assert traces[i].iters_run == trace.iters_run == 20
+            assert not traces[i].converged
+            assert all(np.abs(h[i] - g).max() <= 1e-12
+                       for h, g in zip(block.hidden, alone.hidden))
+            assert np.abs(traces[i].step_magnitudes - trace.step_magnitudes).max() <= 1e-12
+
+    def test_empty_block(self):
+        rng = np.random.default_rng(26)
+        params = random_tied_params(rng, sizes=(4, 3, 2))
+        block, traces = infer_from_feedforward(params, np.empty((0, 4)), RelaxationConfig(),
+                                               energy_model=EnergyModel(params))
+        assert traces == [] and block.hidden[1].shape == (0, 2)
+        assert mutual_prediction_residual(params, block).shape == (0, 2)
+
+    def test_block_rows_must_agree(self):
+        rng = np.random.default_rng(27)
+        params = random_tied_params(rng, sizes=(4, 3))
+        state = NetworkState(visible=np.zeros((2, 4)), hidden=(np.zeros((3, 3)),))
+        with pytest.raises(DimensionError):
+            relax(params, state, RelaxationConfig())

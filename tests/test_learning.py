@@ -58,16 +58,30 @@ class TestInitRandomTied:
         assert any(not np.array_equal(x, y) for x, y in zip(a.ff_weights, c.ff_weights))
 
 
+def update_one(row, off, soma, r, lr):
+    """local_branch_update of one branch on a batch of one; returns the
+    updated ``(row, offset)`` and leaves the arguments alone."""
+    w, c = np.array([row], dtype=float), np.array([off], dtype=float)
+    local_branch_update(w, c, np.array([[soma]]), np.atleast_2d(r), lr)
+    return w[0], float(c[0])
+
+
+def updated(weights, offsets, soma, r, lr):
+    """Copies of ``weights`` and ``offsets`` after one local_branch_update."""
+    w, c = weights.copy(), offsets.copy()
+    local_branch_update(w, c, soma, r, lr)
+    return w, c
+
+
 class TestLocalBranchUpdate:
     def test_perfect_prediction_no_update(self):
-        row, off = local_branch_update(np.array([0.5, -0.5]), 0.2,
-                                       soma=0.2 + 0.5 * 0.4 - 0.5 * 0.6,
-                                       presyn_rates=np.array([0.4, 0.6]), lr=0.3)
+        row, off = update_one(np.array([0.5, -0.5]), 0.2,
+                              soma=0.2 + 0.5 * 0.4 - 0.5 * 0.6,
+                              r=np.array([0.4, 0.6]), lr=0.3)
         assert np.array_equal(row, [0.5, -0.5]) and off == 0.2
 
     def test_one_step_arithmetic(self):
-        row, off = local_branch_update(np.array([0.5]), 0.0, soma=1.0,
-                                       presyn_rates=np.array([1.0]), lr=0.1)
+        row, off = update_one(np.array([0.5]), 0.0, soma=1.0, r=np.array([1.0]), lr=0.1)
         assert np.allclose(row, [0.55], atol=1e-15)
         assert off == pytest.approx(0.05, abs=1e-15)
 
@@ -85,7 +99,7 @@ class TestLocalBranchUpdate:
             def cost(w, c):
                 return 0.5 * (soma - c - float(w @ r)) ** 2
 
-            new_row, new_off = local_branch_update(row, off, soma, r, lr)
+            new_row, new_off = update_one(row, off, soma, r, lr)
             for j in range(n):
                 bump = np.zeros(n)
                 bump[j] = eps
@@ -106,18 +120,45 @@ class TestLocalBranchUpdate:
             errors = []
             for _ in range(60):
                 errors.append(abs(soma - off - float(row @ r)))
-                row, off = local_branch_update(row, off, soma, r, lr)
+                row, off = update_one(row, off, soma, r, lr)
             diffs = np.diff(errors)
             assert np.all(diffs <= 1e-12)
             assert errors[-1] < errors[0] or errors[0] == 0.0
 
+    def test_batch_step_is_the_mean_of_single_row_steps(self):
+        rng = np.random.default_rng(7)
+        weights = rng.normal(size=(3, 4))
+        offsets = rng.normal(size=3)
+        soma = rng.normal(size=(5, 3))
+        r = rng.uniform(0, 1, size=(5, 4))
+        w, c = updated(weights, offsets, soma, r, 0.3)
+        singles = [updated(weights, offsets, soma[i:i + 1], r[i:i + 1], 0.3)
+                   for i in range(5)]
+        assert np.allclose(w, np.mean([s[0] for s in singles], axis=0), rtol=0, atol=1e-14)
+        assert np.allclose(c, np.mean([s[1] for s in singles], axis=0), rtol=0, atol=1e-14)
+
+    def test_updates_in_place_and_leaves_the_batch_alone(self):
+        weights, offsets = np.ones((2, 3)), np.zeros(2)
+        soma, r = np.ones((1, 2)), np.full((1, 3), 0.5)
+        local_branch_update(weights, offsets, soma, r, 0.1)
+        # d = 1.5 for both branches, so each moves by 0.1 * (1 - 1.5) * r
+        assert np.allclose(weights, 1.0 - 0.025, rtol=0, atol=1e-15)
+        assert np.allclose(offsets, -0.05, rtol=0, atol=1e-15)
+        assert np.array_equal(soma, np.ones((1, 2))) and np.array_equal(r, np.full((1, 3), 0.5))
+
     def test_presyn_outside_rate_range_rejected(self):
         with pytest.raises(InvalidInputError):
-            local_branch_update(np.array([1.0]), 0.0, 0.5, np.array([1.5]), 0.1)
+            update_one(np.array([1.0]), 0.0, 0.5, np.array([1.5]), 0.1)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            local_branch_update(np.array([1.0, 2.0]), 0.0, 0.5, np.array([0.5]), 0.1)
+        for weights, offsets, soma, r in (
+                (np.ones((1, 2)), np.zeros(1), np.ones((1, 1)), np.ones((1, 1))),
+                (np.ones((1, 2)), np.zeros(2), np.ones((1, 1)), np.ones((1, 2))),
+                (np.ones((1, 2)), np.zeros(1), np.ones((2, 1)), np.ones((1, 2))),
+                (np.ones(2), np.zeros(1), np.ones((1, 1)), np.ones((1, 2))),
+                (np.ones((1, 2)), np.zeros(1), np.ones(1), np.ones(2))):
+            with pytest.raises(InvalidInputError):
+                local_branch_update(weights, offsets, soma, r, 0.1)
 
 
 class TestTrainStackedAe:
@@ -195,10 +236,9 @@ class TestTrainStackedAe:
         trained = train_stacked_ae(data, spec, cfg)
         init = init_random_tied(spec, Activation.HARD_SIGMOID, 1.0, seed=11)
         hid = np.clip(init.ff_weights[0] @ x, 0, 1)
-        for i in range(3):
-            row, off = local_branch_update(init.fb_weights[0][i], 0.0, x[i], hid, 0.2)
-            assert np.allclose(trained.fb_weights[0][i], row, atol=1e-14)
-            assert trained.fb_offsets[0][i] == pytest.approx(off, abs=1e-14)
+        weights, offsets = updated(init.fb_weights[0], np.zeros(3), x[None], hid[None], 0.2)
+        assert np.array_equal(trained.fb_weights[0], weights)
+        assert np.array_equal(trained.fb_offsets[0], offsets)
         # encoder stays frozen under the local-branch rule
         assert np.array_equal(trained.ff_weights[0], init.ff_weights[0])
 
