@@ -32,12 +32,10 @@ from .network import (
     NetworkState,
     apply_activation,
     activation_subderivative,
-    bottom_up,
     branch_combine,
     branch_predictions,
     feedforward_init,
     mutual_prediction_residual,
-    top_down,
 )
 from .energy import EnergyModel, energy, energy_gradient, energy_model_or_none
 from .inference import (
@@ -81,9 +79,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Activation", "LayerSpec", "NetworkParams", "NetworkState",
-    "apply_activation", "activation_subderivative", "bottom_up", "top_down",
-    "branch_predictions", "branch_combine", "feedforward_init",
-    "mutual_prediction_residual",
+    "apply_activation", "activation_subderivative", "branch_predictions",
+    "branch_combine", "feedforward_init", "mutual_prediction_residual",
     "EnergyModel", "energy", "energy_gradient", "energy_model_or_none",
     "Scheme", "RelaxationConfig", "ConvergenceTrace",
     "direct_update_layer", "relax", "infer_from_feedforward",

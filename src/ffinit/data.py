@@ -191,9 +191,7 @@ def synth_autoencodable(n_items: int, spec: LayerSpec, seed: int = 0,
                                activation=Activation.HARD_SIGMOID)
         z = rng.uniform(-margin / np.sqrt(m), margin / np.sqrt(m), size=(n_items, m))
         items = 0.5 + z @ bases[0].T
-        worst = max(
-            float(mutual_prediction_residual(params, feedforward_init(params, x)).max())
-            for x in items)
+        worst = float(mutual_prediction_residual(params, feedforward_init(params, items)).max())
         if worst <= 1e-9:
             data = DatasetHandle(items=items, name="synthetic-autoencodable",
                                  source=DataSource.SYNTHETIC_AUTOENCODABLE)

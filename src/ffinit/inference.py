@@ -232,6 +232,9 @@ def relax(params: NetworkParams, state: NetworkState, cfg: RelaxationConfig,
     Returns:
         The relaxed state and its convergence trace; for a block state,
         the relaxed block and a list of one trace per row.
+
+    Raises:
+        InvalidInputError: If the run overflows to a non-finite state.
     """
     check_state(params, state)
     single = state.visible.ndim == 1

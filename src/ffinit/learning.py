@@ -148,7 +148,7 @@ def local_branch_update(weights: np.ndarray, offsets: np.ndarray, soma: np.ndarr
         raise InvalidInputError(
             f"weights {weights.shape}, offsets {offsets.shape}, soma {soma.shape} and "
             f"presynaptic rates {presyn_rates.shape} do not fit together")
-    if np.any(presyn_rates < 0.0) or np.any(presyn_rates > 1.0):
+    if not np.all((presyn_rates >= 0.0) & (presyn_rates <= 1.0)):
         raise InvalidInputError("presynaptic rates must lie in [0, 1]")
     err = soma - (presyn_rates @ weights.T + offsets)
     scale = lr / len(presyn_rates)

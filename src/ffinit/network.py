@@ -18,19 +18,27 @@ so a state that every branch predicts exactly is a fixed point.
 :func:`branch_predictions` is the only place that computes ``(d_bu,
 d_td)`` from layer rates and :func:`branch_combine` the only place that
 weighs them; relaxation (:mod:`ffinit.inference`), the energy gradient
-and :func:`mutual_prediction_residual` all go through them. The checked
-single-branch helpers :func:`bottom_up` (into hidden layer ``1..L``) and
-:func:`top_down` (into layer ``0..L-1``) take a layer state instead.
+and :func:`mutual_prediction_residual` all go through them.
+
+Inputs are checked once, where they enter: :class:`NetworkParams`
+(shapes, finite arrays, the gain domain), :class:`NetworkState` (shapes,
+finite entries) and :class:`ffinit.data.DatasetHandle` (finite items in
+``[0, 1]``). Every state an operation takes or returns is a
+:class:`NetworkState`, so a run that overflows to a non-finite value
+fails with :class:`~ffinit.exceptions.InvalidInputError` instead of
+returning it. :func:`apply_activation`, :func:`branch_predictions` and
+:func:`branch_combine` run unchecked on what those guarantee.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigurationError, DimensionError, InvalidInputError, check_count
+from .exceptions import (ConfigurationError, DimensionError, InvalidInputError,
+                         check_count, check_real)
 
 
 class Activation(enum.Enum):
@@ -47,18 +55,12 @@ def apply_activation(activation: Activation, x: np.ndarray) -> np.ndarray:
 
     Args:
         activation: The non-linearity; the hard sigmoid is the only one.
-        x: Voltage array, all entries finite.
+        x: Voltage array.
 
     Returns:
         Array of the same shape with rates in ``[0, 1]``.
-
-    Raises:
-        InvalidInputError: If ``x`` contains non-finite entries.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("activation input must be finite")
-    return np.clip(x, 0.0, 1.0)
+    return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
 
 def activation_subderivative(activation: Activation, x: np.ndarray) -> np.ndarray:
@@ -77,6 +79,8 @@ def _frozen_block(x, name: str) -> np.ndarray:
     if arr.ndim not in (1, 2):
         raise DimensionError(
             f"{name} must be a 1-d vector or a 2-d block, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
 
@@ -118,8 +122,10 @@ class NetworkParams:
             ``n_{k+1}``.
         fb_offsets: ``L`` top-down branch offsets, entry ``k`` of length
             ``n_k``.
-        branch_gains: Non-negative ``(bottom_up, top_down)`` gains used
-            when combining branch predictions; they may not both be zero.
+        branch_gains: Finite ``(bottom_up, top_down)`` gains used when
+            combining branch predictions. The bottom-up gain is positive,
+            because the top layer has no other branch; the top-down gain
+            is non-negative.
         activation: Rate non-linearity shared by all layers.
 
     All arrays are copied on construction and marked read-only, so one
@@ -155,12 +161,10 @@ class NetworkParams:
                 a.setflags(write=False)
                 frozen.append(a)
             object.__setattr__(self, name, tuple(frozen))
-        gains = (float(self.branch_gains[0]), float(self.branch_gains[1]))
-        if gains[0] < 0 or gains[1] < 0:
-            raise ConfigurationError(f"branch gains must be non-negative, got {gains}")
-        if gains[0] == 0 and gains[1] == 0:
-            raise ConfigurationError("branch gains must not both be zero")
-        object.__setattr__(self, "branch_gains", gains)
+        g_bu, g_td = self.branch_gains[0], self.branch_gains[1]
+        check_real("the bottom-up branch gain", g_bu, 0.0, strict=True)
+        check_real("the top-down branch gain", g_td, 0.0)
+        object.__setattr__(self, "branch_gains", (float(g_bu), float(g_td)))
 
     @property
     def n_layers(self) -> int:
@@ -182,6 +186,10 @@ class NetworkState:
     row ``i`` of each belonging to input ``i``. The visible layer is
     clamped: no inference operation ever modifies it, and the backing
     arrays are read-only to enforce that.
+
+    Raises:
+        DimensionError: If a layer is not a vector or a 2-d block.
+        InvalidInputError: If any entry is non-finite.
     """
 
     visible: np.ndarray
@@ -212,40 +220,6 @@ def check_state(params: NetworkParams, state: NetworkState) -> None:
         if h.shape != rows + (sizes[k],):
             raise DimensionError(
                 f"hidden layer {k} has shape {h.shape}, expected {rows + (sizes[k],)}")
-
-
-def bottom_up(params: NetworkParams, h_below: np.ndarray, k: int) -> np.ndarray:
-    """Bottom-up prediction ``d_bu`` into hidden layer ``k`` (``1 <= k <= L``)
-    from the state ``h_below`` of layer ``k - 1`` (a vector or a block of
-    rows), on the voltage scale."""
-    if not 1 <= k <= params.n_layers:
-        raise DimensionError(f"bottom_up layer index {k} out of range 1..{params.n_layers}")
-    h_below = np.asarray(h_below, dtype=float)
-    if h_below.ndim not in (1, 2) or h_below.shape[-1] != params.spec.sizes[k - 1]:
-        raise DimensionError(
-            f"bottom_up into layer {k} expects input of length "
-            f"{params.spec.sizes[k - 1]}, got {h_below.shape}")
-    rates = apply_activation(params.activation, h_below)
-    return params.ff_offsets[k - 1] + rates @ params.ff_weights[k - 1].T
-
-
-def top_down(params: NetworkParams, h_above: np.ndarray, k: int) -> np.ndarray:
-    """Top-down prediction ``d_td`` into layer ``k`` (``0 <= k <= L - 1``)
-    from the state ``h_above`` of layer ``k + 1`` (a vector or a block of
-    rows), on the voltage scale.
-
-    ``k = 0`` predicts the visible layer, which is useful for
-    reconstruction diagnostics even though the visible layer is clamped.
-    """
-    if not 0 <= k <= params.n_layers - 1:
-        raise DimensionError(f"top_down layer index {k} out of range 0..{params.n_layers - 1}")
-    h_above = np.asarray(h_above, dtype=float)
-    if h_above.ndim not in (1, 2) or h_above.shape[-1] != params.spec.sizes[k + 1]:
-        raise DimensionError(
-            f"top_down into layer {k} expects input of length "
-            f"{params.spec.sizes[k + 1]}, got {h_above.shape}")
-    rates = apply_activation(params.activation, h_above)
-    return params.fb_offsets[k] + rates @ params.fb_weights[k].T
 
 
 def layer_rates(params: NetworkParams, state: NetworkState) -> list[np.ndarray]:
@@ -280,23 +254,20 @@ def branch_combine(params: NetworkParams, d_bu: np.ndarray,
     Computes ``(g_bu * d_bu + g_td * d_td) / (g_bu + g_td)``; for the top
     layer, which has no top-down branch, ``g_bu * d_bu / g_bu``.
 
+    :class:`NetworkParams` keeps ``g_bu`` positive, so neither
+    denominator is zero.
+
     Raises:
         DimensionError: If the two predictions differ in length.
-        ConfigurationError: If the gains of the supplied branches sum to
-            zero, which would leave the combination undefined.
     """
     g_bu, g_td = params.branch_gains
     d_bu = np.asarray(d_bu, dtype=float)
     if d_td is None:
-        combined, total_gain = g_bu * d_bu, g_bu
-    else:
-        d_td = np.asarray(d_td, dtype=float)
-        if d_td.shape != d_bu.shape:
-            raise DimensionError("branch predictions must have the same length")
-        combined, total_gain = g_bu * d_bu + g_td * d_td, g_bu + g_td
-    if total_gain == 0.0:
-        raise ConfigurationError("the gains of the supplied branches sum to zero")
-    return combined / total_gain
+        return g_bu * d_bu / g_bu
+    d_td = np.asarray(d_td, dtype=float)
+    if d_td.shape != d_bu.shape:
+        raise DimensionError("branch predictions must have the same length")
+    return (g_bu * d_bu + g_td * d_td) / (g_bu + g_td)
 
 
 def feedforward_init(params: NetworkParams, visible: np.ndarray) -> NetworkState:
@@ -308,16 +279,21 @@ def feedforward_init(params: NetworkParams, visible: np.ndarray) -> NetworkState
     result a fixed point of the direct relaxation update whenever both
     branches of every layer agree on their predictions. The function is
     pure: two calls with equal inputs agree exactly.
+
+    Raises:
+        DimensionError: If ``visible`` has the wrong length.
+        InvalidInputError: If ``visible`` has non-finite entries.
     """
     visible = np.asarray(visible, dtype=float)
     if visible.ndim not in (1, 2) or visible.shape[-1] != params.spec.visible_size:
         raise DimensionError(
             f"visible must have length {params.spec.visible_size}, got {visible.shape}")
     hidden = []
-    below = visible
-    for k in range(1, params.n_layers + 1):
-        below = apply_activation(params.activation, bottom_up(params, below, k))
-        hidden.append(below)
+    rates = apply_activation(params.activation, visible)
+    for w, b in zip(params.ff_weights, params.ff_offsets):
+        # A hidden state is already a rate, so it feeds the next layer as is.
+        rates = apply_activation(params.activation, b + rates @ w.T)
+        hidden.append(rates)
     return NetworkState(visible=visible, hidden=tuple(hidden))
 
 

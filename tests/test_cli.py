@@ -134,6 +134,16 @@ class TestErrors:
             load_params(model)
         assert_usage_error(capsys, "infer", "--config", config, "--model", model)
 
+    @pytest.mark.parametrize("gains", [[0, 1], [float("nan"), 1]], ids=["zero", "nan"])
+    def test_checkpoint_gains_outside_domain_rejected(self, tmp_path, capsys, config, model,
+                                                      gains):
+        doc = json.loads(model.read_text())
+        doc["branch_gains"] = gains
+        model.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError):
+            load_params(model)
+        assert_usage_error(capsys, "infer", "--config", config, "--model", model)
+
     def test_exit_code_of_python_m_ffinit(self, config, model):
         env = {**os.environ, "PYTHONPATH": str(Path(ffinit.__file__).parents[1])}
         proc = subprocess.run(

@@ -6,13 +6,13 @@ from ffinit import (
     ConfigurationError,
     DimensionError,
     EnergyModel,
+    InvalidInputError,
     LayerSpec,
     NetworkState,
     NotAnEnergyModelError,
     RelaxationConfig,
     Scheme,
     apply_activation,
-    bottom_up,
     branch_combine,
     direct_update_layer,
     energy,
@@ -20,9 +20,9 @@ from ffinit import (
     infer_from_feedforward,
     init_random_tied,
     mutual_prediction_residual,
+    norm_matched_random,
     relax,
     synth_autoencodable,
-    top_down,
 )
 from helpers import (
     make_params,
@@ -69,17 +69,18 @@ class TestDirectUpdateLayer:
                              fb_offsets=base.fb_offsets, gains=(1.0, 0.0))
         state = random_state(rng, params)
         got = direct_update_layer(params, state, 1)
-        want = apply_activation(params.activation, bottom_up(params, state.visible, 1))
-        assert np.array_equal(got, want)
+        d_bu = params.ff_offsets[0] + np.clip(state.visible, 0, 1) @ params.ff_weights[0].T
+        assert np.array_equal(got, np.clip(d_bu, 0, 1))
 
     def test_matches_compositional_oracle(self):
         rng = np.random.default_rng(1)
         params = random_tied_params(rng, sizes=(5, 4, 3, 2), with_offsets=True)
         state = random_state(rng, params)
+        rates = [np.clip(s, 0, 1) for s in (state.visible, *state.hidden)]
         for k in range(1, 4):
-            below = state.visible if k == 1 else state.hidden[k - 2]
-            d_bu = bottom_up(params, below, k)
-            d_td = top_down(params, state.hidden[k], k) if k < 3 else None
+            d_bu = params.ff_offsets[k - 1] + rates[k - 1] @ params.ff_weights[k - 1].T
+            d_td = (params.fb_offsets[k] + rates[k + 1] @ params.fb_weights[k].T
+                    if k < 3 else None)
             want = apply_activation(params.activation,
                                     branch_combine(params, d_bu, d_td))
             assert np.array_equal(direct_update_layer(params, state, k), want)
@@ -237,10 +238,11 @@ class TestRelax:
         final, trace = relax(params, state, RelaxationConfig(max_iters=500, tol=1e-12))
         assert trace.converged
         res = mutual_prediction_residual(params, final)
+        rates = [np.clip(s, 0, 1) for s in (final.visible, *final.hidden)]
         for k in range(1, params.n_layers):
-            below = final.visible if k == 1 else final.hidden[k - 2]
-            spread = np.abs(bottom_up(params, below, k)
-                            - top_down(params, final.hidden[k], k)).max()
+            d_bu = params.ff_offsets[k - 1] + rates[k - 1] @ params.ff_weights[k - 1].T
+            d_td = params.fb_offsets[k] + rates[k + 1] @ params.fb_weights[k].T
+            spread = np.abs(d_bu - d_td).max()
             assert res[k - 1] <= spread + 1e-9
 
 
@@ -294,6 +296,27 @@ class TestInferFromFeedforward:
             _, t_trace = infer_from_feedforward(trained, x, cfg)
             _, r_trace = infer_from_feedforward(random_params, x, cfg)
             assert t_trace.step_magnitudes[0] <= 0.1 * r_trace.step_magnitudes[0]
+
+    def test_exact_instance_settles_in_one_sweep_and_matched_random_does_not(self):
+        # The paper's direction on an instance where every pair reconstructs
+        # exactly: the feedforward state is already the fixed point, while
+        # random weights of the same norms need further sweeps.
+        data, exact = synth_autoencodable(50, LayerSpec(sizes=(12, 10, 8, 6)), seed=0)
+        cfg = RelaxationConfig()
+        _, exact_traces = infer_from_feedforward(exact, data.items, cfg)
+        _, random_traces = infer_from_feedforward(norm_matched_random(exact, 1.0, 0),
+                                                  data.items, cfg)
+        assert all(t.converged and t.iters_run == 1 for t in exact_traces)
+        assert all(t.iters_run > 1 for t in random_traces)
+
+    def test_overflow_to_a_non_finite_state_raises(self):
+        # Finite weights whose branch predictions overflow to +inf and -inf
+        # combine to NaN inside the sweep; the run must not return it.
+        params = make_params((2, 1, 2), [[[1e308, 1e308]], np.ones((2, 1))],
+                             fb_weights=[np.ones((2, 1)), [[-1e308, -1e308]]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInputError):
+                infer_from_feedforward(params, np.ones(2), RelaxationConfig(max_iters=5))
 
 
 def block_of(states):

@@ -147,8 +147,11 @@ class TestLocalBranchUpdate:
         assert np.array_equal(soma, np.ones((1, 2))) and np.array_equal(r, np.full((1, 3), 0.5))
 
     def test_presyn_outside_rate_range_rejected(self):
-        with pytest.raises(InvalidInputError):
-            update_one(np.array([1.0]), 0.0, 0.5, np.array([1.5]), 0.1)
+        for bad in (1.5, -0.5, np.nan):
+            weights, offsets = np.zeros((2, 3)), np.zeros(2)
+            with pytest.raises(InvalidInputError):
+                local_branch_update(weights, offsets, np.zeros((1, 2)), [[bad, 0.5, 0.5]], 0.1)
+            assert not weights.any() and not offsets.any()
 
     def test_shape_mismatch_rejected(self):
         for weights, offsets, soma, r in (

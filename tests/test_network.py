@@ -10,11 +10,10 @@ from ffinit import (
     NetworkParams,
     NetworkState,
     apply_activation,
-    bottom_up,
     branch_combine,
+    branch_predictions,
     feedforward_init,
     mutual_prediction_residual,
-    top_down,
 )
 from helpers import make_params, random_sizes, random_state, random_tied_params
 
@@ -42,11 +41,6 @@ class TestActivation:
         x = np.sort(rng.normal(0, 3, size=500))
         out = apply_activation(kind, x)
         assert np.all(np.diff(out) >= 0.0)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(InvalidInputError):
-            apply_activation(Activation.HARD_SIGMOID, np.array([0.5, bad]))
 
 
 class TestSpecAndParams:
@@ -76,6 +70,14 @@ class TestSpecAndParams:
         with pytest.raises(ConfigurationError):
             make_params((2, 3), [np.zeros((3, 2))], gains=(-1.0, 1.0))
 
+    # The top layer has only its bottom-up branch, so its gain must be positive.
+    @pytest.mark.parametrize("gains", [(0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+                                       (1.0, np.nan), (1.0, np.inf)],
+                             ids=["zero-bu", "nan-bu", "inf-bu", "nan-td", "inf-td"])
+    def test_gain_outside_domain_rejected(self, gains):
+        with pytest.raises(ConfigurationError):
+            make_params((2, 3), [np.zeros((3, 2))], gains=gains)
+
     def test_arrays_read_only(self):
         params = make_params((2, 3), [np.zeros((3, 2))])
         with pytest.raises(ValueError):
@@ -92,63 +94,66 @@ class TestSpecAndParams:
         assert not untied.is_tied
 
 
+class TestNetworkState:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            NetworkState(visible=np.array([0.5, bad]), hidden=(np.zeros(3),))
+        with pytest.raises(InvalidInputError):
+            NetworkState(visible=np.zeros((2, 2)),
+                         hidden=(np.array([[0.0, 0.0, 0.0], [0.5, bad, 0.0]]),))
+
+
 class TestBottomUp:
+    """The bottom-up branch of ``branch_predictions``: ``b_k + W_k rho(s_{k-1})``."""
+
     def test_zero_weights_expose_offset(self):
         params = make_params((2, 1), [np.zeros((1, 2))], ff_offsets=[[0.3]])
-        assert np.array_equal(bottom_up(params, np.array([0.9, 0.1]), 1), [0.3])
+        d_bu, d_td = branch_predictions(params, [np.array([0.9, 0.1])], 1)
+        assert np.array_equal(d_bu, [0.3]) and d_td is None
 
     def test_identity_weight_interior(self):
         params = make_params((1, 1), [[[1.0]]])
-        assert np.array_equal(bottom_up(params, np.array([0.5]), 1), [0.5])
+        assert np.array_equal(branch_predictions(params, [np.array([0.5])], 1)[0], [0.5])
 
     def test_matches_elementwise_affine_oracle(self):
         rng = np.random.default_rng(3)
         w = rng.normal(size=(2, 3))
         b = rng.normal(size=2)
         params = make_params((3, 2), [w], ff_offsets=[b])
-        h = rng.uniform(-0.5, 1.5, size=3)
-        got = bottom_up(params, h, 1)
-        rho_h = np.minimum(1.0, np.maximum(0.0, h))
+        rho_h = np.clip(rng.uniform(-0.5, 1.5, size=3), 0.0, 1.0)
+        got = branch_predictions(params, [rho_h], 1)[0]
         want = [b[i] + sum(w[i, j] * rho_h[j] for j in range(3)) for i in range(2)]
         assert np.allclose(got, want, atol=1e-14)
 
     def test_result_is_not_rate_coded(self):
         params = make_params((1, 1), [[[4.0]]])
-        assert bottom_up(params, np.array([1.0]), 1)[0] == 4.0
-
-    def test_shape_and_index_errors(self):
-        params = make_params((2, 3), [np.zeros((3, 2))])
-        with pytest.raises(DimensionError):
-            bottom_up(params, np.zeros(3), 1)
-        with pytest.raises(DimensionError):
-            bottom_up(params, np.zeros(2), 2)
+        assert branch_predictions(params, [np.array([1.0])], 1)[0][0] == 4.0
 
 
 class TestTopDown:
+    """The top-down branch of ``branch_predictions``: ``c_k + V_{k+1} rho(s_{k+1})``."""
+
     def test_zero_weights_expose_offset(self):
-        params = make_params((1, 2), [np.zeros((2, 1))], fb_offsets=[[0.7]])
-        assert np.array_equal(top_down(params, np.array([0.2, 0.9]), 0), [0.7])
+        params = make_params((1, 1, 2), [np.zeros((1, 1)), np.zeros((2, 1))],
+                             fb_offsets=[[0.0], [0.7]])
+        rates = [np.array([0.4]), np.array([0.6]), np.array([0.2, 0.9])]
+        assert np.array_equal(branch_predictions(params, rates, 1)[1], [0.7])
 
     def test_hand_evaluated_case(self):
-        params = make_params((1, 1), [[[0.0]]], fb_weights=[[[2.0]]])
-        assert np.array_equal(top_down(params, np.array([0.25]), 0), [0.5])
+        params = make_params((1, 1, 1), [[[0.0]], [[0.0]]], fb_weights=[[[0.0]], [[2.0]]])
+        rates = [np.array([0.5]), np.array([0.5]), np.array([0.25])]
+        assert np.array_equal(branch_predictions(params, rates, 1)[1], [0.5])
 
     def test_transpose_tied_matches_explicit_transpose(self):
         rng = np.random.default_rng(4)
         w = rng.normal(size=(4, 3))
         c = rng.normal(size=3)
-        params = make_params((3, 4), [w], fb_offsets=[c])
+        params = make_params((2, 3, 4), [np.zeros((3, 2)), w], fb_offsets=[np.zeros(2), c])
         x = rng.uniform(0, 1, size=4)
-        got = top_down(params, x, 0)
-        want = c + w.T @ np.clip(x, 0, 1)
+        got = branch_predictions(params, [np.zeros(2), np.zeros(3), x], 1)[1]
+        want = c + w.T @ x
         assert np.allclose(got, want, atol=1e-14)
-
-    def test_shape_and_index_errors(self):
-        params = make_params((2, 3), [np.zeros((3, 2))])
-        with pytest.raises(DimensionError):
-            top_down(params, np.zeros(2), 0)
-        with pytest.raises(DimensionError):
-            top_down(params, np.zeros(3), 1)
 
 
 class TestBranchCombine:
@@ -166,11 +171,6 @@ class TestBranchCombine:
         params = make_params((1, 1), [[[0.0]]], gains=(2.0, 1.0))
         out = branch_combine(params, np.array([0.3]), np.array([0.9]))
         assert np.allclose(out, [0.5], atol=1e-15)
-
-    def test_zero_applicable_gain_is_configuration_error(self):
-        params = make_params((1, 1), [[[0.0]]], gains=(0.0, 1.0))
-        with pytest.raises(ConfigurationError):
-            branch_combine(params, np.array([0.9]))  # top layer: only bottom-up
 
     def test_length_mismatch(self):
         params = make_params((1, 1), [[[0.0]]])
@@ -232,6 +232,14 @@ class TestFeedforwardInit:
         with pytest.raises(DimensionError):
             feedforward_init(params, np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_visible_rejected(self, bad):
+        params = make_params((2, 3), [np.ones((3, 2))])
+        with pytest.raises(InvalidInputError):
+            feedforward_init(params, np.array([0.5, bad]))
+        with pytest.raises(InvalidInputError):
+            feedforward_init(params, np.array([[0.5, 0.5], [bad, 0.5]]))
+
 
 class TestMutualPredictionResidual:
     def test_hand_built_exact_autoencoder(self):
@@ -249,12 +257,14 @@ class TestMutualPredictionResidual:
         params = random_tied_params(rng, sizes=(6, 5, 4, 3), with_offsets=True)
         state = feedforward_init(params, rng.uniform(0, 1, size=6))
         got = mutual_prediction_residual(params, state)
+        layers = (state.visible, *state.hidden)
+        rates = [np.clip(s, 0, 1) for s in layers]
         for k in range(1, 4):
-            below = state.visible if k == 1 else state.hidden[k - 2]
-            worst = np.abs(bottom_up(params, below, k) - state.hidden[k - 1]).max()
+            d_bu = params.ff_offsets[k - 1] + rates[k - 1] @ params.ff_weights[k - 1].T
+            worst = np.abs(d_bu - layers[k]).max()
             if k < 3:
-                worst = max(worst, np.abs(
-                    top_down(params, state.hidden[k], k) - state.hidden[k - 1]).max())
+                d_td = params.fb_offsets[k] + rates[k + 1] @ params.fb_weights[k].T
+                worst = max(worst, np.abs(d_td - layers[k]).max())
             assert got[k - 1] == pytest.approx(worst, abs=1e-15)
 
     def test_constructed_good_autoencoder_condition(self):
@@ -273,9 +283,9 @@ def test_shape_closure_property():
         state = random_state(rng, params)
         ff = feedforward_init(params, state.visible)
         assert [h.shape[0] for h in ff.hidden] == list(sizes[1:])
+        rates = [np.clip(s, 0, 1) for s in (state.visible, *state.hidden)]
         for k in range(1, params.n_layers + 1):
-            below = state.visible if k == 1 else state.hidden[k - 2]
-            assert bottom_up(params, below, k).shape == (sizes[k],)
-        for k in range(params.n_layers):
-            assert top_down(params, state.hidden[k], k).shape == (sizes[k],)
+            d_bu, d_td = branch_predictions(params, rates, k)
+            assert d_bu.shape == (sizes[k],)
+            assert d_td is None if k == params.n_layers else d_td.shape == (sizes[k],)
         assert mutual_prediction_residual(params, state).shape == (params.n_layers,)
