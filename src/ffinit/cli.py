@@ -116,7 +116,7 @@ def _cmd_make_fixtures(args) -> int:
     (out / "blobs_16d.idx").write_bytes(header + pixels.tobytes())
 
     _, params = synth_autoencodable(50, LayerSpec(sizes=(8, 6, 5, 4)), seed=args.seed)
-    save_params(params, out / "exact_ae_model.json")
+    save_params(params, out / "exact_ae_model.npz")
 
     print(f"wrote fixtures to {out}")
     return 0
@@ -139,13 +139,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("train", parents=[config], help="train a stacked auto-encoder")
-    p.add_argument("--out", required=True, help="checkpoint file to write")
+    p.add_argument("--out", required=True,
+                   help="checkpoint file to write (format 2, an .npz archive; "
+                        "written at the path as given)")
     p.add_argument("--curve", help="optional CSV path for the training curve")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("infer", parents=[config],
                        help="relax one dataset item with a saved model")
-    p.add_argument("--model", required=True, help="checkpoint file to load")
+    p.add_argument("--model", required=True,
+                   help="checkpoint file to load (format 2, the .npz archive that "
+                        "train writes)")
     p.add_argument("--index", type=int, default=0, help="dataset item to clamp")
     p.add_argument("--out", help="optional CSV path for the per-iteration trace")
     p.set_defaults(func=_cmd_infer)

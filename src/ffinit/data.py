@@ -1,4 +1,12 @@
-"""Dataset ingestion, synthetic generators, and model persistence."""
+"""Dataset ingestion, synthetic generators, and model persistence.
+
+A model checkpoint is format 2: an uncompressed ``np.savez`` archive with
+one float64 entry per parameter array (``ff_weights_<k>``,
+``fb_weights_<k>``, ``ff_offsets_<k>``, ``fb_offsets_<k>``) and a ``meta``
+entry holding a JSON string (``format``, ``format_version``, ``sizes``,
+``activation``, ``branch_gains``). See :func:`save_params` and
+:func:`load_params`; format 1 JSON checkpoints are no longer read.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +14,7 @@ import enum
 import json
 import os
 import struct
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +38,8 @@ from .network import (
 IDX_IMAGE_MAGIC = 0x00000803
 MNIST_DIR_ENV = "FFINIT_MNIST_DIR"
 MODEL_FORMAT = "ffinit-model"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+_ARRAY_GROUPS = ("ff_weights", "fb_weights", "ff_offsets", "fb_offsets")
 
 
 class DataSource(enum.Enum):
@@ -203,50 +213,93 @@ def synth_autoencodable(n_items: int, spec: LayerSpec, seed: int = 0,
 
 
 def save_params(params: NetworkParams, path: str | Path) -> None:
-    """Write a model checkpoint as a self-describing JSON document.
+    """Write a model checkpoint in format 2, an uncompressed ``.npz`` archive.
 
-    Floats are encoded with Python's shortest round-trip decimal
-    representation, so :func:`load_params` reproduces every value to
-    full binary precision.
+    The archive holds one float64 entry per array of ``params``:
+    ``ff_weights_<k>``, ``fb_weights_<k>``, ``ff_offsets_<k>`` and
+    ``fb_offsets_<k>`` for ``k`` in ``0..L-1``, indexed as in
+    :class:`~ffinit.network.NetworkParams`. A ``meta`` entry holds one
+    JSON string with ``format``, ``format_version`` (2), ``sizes``,
+    ``activation`` and ``branch_gains``. The arrays are stored in binary,
+    so :func:`load_params` reproduces every value bit for bit. The file
+    is written at ``path`` as given; no ``.npz`` suffix is added.
     """
-    doc = {
+    meta = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
         "sizes": list(params.spec.sizes),
         "activation": params.activation.value,
         "branch_gains": [params.branch_gains[0], params.branch_gains[1]],
-        "ff_weights": [w.tolist() for w in params.ff_weights],
-        "fb_weights": [v.tolist() for v in params.fb_weights],
-        "ff_offsets": [b.tolist() for b in params.ff_offsets],
-        "fb_offsets": [c.tolist() for c in params.fb_offsets],
     }
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="ascii")
+    arrays = {f"{group}_{k}": a for group in _ARRAY_GROUPS
+              for k, a in enumerate(getattr(params, group))}
+    with open(path, "wb") as f:
+        np.savez(f, meta=np.array(json.dumps(meta)), **arrays)
 
 
 def load_params(path: str | Path) -> NetworkParams:
-    """Load a model checkpoint written by :func:`save_params`."""
+    """Load a format 2 checkpoint written by :func:`save_params`.
+
+    The archive is read with ``allow_pickle=False``, so no entry is ever
+    unpickled. It must hold the ``meta`` entry and exactly the array
+    entries its ``sizes`` call for; the arrays then go through
+    :class:`~ffinit.network.NetworkParams`, which checks every shape,
+    every value for finiteness and the branch gains.
+
+    Raises:
+        CheckpointError: The file is not a format 2 archive (a format 1
+            JSON checkpoint among them), is truncated or corrupt, holds
+            an object entry, misses an entry or has an extra one, or its
+            metadata or arrays are invalid.
+        OSError: The file cannot be opened.
+    """
     path = Path(path)
+    with path.open("rb") as f:
+        head = f.read(4)
+        if head[:1] == b"{":
+            raise CheckpointError(
+                f"{path}: a format 1 JSON checkpoint; JSON checkpoints are no longer read, "
+                "re-save the model with `ffinit train`")
+        if head != b"PK\x03\x04":
+            raise CheckpointError(f"{path}: not a {MODEL_FORMAT} checkpoint (an .npz archive)")
+        f.seek(0)
+        try:
+            with np.load(f, allow_pickle=False) as archive:
+                entries = {name: archive[name] for name in archive.files}
+        except (zipfile.BadZipFile, EOFError, MemoryError, OSError, RuntimeError,
+                ValueError) as exc:
+            # Besides BadZipFile, a corrupt directory can ask for a negative
+            # seek (OSError) or flag an entry encrypted (RuntimeError), and an
+            # entry's header can declare a shape too large to allocate.
+            raise CheckpointError(f"{path}: unreadable checkpoint archive: {exc}") from exc
     try:
-        doc = json.loads(path.read_text(encoding="ascii"))
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+        meta = json.loads(str(entries.pop("meta")))
+    except (KeyError, ValueError) as exc:
+        raise CheckpointError(f"{path}: no valid meta entry: {exc!r}") from exc
+    if not isinstance(meta, dict) or meta.get("format") != MODEL_FORMAT:
         raise CheckpointError(f"{path}: not a {MODEL_FORMAT} checkpoint")
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
+    if meta.get("format_version") != MODEL_FORMAT_VERSION:
         raise CheckpointError(
-            f"{path}: unsupported format version {doc.get('format_version')}")
+            f"{path}: unsupported format version {meta.get('format_version')}")
     try:
-        spec = LayerSpec(sizes=tuple(doc["sizes"]))
-        activation = Activation(doc["activation"])
-        gains = (float(doc["branch_gains"][0]), float(doc["branch_gains"][1]))
+        spec = LayerSpec(sizes=tuple(meta["sizes"]))
+        activation = Activation(meta["activation"])
+        gains = (float(meta["branch_gains"][0]), float(meta["branch_gains"][1]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed checkpoint metadata: {exc}") from exc
+    n_pairs = spec.n_hidden_layers
+    expected = {f"{group}_{k}" for group in _ARRAY_GROUPS for k in range(n_pairs)}
+    if set(entries) != expected:
+        raise CheckpointError(
+            f"{path}: entries do not match sizes {list(spec.sizes)}: missing "
+            f"{sorted(expected - set(entries))}, unexpected {sorted(set(entries) - expected)}")
+    try:
         return NetworkParams(
             spec=spec,
-            ff_weights=tuple(np.array(w, dtype=float) for w in doc["ff_weights"]),
-            fb_weights=tuple(np.array(v, dtype=float) for v in doc["fb_weights"]),
-            ff_offsets=tuple(np.array(b, dtype=float) for b in doc["ff_offsets"]),
-            fb_offsets=tuple(np.array(c, dtype=float) for c in doc["fb_offsets"]),
+            **{group: tuple(entries[f"{group}_{k}"] for k in range(n_pairs))
+               for group in _ARRAY_GROUPS},
             branch_gains=gains,
             activation=activation,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc

@@ -43,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigurationError, DimensionError, check_count, check_real
+from .exceptions import (ConfigurationError, DimensionError, InvalidInputError, check_count,
+                         check_real)
 from .network import (
     NetworkParams,
     NetworkState,
@@ -172,7 +173,7 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
                 energies[r].append(float(e))
 
     snapshot()
-    for _ in range(cfg.max_iters):
+    for sweep in range(1, cfg.max_iters + 1):
         if not len(rows):
             break
         before = np.concatenate(work, axis=1)
@@ -191,6 +192,10 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
         # Row by row: a norm over axis 1 rounds differently from the
         # norm of one input's vector.
         step = np.array([np.linalg.norm(d) for d in np.concatenate(work, axis=1) - before])
+        if not np.isfinite(step).all():
+            # A NaN step never drops below tol, so stop at the first one.
+            raise InvalidInputError(
+                f"relaxation overflowed to a non-finite state in sweep {sweep}")
         for r, m in zip(rows, step):
             steps[r].append(float(m))
         snapshot()
@@ -234,7 +239,8 @@ def relax(params: NetworkParams, state: NetworkState, cfg: RelaxationConfig,
         the relaxed block and a list of one trace per row.
 
     Raises:
-        InvalidInputError: If the run overflows to a non-finite state.
+        InvalidInputError: If the run overflows to a non-finite state;
+            raised in the sweep where that happens.
     """
     check_state(params, state)
     single = state.visible.ndim == 1

@@ -6,6 +6,8 @@ loops, and the sweep oracle is a straight-line reimplementation of the
 alternating update. Tests compare package output against these.
 """
 
+import json
+
 import numpy as np
 
 from ffinit import Activation, LayerSpec, NetworkParams, NetworkState
@@ -26,6 +28,40 @@ def make_params(sizes, ff_weights, fb_weights=None, ff_offsets=None, fb_offsets=
                          fb_weights=tuple(vs), ff_offsets=tuple(bs),
                          fb_offsets=tuple(cs), branch_gains=gains,
                          activation=activation)
+
+
+def rewrite_checkpoint(path, meta=None, drop=(), **entries):
+    """Rewrite a checkpoint archive written by ``save_params`` in place.
+
+    ``meta`` updates keys of the ``meta`` entry's JSON document, or, as a
+    string, replaces its text; ``drop`` names entries to remove; keyword
+    arguments add or replace entries (an object array is pickled).
+    """
+    with np.load(path, allow_pickle=False) as archive:
+        contents = {name: archive[name] for name in archive.files}
+    if isinstance(meta, str):
+        contents["meta"] = np.array(meta)
+    elif meta:
+        contents["meta"] = np.array(json.dumps({**json.loads(str(contents["meta"])), **meta}))
+    for name in drop:
+        del contents[name]
+    contents.update(entries)
+    with open(path, "wb") as f:
+        np.savez(f, **contents)
+
+
+UNPICKLED = []
+
+
+def _record_unpickling():
+    UNPICKLED.append(True)
+
+
+class Tripwire:
+    """Unpickling an instance appends to ``UNPICKLED``."""
+
+    def __reduce__(self):
+        return _record_unpickling, ()
 
 
 def random_sizes(rng, max_size=8, max_hidden=3):

@@ -6,11 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ffinit
 from ffinit import CheckpointError, load_params
 from ffinit.cli import main
+from helpers import UNPICKLED, Tripwire, rewrite_checkpoint
 
 CONFIG = {
     "dataset": {"source": "synthetic-blobs", "n_items": 64, "n_clusters": 4, "spread": 0.05},
@@ -41,7 +43,7 @@ def config(tmp_path):
 
 @pytest.fixture
 def model(tmp_path, config):
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.npz"
     assert run("train", "--config", config, "--seed", 5, "--out", path) == 0
     return path
 
@@ -69,7 +71,7 @@ class TestExperiment:
 class TestTrain:
     def test_curve_matches_the_experiment_training_curve(self, tmp_path, config):
         curve = tmp_path / "curve.csv"
-        assert run("train", "--config", config, "--seed", 5, "--out", tmp_path / "m.json",
+        assert run("train", "--config", config, "--seed", 5, "--out", tmp_path / "m.npz",
                    "--curve", curve) == 0
         assert run("experiment", "--config", config, "--seed", 5, "--out", tmp_path / "e") == 0
         assert curve.read_bytes() == (tmp_path / "e" / "training_curve.csv").read_bytes()
@@ -88,10 +90,44 @@ class TestInfer:
     def test_writes_energies_for_tied_weights(self, tmp_path):
         config = write_config(tmp_path, train={"epochs": 2, "batch_size": 16,
                                                "tie_decoder": True})
-        model, out = tmp_path / "tied.json", tmp_path / "trace.csv"
+        model, out = tmp_path / "tied.npz", tmp_path / "trace.csv"
         assert run("train", "--config", config, "--out", model) == 0
         assert run("infer", "--config", config, "--model", model, "--out", out) == 0
         assert out.read_text().splitlines()[0] == "iter,step_magnitude,energy"
+
+
+class TestMakeFixtures:
+    def test_writes_the_exact_model_as_an_archive(self, tmp_path):
+        assert run("make-fixtures", "--out", tmp_path) == 0
+        assert set(read_dir(tmp_path)) == {"fixture_2x2.idx", "blobs_16d.idx",
+                                           "exact_ae_model.npz"}
+        assert load_params(tmp_path / "exact_ae_model.npz").spec.sizes == (8, 6, 5, 4)
+
+
+def write_format_1(path):
+    """Overwrite a checkpoint with the JSON document of format 1."""
+    params = load_params(path)
+    doc = {"format": "ffinit-model", "format_version": 1, "sizes": list(params.spec.sizes),
+           "activation": params.activation.value, "branch_gains": list(params.branch_gains)}
+    for group in ("ff_weights", "fb_weights", "ff_offsets", "fb_offsets"):
+        doc[group] = [a.tolist() for a in getattr(params, group)]
+    path.write_text(json.dumps(doc) + "\n")
+
+
+# Ways to damage the 16-8-4 checkpoint, each with the error it must give.
+DAMAGE = {
+    "v1-json": (write_format_1,
+                "JSON checkpoints are no longer read, re-save the model with `ffinit train`"),
+    "truncated": (lambda path: path.write_bytes(path.read_bytes()[:path.stat().st_size // 2]),
+                  "unreadable checkpoint archive"),
+    "object-entry": (lambda path: rewrite_checkpoint(
+        path, ff_weights_0=np.array([[Tripwire()] * 16] * 8, dtype=object)),
+                     "Object arrays cannot be loaded"),
+    "extra-entry": (lambda path: rewrite_checkpoint(path, ff_weights_2=np.zeros((4, 4))),
+                    r"unexpected \['ff_weights_2'\]"),
+    "wrong-shape": (lambda path: rewrite_checkpoint(path, ff_weights_0=np.zeros((16, 8))),
+                    r"ff_weights\[0\] must have shape \(8, 16\)"),
+}
 
 
 def assert_usage_error(capsys, *argv):
@@ -127,9 +163,7 @@ class TestErrors:
                            "--out", tmp_path / "o")
 
     def test_logistic_checkpoint_rejected(self, tmp_path, capsys, config, model):
-        doc = json.loads(model.read_text())
-        doc["activation"] = "logistic-sigmoid"
-        model.write_text(json.dumps(doc))
+        rewrite_checkpoint(model, meta={"activation": "logistic-sigmoid"})
         with pytest.raises(CheckpointError):
             load_params(model)
         assert_usage_error(capsys, "infer", "--config", config, "--model", model)
@@ -137,12 +171,18 @@ class TestErrors:
     @pytest.mark.parametrize("gains", [[0, 1], [float("nan"), 1]], ids=["zero", "nan"])
     def test_checkpoint_gains_outside_domain_rejected(self, tmp_path, capsys, config, model,
                                                       gains):
-        doc = json.loads(model.read_text())
-        doc["branch_gains"] = gains
-        model.write_text(json.dumps(doc))
+        rewrite_checkpoint(model, meta={"branch_gains": gains})
         with pytest.raises(CheckpointError):
             load_params(model)
         assert_usage_error(capsys, "infer", "--config", config, "--model", model)
+
+    @pytest.mark.parametrize("damage, message", list(DAMAGE.values()), ids=list(DAMAGE))
+    def test_malformed_checkpoint_rejected(self, capsys, config, model, damage, message):
+        damage(model)
+        with pytest.raises(CheckpointError, match=message):
+            load_params(model)
+        assert_usage_error(capsys, "infer", "--config", config, "--model", model)
+        assert not UNPICKLED
 
     def test_exit_code_of_python_m_ffinit(self, config, model):
         env = {**os.environ, "PYTHONPATH": str(Path(ffinit.__file__).parents[1])}

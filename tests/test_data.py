@@ -1,6 +1,8 @@
+import io
 import json
 import os
 import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from ffinit import (
     synth_blobs,
 )
 from ffinit.data import default_mnist_images_path
-from helpers import random_untied_params
+from helpers import random_untied_params, rewrite_checkpoint
 
 
 def write_idx(path, images, rows, cols, magic=0x00000803):
@@ -193,6 +195,25 @@ class TestDatasetHandle:
             subset(data, 11)
 
 
+GROUPS = ("ff_weights", "fb_weights", "ff_offsets", "fb_offsets")
+
+
+def saved_checkpoint(tmp_path, sizes=(4, 3)):
+    _, params = synth_autoencodable(2, LayerSpec(sizes=sizes), seed=0)
+    path = tmp_path / "model.npz"
+    save_params(params, path)
+    return path, params
+
+
+def assert_bit_identical(params, loaded):
+    assert loaded.spec == params.spec
+    assert loaded.activation is params.activation
+    assert loaded.branch_gains == params.branch_gains
+    for group in GROUPS:
+        for a, b in zip(getattr(params, group), getattr(loaded, group)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestCheckpointRoundTrip:
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -208,51 +229,77 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "model.json"
         save_params(params, path)
         loaded = load_params(path)
-        assert loaded.spec == params.spec
         assert loaded.activation is Activation.HARD_SIGMOID
         assert loaded.branch_gains == (1.25, 0.75)
-        for group in ("ff_weights", "fb_weights", "ff_offsets", "fb_offsets"):
-            for a, b in zip(getattr(params, group), getattr(loaded, group)):
-                assert np.array_equal(a, b)
+        assert_bit_identical(params, loaded)
+
+    def test_save_writes_exactly_the_given_path(self, tmp_path):
+        _, params = synth_autoencodable(2, LayerSpec(sizes=(4, 3)), seed=0)
+        save_params(params, tmp_path / "model.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     def test_checkpoint_is_self_describing(self, tmp_path):
-        _, params = synth_autoencodable(2, LayerSpec(sizes=(4, 3)), seed=0)
-        path = tmp_path / "model.json"
-        save_params(params, path)
-        doc = json.loads(path.read_text())
-        assert doc["format"] == "ffinit-model"
-        assert doc["format_version"] == 1
-        assert doc["sizes"] == [4, 3]
-        assert doc["activation"] == "hard-sigmoid"
+        path, _ = saved_checkpoint(tmp_path, sizes=(4, 3, 2))
+        with np.load(path, allow_pickle=False) as archive:
+            assert sorted(archive.files) == sorted(
+                ["meta"] + [f"{group}_{k}" for group in GROUPS for k in (0, 1)])
+            doc = json.loads(str(archive["meta"]))
+            assert archive["ff_weights_1"].shape == (2, 3)
+            assert archive["fb_offsets_0"].dtype == np.float64
+        assert doc == {"format": "ffinit-model", "format_version": 2, "sizes": [4, 3, 2],
+                       "activation": "hard-sigmoid", "branch_gains": [1.0, 1.0]}
 
     def test_wrong_format_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(CheckpointError):
+        path, _ = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, meta={"format": "something-else"})
+        with pytest.raises(CheckpointError, match="not a ffinit-model checkpoint"):
             load_params(path)
 
     def test_unsupported_version_rejected(self, tmp_path):
-        _, params = synth_autoencodable(2, LayerSpec(sizes=(4, 3)), seed=0)
-        path = tmp_path / "model.json"
-        save_params(params, path)
-        doc = json.loads(path.read_text())
-        doc["format_version"] = 99
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError):
+        path, _ = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, meta={"format_version": 99})
+        with pytest.raises(CheckpointError, match="unsupported format version 99"):
             load_params(path)
 
     def test_invalid_json_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(CheckpointError):
+        path, _ = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, meta="{not json")
+        with pytest.raises(CheckpointError, match="no valid meta entry"):
             load_params(path)
 
     def test_missing_key_rejected(self, tmp_path):
-        _, params = synth_autoencodable(2, LayerSpec(sizes=(4, 3)), seed=0)
-        path = tmp_path / "model.json"
-        save_params(params, path)
-        doc = json.loads(path.read_text())
-        del doc["ff_weights"]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError):
+        path, _ = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, drop=("ff_weights_0",))
+        with pytest.raises(CheckpointError, match=r"missing \['ff_weights_0'\]"):
             load_params(path)
+
+    def test_entry_declaring_a_huge_shape_rejected(self, tmp_path):
+        # The entry's header promises 80 TB that the archive does not hold;
+        # reading it must fail as a malformed checkpoint, not exhaust memory.
+        path, _ = saved_checkpoint(tmp_path)
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False, "shape": (10**13,)})
+        with zipfile.ZipFile(path, "a") as archive:
+            archive.writestr("ff_weights_1.npy", header.getvalue())
+        with pytest.raises(CheckpointError, match="unreadable checkpoint archive"):
+            load_params(path)
+
+    def test_every_truncation_and_byte_flip_is_rejected_or_harmless(self, tmp_path):
+        # A damaged file either fails with CheckpointError or, where the
+        # byte does not matter (a timestamp), loads the same model.
+        path, params = saved_checkpoint(tmp_path, sizes=(2, 1))
+        raw = path.read_bytes()
+        damaged = [raw[:n] for n in range(0, len(raw), 7)]
+        damaged += [raw[:i] + bytes([raw[i] ^ mask]) + raw[i + 1:]
+                    for mask in (0x01, 0xFF) for i in range(len(raw))]
+        rejected = 0
+        for data in damaged:
+            path.write_bytes(data)
+            try:
+                loaded = load_params(path)
+            except CheckpointError:
+                rejected += 1
+            else:
+                assert_bit_identical(params, loaded)
+        assert rejected > len(damaged) // 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ffinit import inference
 from ffinit import (
     Activation,
     ConfigurationError,
@@ -14,6 +15,7 @@ from ffinit import (
     Scheme,
     apply_activation,
     branch_combine,
+    branch_predictions,
     direct_update_layer,
     energy,
     feedforward_init,
@@ -309,14 +311,35 @@ class TestInferFromFeedforward:
         assert all(t.converged and t.iters_run == 1 for t in exact_traces)
         assert all(t.iters_run > 1 for t in random_traces)
 
-    def test_overflow_to_a_non_finite_state_raises(self):
+    @staticmethod
+    def overflowing_params():
         # Finite weights whose branch predictions overflow to +inf and -inf
-        # combine to NaN inside the sweep; the run must not return it.
-        params = make_params((2, 1, 2), [[[1e308, 1e308]], np.ones((2, 1))],
-                             fb_weights=[np.ones((2, 1)), [[-1e308, -1e308]]])
+        # combine to NaN inside the first sweep.
+        return make_params((2, 1, 2), [[[1e308, 1e308]], np.ones((2, 1))],
+                           fb_weights=[np.ones((2, 1)), [[-1e308, -1e308]]])
+
+    def test_overflow_to_a_non_finite_state_raises(self):
+        # The run must not return the NaN state.
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(InvalidInputError):
-                infer_from_feedforward(params, np.ones(2), RelaxationConfig(max_iters=5))
+                infer_from_feedforward(self.overflowing_params(), np.ones(2),
+                                       RelaxationConfig(max_iters=5))
+
+    def test_overflow_raises_within_the_first_sweep(self, monkeypatch):
+        # A NaN step is never below tol; the engine must stop at it instead
+        # of sweeping on to max_iters.
+        layers = []
+
+        def counting(params, rates, k, d_bu=None):
+            layers.append(k)
+            return branch_predictions(params, rates, k, d_bu)
+
+        monkeypatch.setattr(inference, "branch_predictions", counting)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInputError, match="sweep 1$"):
+                infer_from_feedforward(self.overflowing_params(), np.ones(2),
+                                       RelaxationConfig(max_iters=100))
+        assert layers == [1, 2]
 
 
 def block_of(states):
