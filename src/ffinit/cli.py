@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import save_params, load_params, synth_autoencodable, synth_blobs
+from .data import IDX_IMAGE_MAGIC, save_params, load_params, synth_autoencodable, synth_blobs
 from .energy import energy_model_or_none
 from .exceptions import FfinitError, InvalidInputError, check_count
 from .harness import (
@@ -107,12 +107,12 @@ def _cmd_make_fixtures(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    header = struct.pack(">IIII", 0x00000803, 2, 2, 2)
+    header = struct.pack(">IIII", IDX_IMAGE_MAGIC, 2, 2, 2)
     (out / "fixture_2x2.idx").write_bytes(header + bytes([0, 255, 128, 0, 255, 255, 0, 0]))
 
     blobs = synth_blobs(64, 16, n_clusters=4, spread=0.05, seed=args.seed)
     pixels = np.round(blobs.items * 255.0).astype(np.uint8)
-    header = struct.pack(">IIII", 0x00000803, pixels.shape[0], 4, 4)
+    header = struct.pack(">IIII", IDX_IMAGE_MAGIC, pixels.shape[0], 4, 4)
     (out / "blobs_16d.idx").write_bytes(header + pixels.tobytes())
 
     _, params = synth_autoencodable(50, LayerSpec(sizes=(8, 6, 5, 4)), seed=args.seed)

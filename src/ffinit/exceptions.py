@@ -1,6 +1,7 @@
 """Exception types raised across the package, and the value checks of the
 configuration objects that raise them."""
 
+import enum
 import math
 import numbers
 
@@ -78,3 +79,15 @@ def check_real(name: str, value, minimum: float, strict: bool = False) -> None:
             or not math.isfinite(value) or value < minimum or (strict and value == minimum)):
         raise ConfigurationError(
             f"{name} must be a finite number {'>' if strict else '>='} {minimum}, got {value!r}")
+
+
+def check_member(name: str, value, kind: type[enum.Enum]) -> enum.Enum:
+    """The member of ``kind`` that ``value`` is, or whose value string it is;
+    ConfigurationError listing the allowed values otherwise."""
+    if isinstance(value, kind):
+        return value
+    for member in kind:
+        if isinstance(value, str) and value == member.value:
+            return member
+    raise ConfigurationError(
+        f"{name} must be one of {[member.value for member in kind]}, got {value!r}")

@@ -10,7 +10,7 @@ spec and seed produce byte-identical files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +30,12 @@ from .exceptions import (
     DatasetError,
     FfinitError,
     check_count,
+    check_member,
     check_real,
 )
-from .inference import RelaxationConfig, Scheme, infer_from_feedforward
+from .inference import RelaxationConfig, infer_from_feedforward
 from .learning import (
     TrainConfig,
-    TrainRule,
     init_random_tied,
     norm_matched_random,
     train_stacked_ae,
@@ -51,7 +51,8 @@ KNOWN_REGIMES = (REGIME_RANDOM_TIED, REGIME_TRAINED_AE)
 class DatasetSpec:
     """Where the experiment's data comes from.
 
-    ``path`` only applies to ``idx-file`` (when omitted the loader falls
+    ``source`` is a :class:`DataSource` or its value string. ``path``, a
+    string, only applies to ``idx-file`` (when omitted the loader falls
     back to the ``FFINIT_MNIST_DIR`` directory); the remaining fields
     parameterize the synthetic generators. ``n_items`` truncates a
     loaded IDX dataset or sizes a synthetic one. The item dimension is
@@ -65,22 +66,30 @@ class DatasetSpec:
     spread: float = 0.02
 
     def __post_init__(self):
+        object.__setattr__(self, "source",
+                           check_member("dataset source", self.source, DataSource))
+        if self.path is not None and not isinstance(self.path, str):
+            raise ConfigurationError(f"dataset path must be a string, got {self.path!r}")
         check_count("dataset n_items", self.n_items, 0)
         check_count("dataset n_clusters", self.n_clusters, 1)
         check_real("dataset spread", self.spread, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentSpec:
-    """Full description of one convergence-comparison experiment."""
+    """Full description of one convergence-comparison experiment.
 
-    dataset: DatasetSpec
+    The field names are the keys of a JSON config, and the defaults here
+    are the config's defaults; ``sizes`` and ``regimes`` are required.
+    """
+
     sizes: LayerSpec
     regimes: tuple[str, ...]
-    relaxation: RelaxationConfig
-    train: TrainConfig
-    n_inputs_evaluated: int
-    output_dir: str
+    dataset: DatasetSpec = field(default_factory=DatasetSpec)
+    relaxation: RelaxationConfig = field(default_factory=RelaxationConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    n_inputs_evaluated: int = 100
+    output_dir: str = "out"
     seed: int = 0
 
     def __post_init__(self):
@@ -93,6 +102,8 @@ class ExperimentSpec:
         if len(set(self.regimes)) != len(self.regimes):
             raise ConfigurationError("regimes must not repeat")
         check_count("n_inputs_evaluated", self.n_inputs_evaluated, 0)
+        if not isinstance(self.output_dir, str):
+            raise ConfigurationError(f"output_dir must be a string, got {self.output_dir!r}")
         check_count("seed", self.seed, 0)
 
 
@@ -114,8 +125,6 @@ class RegimeResult:
 class ExperimentReport:
     regimes: tuple[RegimeResult, ...]
     training_curve: tuple[tuple[int, int, float], ...] | None
-    dataset_name: str
-    seed: int
 
 
 def build_dataset(dspec: DatasetSpec, sizes: LayerSpec, seed: int) -> DatasetHandle:
@@ -209,12 +218,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     results = tuple(
         _evaluate_regime(regime, params_by_regime[regime], items, spec.relaxation)
         for regime in spec.regimes)
-    report = ExperimentReport(
-        regimes=results,
-        training_curve=tuple(curve) if curve else None,
-        dataset_name=data.name,
-        seed=spec.seed,
-    )
+    report = ExperimentReport(regimes=results, training_curve=tuple(curve) if curve else None)
     emit_csv(report, spec.output_dir)
     return report
 
@@ -290,56 +294,38 @@ def emit_csv(report: ExperimentReport, out_dir: str | Path) -> None:
         write_training_curve(report.training_curve, out / "training_curve.csv")
 
 
-def experiment_spec_from_config(doc: dict) -> ExperimentSpec:
+def _section(cls, doc, where: str, **convert):
+    """``cls(**doc)`` with each value first passed through its ``convert``
+    entry; a non-object ``doc`` or a key that is no field of ``cls`` is rejected."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{where} must be a JSON object")
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)}")
+    return cls(**{key: convert[key](value) if key in convert else value
+                  for key, value in doc.items()})
+
+
+def experiment_spec_from_config(doc) -> ExperimentSpec:
     """Build an :class:`ExperimentSpec` from a parsed JSON config document.
 
-    Keys mirror the spec's field names; ``relaxation`` and ``train``
-    accept partial sub-documents and fall back to the dataclass
-    defaults. Unknown keys are rejected to catch typos early.
+    The keys are the field names of :class:`ExperimentSpec`, and those of
+    its ``dataset``, ``relaxation`` and ``train`` sections the field names
+    of their dataclasses. Omitted keys take the dataclass defaults, the
+    dataclasses check every value, and unknown keys are rejected.
     """
-    if not isinstance(doc, dict):
-        raise ConfigurationError("config must be a JSON object")
-
-    def take(sub: dict, allowed: set[str], where: str) -> dict:
-        unknown = set(sub) - allowed
-        if unknown:
-            raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)}")
-        return sub
-
-    take(doc, {"dataset", "sizes", "regimes", "relaxation", "train",
-               "n_inputs_evaluated", "output_dir", "seed"}, "config")
     try:
-        sizes = LayerSpec(sizes=tuple(doc["sizes"]))
-        regimes = tuple(doc["regimes"])
-        dsub = take(dict(doc.get("dataset", {})),
-                    {"source", "path", "n_items", "n_clusters", "spread"}, "dataset")
-        if "source" in dsub:
-            dsub["source"] = DataSource(dsub["source"])
-        rsub = take(dict(doc.get("relaxation", {})),
-                    {"scheme", "tau", "noise_scale", "max_iters", "tol", "seed"}, "relaxation")
-        if "scheme" in rsub:
-            rsub["scheme"] = Scheme(rsub["scheme"])
-        tsub = take(dict(doc.get("train", {})),
-                    {"learning_rate", "epochs", "batch_size", "rule", "tie_decoder",
-                     "init_scale", "seed"}, "train")
-        if "rule" in tsub:
-            tsub["rule"] = TrainRule(tsub["rule"])
-        return ExperimentSpec(
-            dataset=DatasetSpec(**dsub),
-            sizes=sizes,
-            regimes=regimes,
-            relaxation=RelaxationConfig(**rsub),
-            train=TrainConfig(**tsub),
-            n_inputs_evaluated=doc.get("n_inputs_evaluated", 100),
-            output_dir=str(doc.get("output_dir", "out")),
-            seed=doc.get("seed", 0),
-        )
+        return _section(
+            ExperimentSpec, doc, "config",
+            sizes=lambda sizes: LayerSpec(sizes=tuple(sizes)),
+            regimes=tuple,
+            dataset=lambda sub: _section(DatasetSpec, sub, "dataset"),
+            relaxation=lambda sub: _section(RelaxationConfig, sub, "relaxation"),
+            train=lambda sub: _section(TrainConfig, sub, "train"))
     except FfinitError:
         raise
-    except KeyError as exc:
-        raise ConfigurationError(f"config is missing required key {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"invalid config value: {exc}") from exc
+        raise ConfigurationError(f"invalid config: {exc}") from exc
 
 
 def override_seed(spec: ExperimentSpec, seed: int) -> ExperimentSpec:

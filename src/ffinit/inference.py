@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (ConfigurationError, DimensionError, InvalidInputError, check_count,
-                         check_real)
+                         check_member, check_real)
 from .network import (
     NetworkParams,
     NetworkState,
@@ -69,8 +69,9 @@ class RelaxationConfig:
     """Settings for one relaxation run.
 
     Attributes:
-        scheme: Update rule; ``direct-alternating`` always performs full
-            jumps, so construction sets its ``tau`` to 1.
+        scheme: Update rule, a :class:`Scheme` or its value string;
+            ``direct-alternating`` always performs full jumps, so
+            construction sets its ``tau`` to 1.
         tau: Time constant of the leaky/Langevin mixing, ``>= 1``.
         noise_scale: Standard deviation of the per-unit Gaussian noise;
             must be positive for ``langevin`` and zero for the
@@ -89,6 +90,7 @@ class RelaxationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "scheme", check_member("scheme", self.scheme, Scheme))
         check_real("tau", self.tau, 1.0)
         check_real("noise_scale", self.noise_scale, 0.0)
         if self.scheme is Scheme.LANGEVIN and self.noise_scale == 0.0:

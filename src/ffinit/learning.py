@@ -27,6 +27,7 @@ from .exceptions import (
     DivergenceError,
     InvalidInputError,
     check_count,
+    check_member,
     check_real,
 )
 from .network import (
@@ -51,8 +52,9 @@ class TrainRule(enum.Enum):
 class TrainConfig:
     """Hyperparameters for :func:`train_stacked_ae`.
 
-    ``tie_decoder`` constrains each pair's decoder to the transpose of
-    its encoder during ae-gradient training; it is incompatible with the
+    ``rule`` is a :class:`TrainRule` or its value string. ``tie_decoder``
+    (a bool) constrains each pair's decoder to the transpose of its
+    encoder during ae-gradient training; it is incompatible with the
     local-branch rule, which by definition moves only the decoder.
     """
 
@@ -65,11 +67,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "rule", check_member("rule", self.rule, TrainRule))
         check_real("learning_rate", self.learning_rate, 0.0)
         check_count("epochs", self.epochs, 1)
         check_count("batch_size", self.batch_size, 1)
         check_real("init_scale", self.init_scale, 0.0)
         check_count("seed", self.seed, 0)
+        if not isinstance(self.tie_decoder, bool):
+            raise ConfigurationError(f"tie_decoder must be a bool, got {self.tie_decoder!r}")
         if self.tie_decoder and self.rule is TrainRule.LOCAL_BRANCH:
             raise ConfigurationError("tie_decoder is incompatible with the local-branch rule")
 
@@ -96,8 +101,7 @@ def init_random_tied(spec: LayerSpec, activation: Activation,
     feedback matrices are element-exact transposes, and all offsets are
     zero. Deterministic under ``seed``.
     """
-    if init_scale < 0.0:
-        raise ConfigurationError(f"init_scale must be >= 0, got {init_scale}")
+    check_real("init_scale", init_scale, 0.0)
     ws, vs, bs, cs = _random_tied_arrays(spec, init_scale, np.random.default_rng(seed))
     return NetworkParams(spec=spec, ff_weights=tuple(ws), fb_weights=tuple(vs),
                          ff_offsets=tuple(bs), fb_offsets=tuple(cs),

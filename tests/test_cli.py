@@ -153,6 +153,11 @@ class TestErrors:
         {"train": {"epochs": 2.5}},
         {"dataset": {"n_items": "x"}},
         {"dataset": {"d": 16}},
+        {"train": {"tie_decoder": "false"}},
+        {"dataset": {"path": 7}},
+        {"relaxation": {"scheme": "nope"}},
+        {"train": {"rule": 5}},
+        {"dataset": [1]},
     ], ids=lambda changes: json.dumps(changes).replace(" ", ""))
     def test_invalid_config_value(self, tmp_path, capsys, changes):
         config = write_config(tmp_path, **changes)

@@ -10,8 +10,6 @@ import pytest
 from ffinit import (
     Activation,
     CheckpointError,
-    ConstructionError,
-    DataSource,
     DatasetError,
     DatasetHandle,
     IdxFormatError,
@@ -41,7 +39,6 @@ class TestIdxLoader:
         path = tmp_path / "two.idx"
         write_idx(path, [0, 255, 128, 0, 255, 255, 0, 0], 2, 2)
         data = load_idx_images(path)
-        assert data.source is DataSource.IDX_FILE
         assert len(data) == 2 and data.dim == 4
         assert np.array_equal(data.items[0], [0.0, 1.0, 128 / 255, 0.0])
         assert np.array_equal(data.items[1], [1.0, 1.0, 0.0, 0.0])
@@ -170,16 +167,11 @@ class TestSynthAutoencodable:
         assert np.array_equal(a_data.items, b_data.items)
         assert np.array_equal(a_params.ff_weights[0], b_params.ff_weights[0])
 
-    def test_bad_margin_rejected(self):
-        with pytest.raises(ConstructionError):
-            synth_autoencodable(5, LayerSpec(sizes=(4, 3)), seed=0, margin=0.7)
-
 
 class TestDatasetHandle:
     def test_out_of_range_values_rejected(self):
         with pytest.raises(DatasetError):
-            DatasetHandle(items=np.array([[0.5, 1.5]]), name="bad",
-                          source=DataSource.SYNTHETIC_BLOBS)
+            DatasetHandle(items=np.array([[0.5, 1.5]]))
 
     def test_items_read_only(self):
         data = synth_blobs(5, 3, seed=0)

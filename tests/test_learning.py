@@ -6,7 +6,6 @@ from ffinit import (
     ConfigurationError,
     DatasetError,
     DatasetHandle,
-    DataSource,
     DivergenceError,
     InvalidInputError,
     LayerSpec,
@@ -56,6 +55,11 @@ class TestInitRandomTied:
         c = init_random_tied(SPEC_432, Activation.HARD_SIGMOID, 1.0, seed=4)
         assert all(np.array_equal(x, y) for x, y in zip(a.ff_weights, b.ff_weights))
         assert any(not np.array_equal(x, y) for x, y in zip(a.ff_weights, c.ff_weights))
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0])
+    def test_scale_outside_the_domain_rejected(self, scale):
+        with pytest.raises(ConfigurationError):
+            init_random_tied(SPEC_432, Activation.HARD_SIGMOID, scale, seed=0)
 
 
 def update_one(row, off, soma, r, lr):
@@ -166,8 +170,7 @@ class TestLocalBranchUpdate:
 
 class TestTrainStackedAe:
     def test_single_vector_pair_reaches_tiny_error(self):
-        data = DatasetHandle(items=np.array([[0.6]]), name="one",
-                             source=DataSource.SYNTHETIC_BLOBS)
+        data = DatasetHandle(items=np.array([[0.6]]))
         cfg = TrainConfig(learning_rate=0.05, epochs=500, batch_size=1, seed=0)
         params = train_stacked_ae(data, LayerSpec(sizes=(1, 1)), cfg)
         assert reconstruction_error(params, data, 0) <= 1e-4
@@ -231,8 +234,7 @@ class TestTrainStackedAe:
 
     def test_local_branch_rule_matches_per_row_updates(self):
         x = np.array([0.3, 0.8, 0.5])
-        data = DatasetHandle(items=x[None, :], name="one",
-                             source=DataSource.SYNTHETIC_BLOBS)
+        data = DatasetHandle(items=x[None, :])
         spec = LayerSpec(sizes=(3, 2))
         cfg = TrainConfig(learning_rate=0.2, epochs=1, batch_size=1,
                           rule=TrainRule.LOCAL_BRANCH, init_scale=1.0, seed=11)
@@ -284,8 +286,7 @@ class TestTrainStackedAe:
         assert err.value.epoch >= 1
 
     def test_empty_dataset_rejected(self):
-        data = DatasetHandle(items=np.empty((0, 4)), name="empty",
-                             source=DataSource.SYNTHETIC_BLOBS)
+        data = DatasetHandle(items=np.empty((0, 4)))
         with pytest.raises(DatasetError):
             train_stacked_ae(data, SPEC_432, TrainConfig())
 
