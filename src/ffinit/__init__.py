@@ -52,7 +52,6 @@ from .data import (
     load_idx_images,
     load_params,
     save_params,
-    subset,
     synth_autoencodable,
     synth_blobs,
 )
@@ -87,7 +86,7 @@ __all__ = [
     "TrainConfig", "TrainRule", "init_random_tied", "norm_matched_random",
     "train_stacked_ae", "local_branch_update", "reconstruction_error",
     "DataSource", "DatasetHandle", "load_idx_images", "synth_blobs",
-    "synth_autoencodable", "subset", "save_params", "load_params",
+    "synth_autoencodable", "save_params", "load_params",
     "DatasetSpec", "ExperimentSpec", "ExperimentReport", "RegimeResult",
     "run_experiment", "emit_csv", "experiment_spec_from_config",
     "FfinitError", "InvalidInputError", "DimensionError", "ConfigurationError",

@@ -4,7 +4,6 @@ Subcommands:
     experiment     run a regime-comparison experiment from a JSON config
     train          train a stacked auto-encoder and save a checkpoint
     infer          relax one dataset item with a saved model
-    make-fixtures  write small fixture files (IDX samples, exact model)
 
 Exit codes: 0 success, 2 configuration/input error, 3 I/O error.
 """
@@ -14,16 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import struct
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .data import IDX_IMAGE_MAGIC, save_params, load_params, synth_autoencodable, synth_blobs
+from .data import save_params, load_params
 from .energy import energy_model_or_none
-from .exceptions import FfinitError, InvalidInputError, check_count
+from .exceptions import FfinitError, InvalidInputError
 from .harness import (
     build_dataset,
     experiment_spec_from_config,
@@ -33,7 +29,7 @@ from .harness import (
 )
 from .inference import infer_from_feedforward
 from .learning import train_stacked_ae
-from .network import LayerSpec, mutual_prediction_residual
+from .network import mutual_prediction_residual
 
 
 def _load_config(args):
@@ -102,26 +98,6 @@ def _cmd_infer(args) -> int:
     return 0
 
 
-def _cmd_make_fixtures(args) -> int:
-    check_count("--seed", args.seed, 0)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    header = struct.pack(">IIII", IDX_IMAGE_MAGIC, 2, 2, 2)
-    (out / "fixture_2x2.idx").write_bytes(header + bytes([0, 255, 128, 0, 255, 255, 0, 0]))
-
-    blobs = synth_blobs(64, 16, n_clusters=4, spread=0.05, seed=args.seed)
-    pixels = np.round(blobs.items * 255.0).astype(np.uint8)
-    header = struct.pack(">IIII", IDX_IMAGE_MAGIC, pixels.shape[0], 4, 4)
-    (out / "blobs_16d.idx").write_bytes(header + pixels.tobytes())
-
-    _, params = synth_autoencodable(50, LayerSpec(sizes=(8, 6, 5, 4)), seed=args.seed)
-    save_params(params, out / "exact_ae_model.npz")
-
-    print(f"wrote fixtures to {out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ffinit",
@@ -153,11 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, default=0, help="dataset item to clamp")
     p.add_argument("--out", help="optional CSV path for the per-iteration trace")
     p.set_defaults(func=_cmd_infer)
-
-    p = sub.add_parser("make-fixtures", help="write small fixture files")
-    p.add_argument("--out", required=True, help="directory to write fixtures into")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_make_fixtures)
     return parser
 
 
@@ -168,6 +139,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (FfinitError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

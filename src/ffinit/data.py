@@ -28,7 +28,6 @@ from .exceptions import (
     IdxLengthError,
 )
 from .network import (
-    Activation,
     LayerSpec,
     NetworkParams,
     feedforward_init,
@@ -71,13 +70,6 @@ class DatasetHandle:
     @property
     def dim(self) -> int:
         return self.items.shape[1]
-
-
-def subset(data: DatasetHandle, n_items: int) -> DatasetHandle:
-    """First ``n_items`` of a dataset, preserving order."""
-    if not 0 < n_items <= len(data):
-        raise DatasetError(f"cannot take {n_items} items from a dataset of {len(data)}")
-    return DatasetHandle(data.items[:n_items])
 
 
 def load_idx_images(path: str | Path) -> DatasetHandle:
@@ -183,12 +175,11 @@ def synth_autoencodable(n_items: int, spec: LayerSpec,
     for k in range(1, len(sizes)):
         w = bases[k] @ bases[k - 1].T
         ws.append(w)
-        vs.append(w.T.copy())
+        vs.append(w.T)   # NetworkParams makes a C-ordered copy
         bs.append(0.5 * np.ones(sizes[k]) - 0.5 * (w @ np.ones(sizes[k - 1])))
         cs.append(0.5 * np.ones(sizes[k - 1]) - 0.5 * (w.T @ np.ones(sizes[k])))
     params = NetworkParams(spec=spec, ff_weights=tuple(ws), fb_weights=tuple(vs),
-                           ff_offsets=tuple(bs), fb_offsets=tuple(cs),
-                           branch_gains=(1.0, 1.0), activation=Activation.HARD_SIGMOID)
+                           ff_offsets=tuple(bs), fb_offsets=tuple(cs))
     bound = _LATENT_RADIUS / np.sqrt(m)
     items = 0.5 + rng.uniform(-bound, bound, size=(n_items, m)) @ bases[0].T
     worst = float(mutual_prediction_residual(params, feedforward_init(params, items)).max())
@@ -270,7 +261,6 @@ def load_params(path: str | Path) -> NetworkParams:
             f"{path}: unsupported format version {meta.get('format_version')}")
     try:
         spec = LayerSpec(sizes=tuple(meta["sizes"]))
-        activation = Activation(meta["activation"])
         gains = (float(meta["branch_gains"][0]), float(meta["branch_gains"][1]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint metadata: {exc}") from exc
@@ -286,7 +276,7 @@ def load_params(path: str | Path) -> NetworkParams:
             **{group: tuple(entries[f"{group}_{k}"] for k in range(n_pairs))
                for group in _ARRAY_GROUPS},
             branch_gains=gains,
-            activation=activation,
+            activation=meta.get("activation"),   # NetworkParams checks it
         )
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc

@@ -66,10 +66,13 @@ class CheckpointError(FfinitError, ValueError):
     """A model checkpoint file is malformed or has an unsupported version."""
 
 
-def check_count(name: str, value, minimum: int) -> None:
-    """Raise ConfigurationError unless ``value`` is an integer (not a bool) ``>= minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def check_count(name: str, value, minimum: int, maximum: float = math.inf) -> None:
+    """Raise ConfigurationError unless ``value`` is an integer (not a bool) in
+    ``[minimum, maximum]``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not minimum <= value <= maximum):
+        raise ConfigurationError(
+            f"{name} must be an integer in [{minimum}, {maximum}], got {value!r}")
 
 
 def check_real(name: str, value, minimum: float, strict: bool = False) -> None:

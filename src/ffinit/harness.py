@@ -10,6 +10,7 @@ spec and seed produce byte-identical files.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from .data import (
     DatasetHandle,
     default_mnist_images_path,
     load_idx_images,
-    subset,
     synth_autoencodable,
     synth_blobs,
 )
@@ -70,8 +70,8 @@ class DatasetSpec:
                            check_member("dataset source", self.source, DataSource))
         if self.path is not None and not isinstance(self.path, str):
             raise ConfigurationError(f"dataset path must be a string, got {self.path!r}")
-        check_count("dataset n_items", self.n_items, 0)
-        check_count("dataset n_clusters", self.n_clusters, 1)
+        check_count("dataset n_items", self.n_items, 0, sys.maxsize)
+        check_count("dataset n_clusters", self.n_clusters, 1, sys.maxsize)
         check_real("dataset spread", self.spread, 0.0)
 
 
@@ -142,7 +142,7 @@ def build_dataset(dspec: DatasetSpec, sizes: LayerSpec, seed: int) -> DatasetHan
                 f"dataset dimension {data.dim} does not match visible size "
                 f"{sizes.visible_size}")
         if 0 < dspec.n_items < len(data):
-            data = subset(data, dspec.n_items)
+            data = DatasetHandle(data.items[:dspec.n_items])
         return data
     if dspec.source is DataSource.SYNTHETIC_BLOBS:
         return synth_blobs(dspec.n_items, sizes.visible_size, dspec.n_clusters,

@@ -159,7 +159,7 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
     L = params.n_layers
     n_rows = len(visible)
     result = [np.empty_like(h) for h in hidden]
-    work = [np.array(h) for h in hidden]
+    work = list(hidden)   # a sweep replaces a layer's array, never writes into it
     rows = np.arange(n_rows)   # block row of every working row
     rng = np.random.default_rng(cfg.seed) if cfg.noise_scale > 0.0 else None
     # The visible layer is clamped, so its drive into layer 1 is fixed.
@@ -187,10 +187,7 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
                 if rng is not None:
                     # One draw per layer update, shared by every row.
                     t = t + rng.normal(0.0, cfg.noise_scale, size=t.shape[1])
-                if cfg.tau == 1.0:
-                    work[k - 1] = t
-                else:
-                    work[k - 1] = (1.0 - 1.0 / cfg.tau) * work[k - 1] + (1.0 / cfg.tau) * t
+                work[k - 1] = (1.0 - 1.0 / cfg.tau) * work[k - 1] + (1.0 / cfg.tau) * t
         # Row by row: a norm over axis 1 rounds differently from the
         # norm of one input's vector.
         step = np.array([np.linalg.norm(d) for d in np.concatenate(work, axis=1) - before])

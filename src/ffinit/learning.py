@@ -123,7 +123,7 @@ def norm_matched_random(target: NetworkParams, init_scale: float = 1.0,
         norm = np.linalg.norm(w)
         ws.append(w * (np.linalg.norm(w_target) / norm if norm > 0 else 1.0))
     return NetworkParams(spec=base.spec, ff_weights=tuple(ws),
-                         fb_weights=tuple(w.T.copy() for w in ws),
+                         fb_weights=tuple(w.T for w in ws),   # copied in C order
                          ff_offsets=base.ff_offsets, fb_offsets=base.fb_offsets)
 
 
@@ -161,7 +161,7 @@ def local_branch_update(weights: np.ndarray, offsets: np.ndarray, soma: np.ndarr
 
 
 def _pair_error(x: np.ndarray, w, b, v, c, act: Activation) -> float:
-    hid = apply_activation(act, apply_activation(act, x) @ w.T + b)
+    hid = apply_activation(act, x @ w.T + b)   # x, an item or a code, is a rate
     rec = apply_activation(act, hid @ v.T + c)
     return float(np.mean(np.sum((x - rec) ** 2, axis=1)))
 
@@ -196,13 +196,13 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
         DivergenceError: A non-finite loss or parameter appeared; the
             exception reports the pair and epoch.
     """
-    items = data.items
-    n = len(items)
+    codes = data.items   # read-only rates; each pair's codes are a new array
+    n = len(codes)
     if n == 0:
         raise DatasetError("cannot train on an empty dataset")
-    if items.shape[1] != spec.visible_size:
+    if codes.shape[1] != spec.visible_size:
         raise DatasetError(
-            f"dataset dimension {items.shape[1]} does not match visible size "
+            f"dataset dimension {codes.shape[1]} does not match visible size "
             f"{spec.visible_size}")
     if cfg.batch_size > n:
         raise ConfigurationError(
@@ -213,7 +213,6 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
     lr = cfg.learning_rate
     activation = Activation.HARD_SIGMOID
 
-    codes = np.array(items, dtype=float)
     for k in range(1, spec.n_hidden_layers + 1):
         w, v, b, c = ws[k - 1], vs[k - 1], bs[k - 1], cs[k - 1]
         for epoch in range(1, cfg.epochs + 1):
@@ -277,15 +276,14 @@ def reconstruction_error(params: NetworkParams, data: DatasetHandle, k: int) -> 
     if not 0 <= k <= params.n_layers - 1:
         raise InvalidInputError(
             f"pair index {k} out of range 0..{params.n_layers - 1}")
-    items = data.items
-    if len(items) == 0:
+    codes = data.items   # read-only rates; each layer's codes are a new array
+    if len(codes) == 0:
         raise DatasetError("cannot evaluate reconstruction on an empty dataset")
-    if items.shape[1] != params.spec.visible_size:
+    if codes.shape[1] != params.spec.visible_size:
         raise DatasetError(
-            f"dataset dimension {items.shape[1]} does not match visible size "
+            f"dataset dimension {codes.shape[1]} does not match visible size "
             f"{params.spec.visible_size}")
     act = params.activation
-    codes = np.array(items, dtype=float)
     for j in range(1, k + 1):
         codes = apply_activation(act, codes @ params.ff_weights[j - 1].T
                                  + params.ff_offsets[j - 1])

@@ -26,19 +26,20 @@ finite entries) and :class:`ffinit.data.DatasetHandle` (finite items in
 ``[0, 1]``). Every state an operation takes or returns is a
 :class:`NetworkState`, so a run that overflows to a non-finite value
 fails with :class:`~ffinit.exceptions.InvalidInputError` instead of
-returning it. :func:`apply_activation`, :func:`branch_predictions` and
-:func:`branch_combine` run unchecked on what those guarantee.
+returning it. :func:`apply_activation` and :func:`branch_predictions` run
+unchecked; :func:`branch_combine` only checks that its predictions match in shape.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import (ConfigurationError, DimensionError, InvalidInputError,
-                         check_count, check_real)
+                         check_count, check_member, check_real)
 
 
 class Activation(enum.Enum):
@@ -96,7 +97,7 @@ class LayerSpec:
         if len(sizes) < 2:
             raise ConfigurationError("a network needs a visible and at least one hidden layer")
         for n in sizes:
-            check_count("every layer size", n, 1)
+            check_count("every layer size", n, 1, sys.maxsize)
         object.__setattr__(self, "sizes", tuple(int(n) for n in sizes))
 
     @property
@@ -126,10 +127,10 @@ class NetworkParams:
             combining branch predictions. The bottom-up gain is positive,
             because the top layer has no other branch; the top-down gain
             is non-negative.
-        activation: Rate non-linearity shared by all layers.
+        activation: Rate non-linearity shared by all layers, or its value string.
 
-    All arrays are copied on construction and marked read-only, so one
-    instance can safely be shared across concurrent inference runs.
+    All arrays are copied into C order and marked read-only on construction,
+    so one instance can safely be shared across concurrent inference runs.
     """
 
     spec: LayerSpec
@@ -153,7 +154,7 @@ class NetworkParams:
                 raise DimensionError(f"{name} must have {L} entries, got {len(seq)}")
             frozen = []
             for k, (arr, shape) in enumerate(zip(seq, want)):
-                a = np.array(arr, dtype=float)
+                a = np.array(arr, dtype=float, order="C")
                 if a.shape != shape:
                     raise DimensionError(f"{name}[{k}] must have shape {shape}, got {a.shape}")
                 if not np.all(np.isfinite(a)):
@@ -165,6 +166,8 @@ class NetworkParams:
         check_real("the bottom-up branch gain", g_bu, 0.0, strict=True)
         check_real("the top-down branch gain", g_td, 0.0)
         object.__setattr__(self, "branch_gains", (float(g_bu), float(g_td)))
+        object.__setattr__(self, "activation",
+                           check_member("activation", self.activation, Activation))
 
     @property
     def n_layers(self) -> int:

@@ -7,6 +7,7 @@ alternating update. Tests compare package output against these.
 """
 
 import json
+import struct
 
 import numpy as np
 
@@ -28,6 +29,12 @@ def make_params(sizes, ff_weights, fb_weights=None, ff_offsets=None, fb_offsets=
                          fb_weights=tuple(vs), ff_offsets=tuple(bs),
                          fb_offsets=tuple(cs), branch_gains=gains,
                          activation=activation)
+
+
+def write_idx(path, images, rows, cols, magic=0x00000803):
+    """Write ``images`` (a flat list of pixel bytes) as an IDX image file."""
+    header = struct.pack(">IIII", magic, len(images) // (rows * cols), rows, cols)
+    path.write_bytes(header + bytes(images))
 
 
 def rewrite_checkpoint(path, meta=None, drop=(), **entries):

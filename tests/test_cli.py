@@ -12,7 +12,7 @@ import pytest
 import ffinit
 from ffinit import CheckpointError, load_params
 from ffinit.cli import main
-from helpers import UNPICKLED, Tripwire, rewrite_checkpoint
+from helpers import UNPICKLED, Tripwire, rewrite_checkpoint, write_idx
 
 CONFIG = {
     "dataset": {"source": "synthetic-blobs", "n_items": 64, "n_clusters": 4, "spread": 0.05},
@@ -96,12 +96,14 @@ class TestInfer:
         assert out.read_text().splitlines()[0] == "iter,step_magnitude,energy"
 
 
-class TestMakeFixtures:
-    def test_writes_the_exact_model_as_an_archive(self, tmp_path):
-        assert run("make-fixtures", "--out", tmp_path) == 0
-        assert set(read_dir(tmp_path)) == {"fixture_2x2.idx", "blobs_16d.idx",
-                                           "exact_ae_model.npz"}
-        assert load_params(tmp_path / "exact_ae_model.npz").spec.sizes == (8, 6, 5, 4)
+class TestIdxDataset:
+    def test_experiment_on_an_idx_file(self, tmp_path):
+        path = tmp_path / "images.idx"
+        write_idx(path, list(np.random.default_rng(0).integers(0, 256, size=40 * 16)), 4, 4)
+        config = write_config(tmp_path, dataset={"source": "idx-file", "path": str(path),
+                                                 "n_items": 32})
+        assert run("experiment", "--config", config, "--seed", 5, "--out", tmp_path / "o") == 0
+        assert set(read_dir(tmp_path / "o")) == REGIME_FILES
 
 
 def write_format_1(path):
@@ -158,9 +160,16 @@ class TestErrors:
         {"relaxation": {"scheme": "nope"}},
         {"train": {"rule": 5}},
         {"dataset": [1]},
+        {"sizes": [10**30, 2]},
     ], ids=lambda changes: json.dumps(changes).replace(" ", ""))
     def test_invalid_config_value(self, tmp_path, capsys, changes):
         config = write_config(tmp_path, **changes)
+        assert_usage_error(capsys, "experiment", "--config", config, "--out", tmp_path / "o")
+
+    def test_out_of_memory(self, tmp_path, capsys, config, monkeypatch):
+        def run_experiment(spec):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+        monkeypatch.setattr("ffinit.cli.run_experiment", run_experiment)
         assert_usage_error(capsys, "experiment", "--config", config, "--out", tmp_path / "o")
 
     def test_negative_seed(self, tmp_path, capsys, config):

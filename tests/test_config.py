@@ -9,6 +9,7 @@ value string.
 
 import enum
 import math
+import sys
 from dataclasses import fields
 
 import pytest
@@ -155,6 +156,14 @@ class TestDatasetSpec:
         assert accepts(DatasetSpec, source=source) is (member is not None)
         if member is not None:
             assert DatasetSpec(source=source).source is member
+
+    @over(ANY_VALUE, EDGE_CASES + (sys.maxsize, sys.maxsize + 1, 10**30))
+    def test_n_items(self, n):
+        assert accepts(DatasetSpec, n_items=n) is (is_count(n, 0) and n <= sys.maxsize)
+
+    @over(ANY_VALUE, EDGE_CASES + (sys.maxsize, sys.maxsize + 1, 10**30))
+    def test_n_clusters(self, n):
+        assert accepts(DatasetSpec, n_clusters=n) is (is_count(n, 1) and n <= sys.maxsize)
 
     @over_any_value
     def test_path(self, path):

@@ -21,17 +21,11 @@ from ffinit import (
     load_params,
     mutual_prediction_residual,
     save_params,
-    subset,
     synth_autoencodable,
     synth_blobs,
 )
 from ffinit.data import default_mnist_images_path
-from helpers import random_untied_params, rewrite_checkpoint
-
-
-def write_idx(path, images, rows, cols, magic=0x00000803):
-    header = struct.pack(">IIII", magic, len(images) // (rows * cols), rows, cols)
-    path.write_bytes(header + bytes(images))
+from helpers import random_untied_params, rewrite_checkpoint, write_idx
 
 
 class TestIdxLoader:
@@ -177,14 +171,6 @@ class TestDatasetHandle:
         data = synth_blobs(5, 3, seed=0)
         with pytest.raises(ValueError):
             data.items[0, 0] = 0.5
-
-    def test_subset_takes_prefix(self):
-        data = synth_blobs(10, 3, seed=0)
-        head = subset(data, 4)
-        assert len(head) == 4
-        assert np.array_equal(head.items, data.items[:4])
-        with pytest.raises(DatasetError):
-            subset(data, 11)
 
 
 GROUPS = ("ff_weights", "fb_weights", "ff_offsets", "fb_offsets")

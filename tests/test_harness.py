@@ -1,13 +1,16 @@
-"""Tests of the experiment harness: one block relaxation per regime and the
-per-iteration CSV columns."""
+"""Tests of the experiment harness: dataset construction, one block relaxation
+per regime and the per-iteration CSV columns."""
 
 import csv
 
 import numpy as np
+import pytest
 
 from ffinit import harness
-from ffinit import DataSource, LayerSpec, RelaxationConfig, TrainConfig
-from ffinit.harness import DatasetSpec, ExperimentSpec, run_experiment
+from ffinit import (DataSource, DatasetError, LayerSpec, RelaxationConfig, TrainConfig,
+                    load_idx_images, synth_autoencodable)
+from ffinit.harness import DatasetSpec, ExperimentSpec, build_dataset, run_experiment
+from helpers import write_idx
 
 N_INPUTS = 12
 
@@ -54,3 +57,32 @@ def test_n_active_counts_the_inputs_still_relaxing(tmp_path):
         assert n_active == [int(np.sum(rr.iters_to_tol > i)) for i in range(len(rows))]
         assert n_active[0] == N_INPUTS and n_active[-1] >= 1
         assert all(a >= b for a, b in zip(n_active, n_active[1:]))
+
+
+class TestBuildDataset:
+    @pytest.fixture
+    def idx_path(self, tmp_path):
+        path = tmp_path / "images.idx"
+        write_idx(path, list(range(6 * 4)), 2, 2)
+        return path
+
+    @pytest.mark.parametrize("n_items, expected", [(4, 4), (0, 6), (6, 6), (9, 6)])
+    def test_idx_file_truncated_to_n_items(self, idx_path, n_items, expected):
+        dspec = DatasetSpec(source="idx-file", path=str(idx_path), n_items=n_items)
+        data = build_dataset(dspec, LayerSpec(sizes=(4, 3)), 0)
+        assert np.array_equal(data.items, load_idx_images(idx_path).items[:expected])
+
+    def test_idx_dimension_mismatch(self, idx_path):
+        with pytest.raises(DatasetError, match="does not match visible size 5"):
+            build_dataset(DatasetSpec(source="idx-file", path=str(idx_path)),
+                          LayerSpec(sizes=(5, 3)), 0)
+
+    def test_missing_idx_file(self, tmp_path):
+        with pytest.raises(DatasetError, match="does not exist"):
+            build_dataset(DatasetSpec(source="idx-file", path=str(tmp_path / "absent.idx")),
+                          LayerSpec(sizes=(4, 3)), 0)
+
+    def test_synthetic_autoencodable_items(self):
+        sizes = LayerSpec(sizes=(6, 4, 3))
+        data = build_dataset(DatasetSpec(source="synthetic-autoencodable", n_items=10), sizes, 7)
+        assert np.array_equal(data.items, synth_autoencodable(10, sizes, 7)[0].items)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from ffinit import (
     branch_combine,
     branch_predictions,
     feedforward_init,
+    init_random_tied,
     mutual_prediction_residual,
 )
 from helpers import make_params, random_sizes, random_state, random_tied_params
@@ -51,6 +54,21 @@ class TestSpecAndParams:
     def test_layer_spec_rejects_zero_size(self):
         with pytest.raises(ConfigurationError):
             LayerSpec(sizes=(4, 0, 3))
+
+    @pytest.mark.parametrize("sizes", [(10**30, 2), (4, sys.maxsize + 1)],
+                             ids=["1e30", "maxsize+1"])
+    def test_layer_spec_rejects_size_beyond_any_array(self, sizes):
+        with pytest.raises(ConfigurationError):
+            LayerSpec(sizes=sizes)
+
+    def test_activation_value_string_becomes_the_member(self):
+        params = init_random_tied(LayerSpec(sizes=(3, 2)), "hard-sigmoid")
+        assert params.activation is Activation.HARD_SIGMOID
+
+    @pytest.mark.parametrize("activation", [None, "tanh"])
+    def test_activation_outside_the_enum_rejected(self, activation):
+        with pytest.raises(ConfigurationError):
+            make_params((2, 3), [np.zeros((3, 2))], activation=activation)
 
     def test_shape_validation(self):
         with pytest.raises(DimensionError):
