@@ -101,6 +101,15 @@ class ExperimentSpec:
                     f"unknown regime {regime!r}; known regimes: {KNOWN_REGIMES}")
         if len(set(self.regimes)) != len(self.regimes):
             raise ConfigurationError("regimes must not repeat")
+        # A synthetic dataset is an (n_items, visible) float64 array, whose
+        # entries numpy can address only up to sys.maxsize // 8; an IDX
+        # file's n_items only truncates the file.
+        n_entries = int(self.dataset.n_items) * self.sizes.visible_size
+        if self.dataset.source is not DataSource.IDX_FILE and n_entries > sys.maxsize // 8:
+            raise ConfigurationError(
+                f"dataset n_items {self.dataset.n_items} at visible size "
+                f"{self.sizes.visible_size} needs {n_entries} entries, more than the "
+                f"{sys.maxsize // 8} a float64 array can hold")
         check_count("n_inputs_evaluated", self.n_inputs_evaluated, 0)
         if not isinstance(self.output_dir, str):
             raise ConfigurationError(f"output_dir must be a string, got {self.output_dir!r}")

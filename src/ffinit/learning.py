@@ -8,7 +8,9 @@ freezes the encoders at their random-tied initialization and fits only
 the top-down branch of each pair with the error-correcting delta rule
 (:func:`local_branch_update`), i.e. a linear regression of the branch's
 voltage-scale prediction onto the feedforward activation it should
-predict.
+predict. Because its encoders stay frozen, ``local-branch`` encodes each
+pair's input codes once and reuses that encoding in every batch and
+epoch; recomputing it would give the same numbers.
 """
 
 from __future__ import annotations
@@ -156,14 +158,81 @@ def local_branch_update(weights: np.ndarray, offsets: np.ndarray, soma: np.ndarr
         raise InvalidInputError("presynaptic rates must lie in [0, 1]")
     err = soma - (presyn_rates @ weights.T + offsets)
     scale = lr / len(presyn_rates)
-    weights += scale * (err.T @ presyn_rates)
+    g = err.T @ presyn_rates
+    g *= scale
+    weights += g
     offsets += scale * err.sum(axis=0)
 
 
-def _pair_error(x: np.ndarray, w, b, v, c, act: Activation) -> float:
-    hid = apply_activation(act, x @ w.T + b)   # x, an item or a code, is a rate
-    rec = apply_activation(act, hid @ v.T + c)
-    return float(np.mean(np.sum((x - rec) ** 2, axis=1)))
+def _encode(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The hard-sigmoid rates ``rho(x W^T + b)`` of every row of ``x``, from one gemm."""
+    hid = x @ w.T
+    hid += b
+    return np.clip(hid, 0.0, 1.0, out=hid)
+
+
+def _batch_pre_activation(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                          batch_size: int) -> np.ndarray:
+    """``x W^T + b``, from one gemm per ``batch_size`` rows of ``x`` in order.
+
+    A BLAS may round a row's product differently in different gemms.
+    Where it gives a row the same bits in every gemm of as many rows as a
+    training batch has (numpy's OpenBLAS on x86-64 does for gemms of 3
+    to 32 rows), these blocks hold exactly what each shuffled batch's own
+    gemm computed; elsewhere they differ from it by rounding only.
+    """
+    pre = np.empty((len(x), len(w)))
+    for start in range(0, len(x), batch_size):
+        np.matmul(x[start:start + batch_size], w.T, out=pre[start:start + batch_size])
+    pre += b
+    return pre
+
+
+def _pair_error(x: np.ndarray, hid: np.ndarray, v: np.ndarray, c: np.ndarray) -> float:
+    """Mean squared error of decoding the encoding ``hid`` of the rates ``x``."""
+    rec = hid @ v.T
+    rec += c
+    np.clip(rec, 0.0, 1.0, out=rec)
+    rec -= x
+    np.square(rec, out=rec)
+    return float(np.mean(rec.sum(axis=1)))
+
+
+def _ae_gradient_epoch(codes: np.ndarray, perm: np.ndarray, w, v, b, c,
+                       cfg: TrainConfig) -> int:
+    """One epoch of ae-gradient steps over the batches of ``perm``, updating
+    ``w, v, b, c`` in place; returns how many encoder units were saturated
+    on every item of the epoch."""
+    activation = Activation.HARD_SIGMOID
+    lr = cfg.learning_rate
+    gradient_seen = np.zeros(w.shape[0], dtype=bool)
+    for start in range(0, len(perm), cfg.batch_size):
+        xb = codes[perm[start:start + cfg.batch_size]]
+        pre_h = xb @ w.T + b
+        hid = apply_activation(activation, pre_h)
+        d_act_h = activation_subderivative(activation, pre_h)
+        gradient_seen |= np.any(d_act_h > 0.0, axis=0)
+        pre_y = hid @ v.T + c
+        rec = apply_activation(activation, pre_y)
+        d_rec = (2.0 / len(xb)) * (rec - xb) * activation_subderivative(activation, pre_y)
+        g_v = d_rec.T @ hid
+        g_c = d_rec.sum(axis=0)
+        d_hid = (d_rec @ v) * d_act_h
+        g_w = d_hid.T @ xb
+        g_b = d_hid.sum(axis=0)
+        if cfg.tie_decoder:
+            g_w += g_v.T
+            g_w *= lr
+            w -= g_w
+            v[...] = w.T
+        else:
+            g_w *= lr
+            w -= g_w
+            g_v *= lr
+            v -= g_v
+        b -= lr * g_b
+        c -= lr * g_c
+    return int(np.count_nonzero(~gradient_seen))
 
 
 def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
@@ -177,6 +246,14 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
     ``dec(h) = rho(V_k h + c_k)``. The rule is taken from
     ``cfg.rule``; see the module docstring. Fully deterministic under
     ``cfg.seed``.
+
+    The local-branch rule never moves an encoder, so it encodes each
+    pair's codes once instead of once per batch and epoch: the encoding
+    is the same at every step. The branch updates and the saturated-unit
+    count take it as computed in batch-size blocks, the epoch errors and
+    the next pair's codes as computed in one gemm over all codes. Those
+    are the gemms each step would run to encode for itself, so the
+    results keep their bits (see :func:`_batch_pre_activation`).
 
     Args:
         data: Training items; dimension must equal the visible size.
@@ -210,56 +287,42 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
 
     rng = np.random.default_rng(cfg.seed)
     ws, vs, bs, cs = _random_tied_arrays(spec, cfg.init_scale, rng)
-    lr = cfg.learning_rate
-    activation = Activation.HARD_SIGMOID
+    local = cfg.rule is TrainRule.LOCAL_BRANCH
 
     for k in range(1, spec.n_hidden_layers + 1):
         w, v, b, c = ws[k - 1], vs[k - 1], bs[k - 1], cs[k - 1]
+        hid = None   # _encode(codes, w, b), once computed for the current encoder
+        if local:
+            pre = _batch_pre_activation(codes, w, b, cfg.batch_size)
+            n_dead = int(np.count_nonzero(~np.any(
+                activation_subderivative(Activation.HARD_SIGMOID, pre) > 0.0, axis=0)))
+            hid_batched = np.clip(pre, 0.0, 1.0, out=pre)
         for epoch in range(1, cfg.epochs + 1):
             perm = rng.permutation(n)
-            gradient_seen = np.zeros(w.shape[0], dtype=bool)
-            for start in range(0, n, cfg.batch_size):
-                xb = codes[perm[start:start + cfg.batch_size]]
-                batch = len(xb)
-                pre_h = xb @ w.T + b
-                hid = apply_activation(activation, pre_h)
-                gradient_seen |= np.any(
-                    activation_subderivative(activation, pre_h) > 0.0, axis=0)
-                if cfg.rule is TrainRule.LOCAL_BRANCH:
-                    local_branch_update(v, c, xb, hid, lr)
-                else:
-                    pre_y = hid @ v.T + c
-                    rec = apply_activation(activation, pre_y)
-                    d_rec = (2.0 / batch) * (rec - xb) \
-                        * activation_subderivative(activation, pre_y)
-                    g_v = d_rec.T @ hid
-                    g_c = d_rec.sum(axis=0)
-                    d_hid = (d_rec @ v) * activation_subderivative(activation, pre_h)
-                    g_w = d_hid.T @ xb
-                    g_b = d_hid.sum(axis=0)
-                    if cfg.tie_decoder:
-                        w -= lr * (g_w + g_v.T)
-                        v[...] = w.T
-                    else:
-                        w -= lr * g_w
-                        v -= lr * g_v
-                    b -= lr * g_b
-                    c -= lr * g_c
+            if local:
+                for start in range(0, n, cfg.batch_size):
+                    batch = perm[start:start + cfg.batch_size]
+                    local_branch_update(v, c, codes[batch], hid_batched[batch],
+                                        cfg.learning_rate)
+            else:
+                n_dead = _ae_gradient_epoch(codes, perm, w, v, b, c, cfg)
+                hid = None
             if not all(np.all(np.isfinite(a)) for a in (w, v, b, c)):
                 raise DivergenceError(
                     f"non-finite parameters in pair {k} at epoch {epoch}", k, epoch)
-            n_dead = int(np.count_nonzero(~gradient_seen))
             if n_dead:
                 logger.info("pair %d epoch %d: %d/%d encoder units saturated for "
                             "the entire epoch", k, epoch, n_dead, w.shape[0])
             if progress is not None:
-                err = _pair_error(codes, w, b, v, c, activation)
+                if hid is None:
+                    hid = _encode(codes, w, b)
+                err = _pair_error(codes, hid, v, c)
                 if not np.isfinite(err):
                     raise DivergenceError(
                         f"non-finite reconstruction error in pair {k} at epoch {epoch}",
                         k, epoch)
                 progress(k, epoch, err)
-        codes = apply_activation(activation, codes @ w.T + b)
+        codes = hid if hid is not None else _encode(codes, w, b)
 
     return NetworkParams(spec=spec, ff_weights=tuple(ws), fb_weights=tuple(vs),
                          ff_offsets=tuple(bs), fb_offsets=tuple(cs))
@@ -283,9 +346,7 @@ def reconstruction_error(params: NetworkParams, data: DatasetHandle, k: int) -> 
         raise DatasetError(
             f"dataset dimension {codes.shape[1]} does not match visible size "
             f"{params.spec.visible_size}")
-    act = params.activation
-    for j in range(1, k + 1):
-        codes = apply_activation(act, codes @ params.ff_weights[j - 1].T
-                                 + params.ff_offsets[j - 1])
-    return _pair_error(codes, params.ff_weights[k], params.ff_offsets[k],
-                       params.fb_weights[k], params.fb_offsets[k], act)
+    for j in range(k):
+        codes = _encode(codes, params.ff_weights[j], params.ff_offsets[j])
+    hid = _encode(codes, params.ff_weights[k], params.ff_offsets[k])
+    return _pair_error(codes, hid, params.fb_weights[k], params.fb_offsets[k])

@@ -98,7 +98,13 @@ class LayerSpec:
             raise ConfigurationError("a network needs a visible and at least one hidden layer")
         for n in sizes:
             check_count("every layer size", n, 1, sys.maxsize)
-        object.__setattr__(self, "sizes", tuple(int(n) for n in sizes))
+        sizes = tuple(int(n) for n in sizes)
+        for n_in, n_out in zip(sizes, sizes[1:]):
+            if n_in * n_out > sys.maxsize // 8:   # the float64 entries numpy can address
+                raise ConfigurationError(
+                    f"layer sizes {n_in} and {n_out} need a weight matrix of {n_in * n_out} "
+                    f"entries, more than the {sys.maxsize // 8} a float64 array can hold")
+        object.__setattr__(self, "sizes", sizes)
 
     @property
     def n_hidden_layers(self) -> int:

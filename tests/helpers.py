@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the package's own code paths: the
 energy oracle works on a dense all-units coupling matrix with explicit
-loops, and the sweep oracle is a straight-line reimplementation of the
-alternating update. Tests compare package output against these.
+loops, the sweep oracle is a straight-line reimplementation of the
+alternating update, and the local-branch oracle re-encodes every batch.
+Tests compare package output against these.
 """
 
 import json
@@ -11,7 +12,8 @@ import struct
 
 import numpy as np
 
-from ffinit import Activation, LayerSpec, NetworkParams, NetworkState
+from ffinit import (Activation, LayerSpec, NetworkParams, NetworkState,
+                    local_branch_update)
 
 
 def make_params(sizes, ff_weights, fb_weights=None, ff_offsets=None, fb_offsets=None,
@@ -184,3 +186,39 @@ def sweep_oracle(params, state, n_iters):
                 hidden[k - 1] = val
         steps.append(float(np.linalg.norm(np.concatenate(hidden) - before)))
     return hidden, steps
+
+
+def local_branch_oracle(items, sizes, cfg):
+    """Straight-line local-branch training that encodes every batch anew.
+
+    Draws the same random-tied initialization and permutations from
+    ``cfg.seed`` as ``train_stacked_ae``, re-encodes each shuffled batch
+    through the frozen encoder and steps it with ``local_branch_update``.
+    Returns the trained ``(ws, vs, bs, cs)`` lists, the full-data
+    reconstruction error after every epoch, and per epoch the number of
+    encoder units saturated on every item.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    ws, vs, bs, cs = [], [], [], []
+    for k in range(len(sizes) - 1):
+        bound = cfg.init_scale / np.sqrt(sizes[k])
+        ws.append(rng.uniform(-bound, bound, size=(sizes[k + 1], sizes[k])))
+        vs.append(ws[-1].T.copy())
+        bs.append(np.zeros(sizes[k + 1]))
+        cs.append(np.zeros(sizes[k]))
+    codes = items
+    errors, dead = [], []
+    for w, v, b, c in zip(ws, vs, bs, cs):
+        for _ in range(cfg.epochs):
+            perm = rng.permutation(len(codes))
+            seen = np.zeros(len(w), dtype=bool)
+            for start in range(0, len(codes), cfg.batch_size):
+                xb = codes[perm[start:start + cfg.batch_size]]
+                pre = xb @ w.T + b
+                seen |= np.any((pre >= 0.0) & (pre <= 1.0), axis=0)
+                local_branch_update(v, c, xb, _rho(pre), cfg.learning_rate)
+            dead.append(int(np.count_nonzero(~seen)))
+            rec = _rho(_rho(codes @ w.T + b) @ v.T + c)
+            errors.append(float(np.mean(np.sum((codes - rec) ** 2, axis=1))))
+        codes = _rho(codes @ w.T + b)
+    return (ws, vs, bs, cs), errors, dead

@@ -161,6 +161,8 @@ class TestErrors:
         {"train": {"rule": 5}},
         {"dataset": [1]},
         {"sizes": [10**30, 2]},
+        {"sizes": [16, 4611686018427387904]},
+        {"sizes": [4, 3], "dataset": {"n_items": 2305843009213693952}},
     ], ids=lambda changes: json.dumps(changes).replace(" ", ""))
     def test_invalid_config_value(self, tmp_path, capsys, changes):
         config = write_config(tmp_path, **changes)

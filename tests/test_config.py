@@ -236,3 +236,15 @@ class TestConfigSchema:
         doc = [1] if where == "config" else {**REQUIRED, where: [1]}
         with pytest.raises(ConfigurationError, match=f"{where} must be a JSON object"):
             experiment_spec_from_config(doc)
+
+    @pytest.mark.parametrize("source", list(DataSource), ids=lambda s: s.value)
+    def test_dataset_beyond_any_array(self, source):
+        # 5 visible units: the largest synthetic dataset a float64 array holds
+        largest = (sys.maxsize // 8) // 5
+        for n_items in (largest, largest + 1):
+            doc = {**REQUIRED, "dataset": {"source": source.value, "n_items": n_items}}
+            if source is DataSource.IDX_FILE or n_items == largest:
+                assert experiment_spec_from_config(doc).dataset.n_items == n_items
+            else:
+                with pytest.raises(ConfigurationError, match="float64 array"):
+                    experiment_spec_from_config(doc)

@@ -1,3 +1,6 @@
+import logging
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from ffinit import (
     synth_blobs,
     train_stacked_ae,
 )
+from helpers import local_branch_oracle
 
 SPEC_432 = LayerSpec(sizes=(4, 3, 2))
 
@@ -196,12 +200,10 @@ class TestTrainStackedAe:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="the per-layer residual takes the max over units and branches of the "
-               "voltage-scale prediction gap; with zero-offset random initialization "
-               "roughly half of all units saturate at feedforward init, and that "
-               "bottom-up overflow |d - rho(d)| is identical in magnitude for the "
-               "trained network and its norm-matched baseline, flooring the ratio "
-               "near 0.6 regardless of how well the top-down branches are trained")
+        reason="the trained/random ratio of the mean residual is about 0.60, and a "
+               "saturation floor does not explain it: the per-branch rate gap, which "
+               "ignores saturation, gives 0.53; weak training of the auto-encoder "
+               "pairs is the likelier cause")
     def test_trained_residual_five_times_below_matched_random(self):
         # paired desk-scale comparison of mean feedforward-init residuals
         data = synth_blobs(128, 12, n_clusters=5, spread=0.05, seed=2)
@@ -219,7 +221,7 @@ class TestTrainStackedAe:
     def test_trained_residual_beats_matched_random(self):
         # the attainable version of the comparison above: training still
         # shrinks the mean feedforward-init residual against the
-        # norm-matched random baseline, just not by the saturation-floored 5x
+        # norm-matched random baseline, just not by 5x
         data = synth_blobs(128, 12, n_clusters=5, spread=0.05, seed=2)
         spec = LayerSpec(sizes=(12, 10, 8, 6))
         cfg = TrainConfig(learning_rate=0.02, epochs=300, batch_size=16,
@@ -305,6 +307,49 @@ class TestTrainStackedAe:
         train_stacked_ae(data, SPEC_432, cfg,
                          progress=lambda pair, epoch, err: seen.append((pair, epoch)))
         assert seen == [(pair, epoch) for pair in (1, 2) for epoch in (1, 2, 3, 4)]
+
+
+class TestLocalBranchEncodesOnce:
+    """Against an oracle that encodes every batch anew, on 64-32-16 with 70
+    items in batches of 16, so every epoch ends on a partial batch. At this
+    size one gemm over all 70 codes rounds differently from 16-row gemms,
+    and seed 2 leaves encoder units saturated in both pairs."""
+
+    SPEC = LayerSpec(sizes=(64, 32, 16))
+    CFG = TrainConfig(epochs=3, batch_size=16, rule=TrainRule.LOCAL_BRANCH, seed=2)
+
+    def train(self, cfg=CFG):
+        data = blob_data(n=70, d=64)
+        curve = []
+        params = train_stacked_ae(data, self.SPEC, cfg,
+                                  progress=lambda pair, epoch, err: curve.append((pair, err)))
+        return data, params, curve
+
+    def test_every_array_and_error_equals_the_oracle(self):
+        data, params, curve = self.train()
+        arrays, errors, _ = local_branch_oracle(data.items, self.SPEC.sizes, self.CFG)
+        got = (params.ff_weights, params.fb_weights, params.ff_offsets, params.fb_offsets)
+        for got_list, want_list in zip(got, arrays):
+            assert all(np.array_equal(a, b) for a, b in zip(got_list, want_list))
+        assert [err for _, err in curve] == errors
+
+    def test_saturated_unit_lines_equal_the_oracle(self, caplog):
+        caplog.set_level(logging.INFO, logger="ffinit.learning")
+        data, _, _ = self.train()
+        _, _, dead = local_branch_oracle(data.items, self.SPEC.sizes, self.CFG)
+        pair_epochs = [(pair, epoch) for pair in (1, 2) for epoch in (1, 2, 3)]
+        want = [f"pair {pair} epoch {epoch}: {n}/{self.SPEC.sizes[pair]} encoder units "
+                "saturated for the entire epoch"
+                for (pair, epoch), n in zip(pair_epochs, dead) if n]
+        assert len(want) == 6
+        assert [r.getMessage() for r in caplog.records if r.name == "ffinit.learning"] == want
+
+    @pytest.mark.parametrize("rule", list(TrainRule), ids=lambda rule: rule.value)
+    def test_last_epoch_error_is_the_reconstruction_error(self, rule):
+        data, params, curve = self.train(replace(self.CFG, rule=rule))
+        last = dict(curve)
+        assert [last[k] for k in (1, 2)] == [reconstruction_error(params, data, k - 1)
+                                             for k in (1, 2)]
 
 
 class TestReconstructionError:

@@ -55,11 +55,15 @@ class TestSpecAndParams:
         with pytest.raises(ConfigurationError):
             LayerSpec(sizes=(4, 0, 3))
 
-    @pytest.mark.parametrize("sizes", [(10**30, 2), (4, sys.maxsize + 1)],
-                             ids=["1e30", "maxsize+1"])
+    @pytest.mark.parametrize("sizes", [(10**30, 2), (4, sys.maxsize + 1), (16, 2**62),
+                                       (3, 2, sys.maxsize // 8)],
+                             ids=["1e30", "maxsize+1", "product", "last-pair-product"])
     def test_layer_spec_rejects_size_beyond_any_array(self, sizes):
         with pytest.raises(ConfigurationError):
             LayerSpec(sizes=sizes)
+
+    def test_layer_spec_accepts_the_largest_weight_matrix(self):
+        assert LayerSpec(sizes=(1, sys.maxsize // 8, 1)).sizes[1] == sys.maxsize // 8
 
     def test_activation_value_string_becomes_the_member(self):
         params = init_random_tied(LayerSpec(sizes=(3, 2)), "hard-sigmoid")
