@@ -6,6 +6,12 @@ one float64 entry per parameter array (``ff_weights_<k>``,
 entry holding a JSON string (``format``, ``format_version``, ``sizes``,
 ``activation``, ``branch_gains``). See :func:`save_params` and
 :func:`load_params`; format 1 JSON checkpoints are no longer read.
+
+Every array built here reaches its read-only container
+(:class:`DatasetHandle` or :class:`~ffinit.network.NetworkParams`)
+already read-only, so the container adopts it instead of copying it. A
+container copies any array that is writable or whose memory a writable
+array can reach; handing it a read-only array hands over ownership.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .exceptions import (
 from .network import (
     LayerSpec,
     NetworkParams,
+    _frozen,
     feedforward_init,
     mutual_prediction_residual,
 )
@@ -40,6 +47,7 @@ MODEL_FORMAT = "ffinit-model"
 MODEL_FORMAT_VERSION = 2
 _LATENT_RADIUS = 0.35
 _ARRAY_GROUPS = ("ff_weights", "fb_weights", "ff_offsets", "fb_offsets")
+_BLOB_CHUNK_BYTES = 1 << 20   # the gather temporary of synth_blobs
 
 
 class DataSource(enum.Enum):
@@ -50,18 +58,22 @@ class DataSource(enum.Enum):
 
 @dataclass(frozen=True)
 class DatasetHandle:
-    """Immutable collection of vectors with entries in ``[0, 1]``."""
+    """Immutable collection of vectors with entries in ``[0, 1]``.
+
+    ``items`` is held read-only in C order. A read-only float64 C array
+    that owns its memory is adopted without a copy, and handing it over
+    hands over ownership; any other array is copied.
+    """
 
     items: np.ndarray
 
     def __post_init__(self):
-        items = np.array(self.items, dtype=float)
+        items = _frozen(self.items)
         if items.ndim != 2:
             raise DatasetError(f"items must be a 2-d array, got shape {items.shape}")
-        if items.size and (not np.all(np.isfinite(items))
-                           or items.min() < 0.0 or items.max() > 1.0):
+        # min and max propagate NaN, and a NaN fails both comparisons.
+        if items.size and not (items.min() >= 0.0 and items.max() <= 1.0):
             raise DatasetError("dataset values must be finite and within [0, 1]")
-        items.setflags(write=False)
         object.__setattr__(self, "items", items)
 
     def __len__(self) -> int:
@@ -95,12 +107,14 @@ def load_idx_images(path: str | Path) -> DatasetHandle:
             f"{path}: magic 0x{magic:08x} is not an IDX image file "
             f"(expected 0x{IDX_IMAGE_MAGIC:08x})")
     expected = count * rows * cols
-    payload = raw[16:]
-    if len(payload) != expected:
+    if len(raw) - 16 != expected:
         raise IdxLengthError(
-            f"{path}: header declares {expected} pixel bytes, file holds {len(payload)}")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
-    return DatasetHandle(pixels.astype(float) / 255.0)
+            f"{path}: header declares {expected} pixel bytes, file holds {len(raw) - 16}")
+    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, rows * cols)
+    items = pixels.astype(float)
+    items /= 255.0
+    items.setflags(write=False)
+    return DatasetHandle(items)
 
 
 def default_mnist_images_path() -> Path:
@@ -131,16 +145,29 @@ def synth_blobs(n_items: int, d: int, n_clusters: int = 8, spread: float = 0.05,
     Cluster centers are uniform in ``[0.1, 0.9]^d``; each item is its
     cluster center plus isotropic Gaussian noise of standard deviation
     ``spread``, clipped to ``[0, 1]``. Deterministic under ``seed``.
+
+    The noise is drawn straight into the result and the centers are added
+    to it a chunk of rows at a time, so the only temporary besides the
+    result is one chunk.
     """
     if d < 1 or n_items < 1 or n_clusters < 1:
         raise DatasetError("n_items, d, and n_clusters must all be >= 1")
+    if not 0.0 <= spread < np.inf:
+        raise DatasetError(f"spread must be finite and >= 0, got {spread!r}")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.1, 0.9, size=(n_clusters, d))
     assignment = rng.integers(0, n_clusters, size=n_items)
-    items = centers[assignment]
     if spread > 0.0:
-        items = items + spread * rng.standard_normal((n_items, d))
-    return DatasetHandle(np.clip(items, 0.0, 1.0))
+        items = rng.standard_normal((n_items, d))
+        items *= spread
+        chunk = max(1, _BLOB_CHUNK_BYTES // (8 * d))
+        for start in range(0, n_items, chunk):
+            items[start:start + chunk] += centers[assignment[start:start + chunk]]
+    else:
+        items = centers[assignment]
+    np.clip(items, 0.0, 1.0, out=items)
+    items.setflags(write=False)
+    return DatasetHandle(items)
 
 
 def synth_autoencodable(n_items: int, spec: LayerSpec,
@@ -182,12 +209,22 @@ def synth_autoencodable(n_items: int, spec: LayerSpec,
                            ff_offsets=tuple(bs), fb_offsets=tuple(cs))
     bound = _LATENT_RADIUS / np.sqrt(m)
     items = 0.5 + rng.uniform(-bound, bound, size=(n_items, m)) @ bases[0].T
+    items.setflags(write=False)   # DatasetHandle adopts it
     worst = float(mutual_prediction_residual(params, feedforward_init(params, items)).max())
     if worst > 1e-9:
         raise ConstructionError(
             f"could not build an exactly reconstructing instance for sizes {sizes}: "
             f"worst feedforward residual {worst:.3e} exceeds 1e-9")
     return DatasetHandle(items), params
+
+
+def _read_only(entry: np.ndarray) -> np.ndarray:
+    """Mark a freshly loaded array and the array it views read-only, so
+    :class:`~ffinit.network.NetworkParams` adopts it without a copy."""
+    if isinstance(entry.base, np.ndarray):
+        entry.base.setflags(write=False)
+    entry.setflags(write=False)
+    return entry
 
 
 def save_params(params: NetworkParams, path: str | Path) -> None:
@@ -243,7 +280,7 @@ def load_params(path: str | Path) -> NetworkParams:
         f.seek(0)
         try:
             with np.load(f, allow_pickle=False) as archive:
-                entries = {name: archive[name] for name in archive.files}
+                entries = {name: _read_only(archive[name]) for name in archive.files}
         except (zipfile.BadZipFile, EOFError, MemoryError, OSError, RuntimeError,
                 ValueError) as exc:
             # Besides BadZipFile, a corrupt directory can ask for a negative

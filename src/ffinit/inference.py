@@ -209,6 +209,7 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
                 work = [h[keep] for h in work]
     for out, h in zip(result, work):
         out[rows] = h
+        out.setflags(write=False)   # NetworkState adopts it
     return result, steps, converged, energies
 
 

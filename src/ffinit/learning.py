@@ -94,6 +94,20 @@ def _random_tied_arrays(spec: LayerSpec, init_scale: float, rng: np.random.Gener
     return ws, vs, bs, cs
 
 
+def _hand_over(spec: LayerSpec, ws, vs, bs, cs,
+               activation: Activation = Activation.HARD_SIGMOID) -> NetworkParams:
+    """:class:`NetworkParams` holding the given arrays themselves.
+
+    The arrays must be fresh float64 C arrays that nothing else writes:
+    each is marked read-only first, so the container adopts it without a
+    copy.
+    """
+    for a in (*ws, *vs, *bs, *cs):
+        a.setflags(write=False)
+    return NetworkParams(spec=spec, ff_weights=tuple(ws), fb_weights=tuple(vs),
+                         ff_offsets=tuple(bs), fb_offsets=tuple(cs), activation=activation)
+
+
 def init_random_tied(spec: LayerSpec, activation: Activation,
                      init_scale: float = 1.0, seed: int = 0) -> NetworkParams:
     """Random network with feedback weights exactly tied to the transpose.
@@ -105,9 +119,7 @@ def init_random_tied(spec: LayerSpec, activation: Activation,
     """
     check_real("init_scale", init_scale, 0.0)
     ws, vs, bs, cs = _random_tied_arrays(spec, init_scale, np.random.default_rng(seed))
-    return NetworkParams(spec=spec, ff_weights=tuple(ws), fb_weights=tuple(vs),
-                         ff_offsets=tuple(bs), fb_offsets=tuple(cs),
-                         branch_gains=(1.0, 1.0), activation=activation)
+    return _hand_over(spec, ws, vs, bs, cs, activation)
 
 
 def norm_matched_random(target: NetworkParams, init_scale: float = 1.0,
@@ -124,9 +136,8 @@ def norm_matched_random(target: NetworkParams, init_scale: float = 1.0,
     for w, w_target in zip(base.ff_weights, target.ff_weights):
         norm = np.linalg.norm(w)
         ws.append(w * (np.linalg.norm(w_target) / norm if norm > 0 else 1.0))
-    return NetworkParams(spec=base.spec, ff_weights=tuple(ws),
-                         fb_weights=tuple(w.T for w in ws),   # copied in C order
-                         ff_offsets=base.ff_offsets, fb_offsets=base.fb_offsets)
+    return _hand_over(base.spec, ws, [w.T.copy() for w in ws], base.ff_offsets,
+                      base.fb_offsets)
 
 
 def local_branch_update(weights: np.ndarray, offsets: np.ndarray, soma: np.ndarray,
@@ -293,9 +304,11 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
         w, v, b, c = ws[k - 1], vs[k - 1], bs[k - 1], cs[k - 1]
         hid = None   # _encode(codes, w, b), once computed for the current encoder
         if local:
+            hid_batched = None   # the last pair's; freed before this pair's is built
             pre = _batch_pre_activation(codes, w, b, cfg.batch_size)
-            n_dead = int(np.count_nonzero(~np.any(
-                activation_subderivative(Activation.HARD_SIGMOID, pre) > 0.0, axis=0)))
+            # A unit is dead when its subderivative, 1 on [0, 1], is 0 on every
+            # item; the boolean mask avoids a float temporary of the encoding's size.
+            n_dead = int(np.count_nonzero(~np.any((pre >= 0.0) & (pre <= 1.0), axis=0)))
             hid_batched = np.clip(pre, 0.0, 1.0, out=pre)
         for epoch in range(1, cfg.epochs + 1):
             perm = rng.permutation(n)
@@ -324,8 +337,7 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
                 progress(k, epoch, err)
         codes = hid if hid is not None else _encode(codes, w, b)
 
-    return NetworkParams(spec=spec, ff_weights=tuple(ws), fb_weights=tuple(vs),
-                         ff_offsets=tuple(bs), fb_offsets=tuple(cs))
+    return _hand_over(spec, ws, vs, bs, cs)
 
 
 def reconstruction_error(params: NetworkParams, data: DatasetHandle, k: int) -> float:

@@ -75,14 +75,39 @@ def activation_subderivative(activation: Activation, x: np.ndarray) -> np.ndarra
     return ((x >= 0.0) & (x <= 1.0)).astype(float)
 
 
+def _frozen(x) -> np.ndarray:
+    """``x`` as a read-only float64 C array, adopted as it is or copied.
+
+    This is the ownership rule of every read-only container
+    (:class:`NetworkParams`, :class:`NetworkState` and
+    :class:`ffinit.data.DatasetHandle`). An array is adopted without a
+    copy when it is float64, C-contiguous and read-only, and no writable
+    array can reach its memory: it owns its data, or it is a same-size
+    view of a read-only array that does (``np.load``'s reshape view is
+    one). Anything else is copied and the copy marked read-only, so a
+    caller's writable array, or a read-only view of writable memory, is
+    never shared. Handing a container a read-only array therefore hands
+    over that array: numpy lets its owner set it writeable again, and the
+    read-only flag only guards against accidental writes.
+    """
+    if (type(x) is np.ndarray and x.dtype == np.float64 and x.flags.c_contiguous
+            and not x.flags.writeable
+            and (x.flags.owndata
+                 or (type(x.base) is np.ndarray and x.base.flags.owndata
+                     and not x.base.flags.writeable and x.base.nbytes == x.nbytes))):
+        return x
+    arr = np.array(x, dtype=float, order="C")
+    arr.setflags(write=False)
+    return arr
+
+
 def _frozen_block(x, name: str) -> np.ndarray:
-    arr = np.array(x, dtype=float)
+    arr = _frozen(x)
     if arr.ndim not in (1, 2):
         raise DimensionError(
             f"{name} must be a 1-d vector or a 2-d block, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
     return arr
 
 
@@ -135,8 +160,11 @@ class NetworkParams:
             is non-negative.
         activation: Rate non-linearity shared by all layers, or its value string.
 
-    All arrays are copied into C order and marked read-only on construction,
-    so one instance can safely be shared across concurrent inference runs.
+    Every array is held read-only in C order, so one instance can safely
+    be shared across concurrent inference runs. A read-only float64 C
+    array that owns its memory is adopted without a copy, and handing it
+    over hands over ownership; any other array is copied (see
+    :func:`_frozen`).
     """
 
     spec: LayerSpec
@@ -160,12 +188,11 @@ class NetworkParams:
                 raise DimensionError(f"{name} must have {L} entries, got {len(seq)}")
             frozen = []
             for k, (arr, shape) in enumerate(zip(seq, want)):
-                a = np.array(arr, dtype=float, order="C")
+                a = _frozen(arr)
                 if a.shape != shape:
                     raise DimensionError(f"{name}[{k}] must have shape {shape}, got {a.shape}")
                 if not np.all(np.isfinite(a)):
                     raise InvalidInputError(f"{name}[{k}] contains non-finite entries")
-                a.setflags(write=False)
                 frozen.append(a)
             object.__setattr__(self, name, tuple(frozen))
         g_bu, g_td = self.branch_gains[0], self.branch_gains[1]
@@ -194,7 +221,10 @@ class NetworkState:
     is a ``(B, n_0)`` array and hidden layer ``k`` a ``(B, n_k)`` array,
     row ``i`` of each belonging to input ``i``. The visible layer is
     clamped: no inference operation ever modifies it, and the backing
-    arrays are read-only to enforce that.
+    arrays are read-only to enforce that. Each layer is held in C order;
+    a read-only float64 C array that owns its memory is adopted without a
+    copy, and handing it over hands over ownership; any other array is
+    copied (see :func:`_frozen`).
 
     Raises:
         DimensionError: If a layer is not a vector or a 2-d block.
@@ -302,6 +332,7 @@ def feedforward_init(params: NetworkParams, visible: np.ndarray) -> NetworkState
     for w, b in zip(params.ff_weights, params.ff_offsets):
         # A hidden state is already a rate, so it feeds the next layer as is.
         rates = apply_activation(params.activation, b + rates @ w.T)
+        rates.setflags(write=False)   # NetworkState adopts it
         hidden.append(rates)
     return NetworkState(visible=visible, hidden=tuple(hidden))
 

@@ -9,8 +9,10 @@ Tests compare package output against these.
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
+import numpy.random  # noqa: F401  imported here, so traced_peak does not count its import
 
 from ffinit import (Activation, LayerSpec, NetworkParams, NetworkState,
                     local_branch_update)
@@ -37,6 +39,57 @@ def write_idx(path, images, rows, cols, magic=0x00000803):
     """Write ``images`` (a flat list of pixel bytes) as an IDX image file."""
     header = struct.pack(">IIII", magic, len(images) // (rows * cols), rows, cols)
     path.write_bytes(header + bytes(images))
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+# How a container receives an array it must copy. Each case turns a float64
+# C array into (the array handed over, a writable array reaching its memory
+# or None).
+COPIED_CASES = {
+    "writable": lambda a: (a, a),
+    "read-only view of writable memory": lambda a: (_read_only(a.view()), a),
+    "read-only float32": lambda a: (_read_only(a.astype(np.float32)), None),
+    "read-only Fortran order": lambda a: (_read_only(np.asfortranarray(a)), None),
+    "read-only rows of a larger read-only array":
+        lambda a: (_read_only(np.vstack([a, a]))[:len(a)], None),
+}
+# How a container receives an array it adopts: owned and read-only, or a
+# same-size view of such an array (as np.load returns).
+ADOPTED_CASES = {
+    "owned read-only": _read_only,
+    "same-size view of an owned read-only array":
+        lambda a: _read_only(a.ravel().copy()).reshape(a.shape),
+}
+
+
+def param_bytes(params):
+    """Bytes held by the arrays of ``params``."""
+    return sum(a.nbytes for group in (params.ff_weights, params.fb_weights,
+                                      params.ff_offsets, params.fb_offsets)
+               for a in group)
+
+
+def traced_peak(fn, *args):
+    """Run ``fn(*args)``; return its result and the peak bytes traced meanwhile.
+
+    ``tracemalloc`` sees numpy's array buffers, so the peak counts every
+    array ``fn`` holds at once, its result included.
+    """
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    before, _ = tracemalloc.get_traced_memory()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak - before
 
 
 def rewrite_checkpoint(path, meta=None, drop=(), **entries):

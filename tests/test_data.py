@@ -17,6 +17,7 @@ from ffinit import (
     LayerSpec,
     NetworkParams,
     feedforward_init,
+    init_random_tied,
     load_idx_images,
     load_params,
     mutual_prediction_residual,
@@ -25,7 +26,8 @@ from ffinit import (
     synth_blobs,
 )
 from ffinit.data import default_mnist_images_path
-from helpers import random_untied_params, rewrite_checkpoint, write_idx
+from helpers import (ADOPTED_CASES, COPIED_CASES, param_bytes, random_untied_params,
+                     rewrite_checkpoint, traced_peak, write_idx)
 
 
 class TestIdxLoader:
@@ -62,6 +64,14 @@ class TestIdxLoader:
         path.write_bytes(b"\x00\x00\x08")
         with pytest.raises(IdxFormatError):
             load_idx_images(path)
+
+    def test_items_are_the_pixels_over_255(self, tmp_path):
+        pixels = np.random.default_rng(0).integers(0, 256, size=5 * 28 * 28)
+        path = tmp_path / "five.idx"
+        write_idx(path, pixels.tolist(), 28, 28)
+        data = load_idx_images(path)
+        assert np.array_equal(data.items, pixels.reshape(5, 784) / 255.0)
+        assert not data.items.flags.writeable
 
     def test_values_never_leave_unit_interval(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -117,6 +127,23 @@ class TestSynthBlobs:
         with pytest.raises(DatasetError):
             synth_blobs(10, 0)
 
+    @pytest.mark.parametrize("spread", [np.nan, -0.5, np.inf])
+    def test_invalid_spread_rejected(self, spread):
+        with pytest.raises(DatasetError, match="spread"):
+            synth_blobs(10, 3, spread=spread)
+
+    @pytest.mark.parametrize("spread", [0.3, 0.0])
+    def test_matches_straight_line_generator(self, spread):
+        # 500 rows of 784 span several of the chunks the centers are added in.
+        n, d, k, seed = 500, 784, 5, 7
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(0.1, 0.9, size=(k, d))
+        assignment = rng.integers(0, k, size=n)
+        z = rng.standard_normal((n, d))
+        expected = np.clip(centers[assignment] + spread * z, 0.0, 1.0)
+        data = synth_blobs(n, d, n_clusters=k, spread=spread, seed=seed)
+        assert np.array_equal(data.items, expected)
+
 
 class TestSynthAutoencodable:
     def test_residual_tiny_on_every_item(self):
@@ -167,10 +194,47 @@ class TestDatasetHandle:
         with pytest.raises(DatasetError):
             DatasetHandle(items=np.array([[0.5, 1.5]]))
 
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf, -np.inf])
+    def test_negative_or_non_finite_values_rejected(self, bad):
+        with pytest.raises(DatasetError):
+            DatasetHandle(items=np.array([[0.5, bad]]))
+
+    @pytest.mark.parametrize("case", COPIED_CASES)
+    def test_array_is_copied(self, case):
+        a = np.arange(6.0).reshape(3, 2) / 8
+        x, writer = COPIED_CASES[case](a.copy())
+        items = DatasetHandle(x).items
+        assert not np.shares_memory(items, x) and not items.flags.writeable
+        if writer is not None:
+            writer[...] = 1.0
+        assert np.array_equal(items, a)
+
+    @pytest.mark.parametrize("case", ADOPTED_CASES)
+    def test_array_is_adopted(self, case):
+        x = ADOPTED_CASES[case](np.arange(6.0).reshape(3, 2) / 8)
+        items = DatasetHandle(x).items
+        assert np.shares_memory(items, x) and not items.flags.writeable
+
     def test_items_read_only(self):
         data = synth_blobs(5, 3, seed=0)
         with pytest.raises(ValueError):
             data.items[0, 0] = 0.5
+
+
+class TestMemory:
+    """Each producer builds its arrays once: its traced peak stays near its
+    output, at the benchmark's shapes (2000 x 784 items, 784-500-500)."""
+
+    def test_synth_blobs_peak(self):
+        data, peak = traced_peak(synth_blobs, 2000, 784, 8, 0.02, 0)
+        assert peak <= 1.25 * data.items.nbytes
+
+    def test_load_params_peak(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_params(init_random_tied(LayerSpec((784, 500, 500)), Activation.HARD_SIGMOID),
+                    path)
+        params, peak = traced_peak(load_params, path)
+        assert peak <= 1.25 * param_bytes(params)
 
 
 GROUPS = ("ff_weights", "fb_weights", "ff_offsets", "fb_offsets")
@@ -210,6 +274,14 @@ class TestCheckpointRoundTrip:
         assert loaded.activation is Activation.HARD_SIGMOID
         assert loaded.branch_gains == (1.25, 0.75)
         assert_bit_identical(params, loaded)
+
+    def test_loaded_arrays_are_read_only(self, tmp_path):
+        path, _ = saved_checkpoint(tmp_path, sizes=(5, 4, 3))
+        loaded = load_params(path)
+        for group in GROUPS:
+            for a in getattr(loaded, group):
+                assert not a.flags.writeable
+                assert a.base is None or not a.base.flags.writeable
 
     def test_save_writes_exactly_the_given_path(self, tmp_path):
         _, params = synth_autoencodable(2, LayerSpec(sizes=(4, 3)), seed=0)

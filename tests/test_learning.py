@@ -24,7 +24,7 @@ from ffinit import (
     synth_blobs,
     train_stacked_ae,
 )
-from helpers import local_branch_oracle
+from helpers import local_branch_oracle, param_bytes, traced_peak
 
 SPEC_432 = LayerSpec(sizes=(4, 3, 2))
 
@@ -64,6 +64,12 @@ class TestInitRandomTied:
     def test_scale_outside_the_domain_rejected(self, scale):
         with pytest.raises(ConfigurationError):
             init_random_tied(SPEC_432, Activation.HARD_SIGMOID, scale, seed=0)
+
+    def test_peak_memory_near_the_parameters(self):
+        # The container adopts the fresh arrays instead of copying them.
+        params, peak = traced_peak(init_random_tied, LayerSpec((784, 500, 500)),
+                                   Activation.HARD_SIGMOID)
+        assert peak <= 1.25 * param_bytes(params)
 
 
 def update_one(row, off, soma, r, lr):

@@ -18,7 +18,8 @@ from ffinit import (
     init_random_tied,
     mutual_prediction_residual,
 )
-from helpers import make_params, random_sizes, random_state, random_tied_params
+from helpers import (ADOPTED_CASES, COPIED_CASES, make_params, random_sizes, random_state,
+                     random_tied_params)
 
 
 class TestActivation:
@@ -114,6 +115,44 @@ class TestSpecAndParams:
         w = rng.normal(size=(3, 2))
         untied = make_params((2, 3), [w], fb_weights=[w.T + 1e-16])
         assert not untied.is_tied
+
+
+# Hand an array of shape (3, 2) to a container; return the array it holds.
+HOLDERS = {
+    "NetworkParams": lambda x: NetworkParams(
+        spec=LayerSpec((2, 3)), ff_weights=(x,), fb_weights=(np.zeros((2, 3)),),
+        ff_offsets=(np.zeros(3),), fb_offsets=(np.zeros(2),)).ff_weights[0],
+    "NetworkState.visible": lambda x: NetworkState(visible=x, hidden=(np.zeros((3, 3)),)).visible,
+    "NetworkState.hidden": lambda x: NetworkState(visible=np.zeros((3, 3)), hidden=(x,)).hidden[0],
+}
+
+
+class TestOwnership:
+    @pytest.mark.parametrize("holder", HOLDERS)
+    @pytest.mark.parametrize("case", COPIED_CASES)
+    def test_array_is_copied(self, holder, case):
+        a = np.arange(6.0).reshape(3, 2) / 8
+        x, writer = COPIED_CASES[case](a.copy())
+        held = HOLDERS[holder](x)
+        assert not np.shares_memory(held, x)
+        assert held.flags.c_contiguous and held.dtype == np.float64
+        if writer is not None:
+            writer[...] = 1.0
+        assert np.array_equal(held, a)
+
+    @pytest.mark.parametrize("holder", HOLDERS)
+    @pytest.mark.parametrize("case", ADOPTED_CASES)
+    def test_array_is_adopted(self, holder, case):
+        x = ADOPTED_CASES[case](np.arange(6.0).reshape(3, 2) / 8)
+        assert np.shares_memory(HOLDERS[holder](x), x)
+
+    def test_every_held_array_is_read_only(self):
+        rng = np.random.default_rng(3)
+        params = random_tied_params(rng, sizes=(4, 3, 2))
+        state = feedforward_init(params, rng.uniform(0, 1, size=(5, 4)))
+        held = [*params.ff_weights, *params.fb_weights, *params.ff_offsets,
+                *params.fb_offsets, state.visible, *state.hidden]
+        assert not any(a.flags.writeable for a in held)
 
 
 class TestNetworkState:
