@@ -202,6 +202,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     per layer to match the Frobenius norm of the trained weights so that
     the comparison is not confounded by weight scale.
 
+    The dataset is held through training only; evaluation holds a copy
+    of the evaluated rows and the parameters of every regime.
+
     Returns:
         The in-memory report that was also written to disk.
     """
@@ -209,7 +212,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     if spec.n_inputs_evaluated > len(data):
         raise DatasetError(
             f"n_inputs_evaluated={spec.n_inputs_evaluated} exceeds dataset size {len(data)}")
-    items = data.items[:spec.n_inputs_evaluated]
 
     curve: list[tuple[int, int, float]] = []
     params_by_regime: dict[str, NetworkParams] = {}
@@ -217,6 +219,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         params_by_regime[REGIME_TRAINED_AE] = train_stacked_ae(
             data, spec.sizes, spec.train,
             progress=lambda pair, epoch, err: curve.append((pair, epoch, err)))
+    items = data.items[:spec.n_inputs_evaluated].copy()
+    items.setflags(write=False)   # so the relaxation's NetworkState adopts it
+    data = None   # evaluation reads the evaluated rows only
     if REGIME_RANDOM_TIED in spec.regimes:
         trained = params_by_regime.get(REGIME_TRAINED_AE)
         params_by_regime[REGIME_RANDOM_TIED] = (

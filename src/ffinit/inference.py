@@ -148,7 +148,8 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
                  cfg: RelaxationConfig, energy_model: EnergyModel | None):
     """The relaxation engine: relax ``B`` clamped inputs as one block.
 
-    ``visible`` is ``(B, n_0)`` and ``hidden[k - 1]`` is ``(B, n_k)``.
+    ``visible`` is ``(B, n_0)`` and ``hidden[k - 1]`` is ``(B, n_k)``,
+    all read-only like a state's layers.
     Only the rows still relaxing are updated: a row whose step drops
     below ``cfg.tol`` is written to the result and dropped from the
     working block. Returns the final hidden blocks and, per row, the
@@ -170,7 +171,9 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
 
     def snapshot():
         if energies is not None:
-            block = NetworkState(visible=visible[rows], hidden=tuple(work))
+            vis = visible if len(rows) == n_rows else visible[rows]
+            vis.setflags(write=False)   # as the sweep's blocks are: the state adopts them
+            block = NetworkState(visible=vis, hidden=tuple(work))
             for r, e in zip(rows, energy(energy_model, block)):
                 energies[r].append(float(e))
 
@@ -188,6 +191,7 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
                     # One draw per layer update, shared by every row.
                     t = t + rng.normal(0.0, cfg.noise_scale, size=t.shape[1])
                 work[k - 1] = (1.0 - 1.0 / cfg.tau) * work[k - 1] + (1.0 / cfg.tau) * t
+                work[k - 1].setflags(write=False)
         # Row by row: a norm over axis 1 rounds differently from the
         # norm of one input's vector.
         step = np.array([np.linalg.norm(d) for d in np.concatenate(work, axis=1) - before])

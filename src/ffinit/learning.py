@@ -11,6 +11,10 @@ voltage-scale prediction onto the feedforward activation it should
 predict. Because its encoders stay frozen, ``local-branch`` encodes each
 pair's input codes once and reuses that encoding in every batch and
 epoch; recomputing it would give the same numbers.
+
+The epoch errors and :func:`reconstruction_error` run in row blocks
+(:func:`_row_blocks`), holding one block of each layer at a time; a
+whole encoding is built only where it is read again.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ from .network import (
 logger = logging.getLogger(__name__)
 
 ProgressFn = Callable[[int, int, float], None]
+
+_BLOCK_ROWS = 256   # rows per block of a full-data pass; see _row_blocks
 
 
 class TrainRule(enum.Enum):
@@ -126,18 +132,18 @@ def norm_matched_random(target: NetworkParams, init_scale: float = 1.0,
                         seed: int = 0) -> NetworkParams:
     """Random tied parameters with each layer rescaled to the target's norm.
 
-    Starts from ``init_random_tied(target.spec, ...)`` and scales every
-    feedforward matrix to the Frobenius norm of the target's matrix, so
-    a comparison against ``target`` is not confounded by weight scale.
+    Draws the weights of ``init_random_tied(target.spec, ...)`` and scales
+    each in place to the Frobenius norm of the target's matrix, so a
+    comparison against ``target`` is not confounded by weight scale.
     Feedback stays the exact transpose and offsets stay zero.
     """
-    base = init_random_tied(target.spec, Activation.HARD_SIGMOID, init_scale, seed)
-    ws = []
-    for w, w_target in zip(base.ff_weights, target.ff_weights):
+    ws, vs, bs, cs = _random_tied_arrays(target.spec, init_scale, np.random.default_rng(seed))
+    for w, v, w_target in zip(ws, vs, target.ff_weights):
         norm = np.linalg.norm(w)
-        ws.append(w * (np.linalg.norm(w_target) / norm if norm > 0 else 1.0))
-    return _hand_over(base.spec, ws, [w.T.copy() for w in ws], base.ff_offsets,
-                      base.fb_offsets)
+        if norm > 0:
+            w *= np.linalg.norm(w_target) / norm
+            v[...] = w.T
+    return _hand_over(target.spec, ws, vs, bs, cs)
 
 
 def local_branch_update(weights: np.ndarray, offsets: np.ndarray, soma: np.ndarray,
@@ -199,14 +205,37 @@ def _batch_pre_activation(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     return pre
 
 
-def _pair_error(x: np.ndarray, hid: np.ndarray, v: np.ndarray, c: np.ndarray) -> float:
-    """Mean squared error of decoding the encoding ``hid`` of the rates ``x``."""
-    rec = hid @ v.T
-    rec += c
-    np.clip(rec, 0.0, 1.0, out=rec)
-    rec -= x
-    np.square(rec, out=rec)
-    return float(np.mean(rec.sum(axis=1)))
+def _row_blocks(n: int) -> list[slice]:
+    """Near-equal consecutive slices of about ``_BLOCK_ROWS`` rows covering ``range(n)``.
+
+    One slice when ``n <= _BLOCK_ROWS``, else slices of at least half as
+    many rows. numpy's OpenBLAS gives each row of such a gemm the bits of
+    the one gemm over all rows, except with AVX-512 kernels at output
+    widths below 10 and at 500: there 3 of 96 random 784-500-500
+    networks' errors moved by an ulp.
+    """
+    count = -(-n // _BLOCK_ROWS)
+    ends = [n * i // count for i in range(count + 1)]
+    return [slice(start, stop) for start, stop in zip(ends, ends[1:])]
+
+
+def _pair_error(x: np.ndarray, encoders, v: np.ndarray, c: np.ndarray,
+                hid: np.ndarray | None = None) -> float:
+    """Mean squared error of decoding, through ``v, c``, the rates ``x`` encoded
+    through every ``(w, b)`` of ``encoders``, the last encoding given whole
+    as ``hid`` if computed; one row block at a time."""
+    sums = np.empty(len(x))
+    for rows in _row_blocks(len(x)):
+        codes = x[rows]
+        for w, b in encoders[:-1]:
+            codes = _encode(codes, w, b)
+        rec = (hid[rows] if hid is not None else _encode(codes, *encoders[-1])) @ v.T
+        rec += c
+        np.clip(rec, 0.0, 1.0, out=rec)
+        rec -= codes
+        np.square(rec, out=rec)
+        rec.sum(axis=1, out=sums[rows])
+    return float(np.mean(sums))
 
 
 def _ae_gradient_epoch(codes: np.ndarray, perm: np.ndarray, w, v, b, c,
@@ -266,6 +295,11 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
     are the gemms each step would run to encode for itself, so the
     results keep their bits (see :func:`_batch_pre_activation`).
 
+    Besides the dataset and the parameters, training holds one pair's
+    codes, one batch's temporaries and one row block of the epoch
+    error's layers; the next pair's codes are encoded once per lower
+    pair. ``local-branch`` also holds the pair's encodings of its codes.
+
     Args:
         data: Training items; dimension must equal the visible size.
         spec: Layer sizes of the network to produce.
@@ -302,6 +336,7 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
 
     for k in range(1, spec.n_hidden_layers + 1):
         w, v, b, c = ws[k - 1], vs[k - 1], bs[k - 1], cs[k - 1]
+        lower = k < spec.n_hidden_layers
         hid = None   # _encode(codes, w, b), once computed for the current encoder
         if local:
             hid_batched = None   # the last pair's; freed before this pair's is built
@@ -319,7 +354,6 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
                                         cfg.learning_rate)
             else:
                 n_dead = _ae_gradient_epoch(codes, perm, w, v, b, c, cfg)
-                hid = None
             if not all(np.all(np.isfinite(a)) for a in (w, v, b, c)):
                 raise DivergenceError(
                     f"non-finite parameters in pair {k} at epoch {epoch}", k, epoch)
@@ -327,15 +361,18 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
                 logger.info("pair %d epoch %d: %d/%d encoder units saturated for "
                             "the entire epoch", k, epoch, n_dead, w.shape[0])
             if progress is not None:
-                if hid is None:
+                # Encode whole only what is read again: every epoch's encoding
+                # under local-branch, the next pair's codes.
+                if hid is None and (local or lower and epoch == cfg.epochs):
                     hid = _encode(codes, w, b)
-                err = _pair_error(codes, hid, v, c)
+                err = _pair_error(codes, [(w, b)], v, c, hid)
                 if not np.isfinite(err):
                     raise DivergenceError(
                         f"non-finite reconstruction error in pair {k} at epoch {epoch}",
                         k, epoch)
                 progress(k, epoch, err)
-        codes = hid if hid is not None else _encode(codes, w, b)
+        if lower:
+            codes = hid if hid is not None else _encode(codes, w, b)
 
     return _hand_over(spec, ws, vs, bs, cs)
 
@@ -351,14 +388,12 @@ def reconstruction_error(params: NetworkParams, data: DatasetHandle, k: int) -> 
     if not 0 <= k <= params.n_layers - 1:
         raise InvalidInputError(
             f"pair index {k} out of range 0..{params.n_layers - 1}")
-    codes = data.items   # read-only rates; each layer's codes are a new array
+    codes = data.items
     if len(codes) == 0:
         raise DatasetError("cannot evaluate reconstruction on an empty dataset")
     if codes.shape[1] != params.spec.visible_size:
         raise DatasetError(
             f"dataset dimension {codes.shape[1]} does not match visible size "
             f"{params.spec.visible_size}")
-    for j in range(k):
-        codes = _encode(codes, params.ff_weights[j], params.ff_offsets[j])
-    hid = _encode(codes, params.ff_weights[k], params.ff_offsets[k])
-    return _pair_error(codes, hid, params.fb_weights[k], params.fb_offsets[k])
+    return _pair_error(codes, list(zip(params.ff_weights[:k + 1], params.ff_offsets[:k + 1])),
+                       params.fb_weights[k], params.fb_offsets[k])

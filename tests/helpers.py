@@ -208,6 +208,17 @@ def dense_energy_oracle(params, state):
     return e
 
 
+def pair_error_oracle(items, params, k):
+    """``reconstruction_error(params, items, k)`` in straight lines: each
+    layer of every item from one gemm over all items."""
+    codes = items
+    for w, b in zip(params.ff_weights[:k], params.ff_offsets[:k]):
+        codes = _rho(codes @ w.T + b)
+    hid = _rho(codes @ params.ff_weights[k].T + params.ff_offsets[k])
+    rec = _rho(hid @ params.fb_weights[k].T + params.fb_offsets[k])
+    return float(np.mean(np.square(rec - codes).sum(axis=1)))
+
+
 def sweep_oracle(params, state, n_iters):
     """Straight-line reimplementation of the alternating direct sweep.
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ffinit import inference
+from ffinit import inference, network
 from ffinit import (
     Activation,
     ConfigurationError,
@@ -27,6 +27,7 @@ from ffinit import (
     synth_autoencodable,
 )
 from helpers import (
+    dense_energy_oracle,
     make_params,
     random_sizes,
     random_state,
@@ -439,6 +440,36 @@ class TestBlockRelaxation:
             for trace in traces:
                 assert len(trace.energies) == trace.iters_run + 1
                 assert np.all(np.diff(trace.energies) <= 1e-10)
+
+    def test_energy_snapshots_adopt_the_working_blocks(self, monkeypatch):
+        # Each snapshot's NetworkState adopts the engine's read-only blocks, also
+        # after rows have left the block; its energies keep the bits of a run
+        # whose states copy every block.
+        rng = np.random.default_rng(26)
+        params = random_tied_params(rng, sizes=(12, 9, 7, 5), with_offsets=True)
+        state = feedforward_init(params, rng.uniform(0, 1, size=(8, 12)))
+        cfg, model = RelaxationConfig(max_iters=60, tol=1e-9), EnergyModel(params)
+        frozen, copied = network._frozen, []
+
+        def recording(x):
+            out = frozen(x)
+            if out is not x:
+                copied.append(x.shape)
+            return out
+
+        monkeypatch.setattr(network, "_frozen", lambda x: frozen(np.array(x)))
+        _, want = relax(params, state, cfg, energy_model=model)
+        monkeypatch.setattr(network, "_frozen", recording)
+        final, got = relax(params, state, cfg, energy_model=model)
+        monkeypatch.undo()
+        assert copied == []
+        assert len({t.iters_run for t in got}) > 1   # rows leave at different sweeps
+        for row, (g, w) in enumerate(zip(got, want)):
+            assert np.array_equal(g.energies, w.energies)
+            last = NetworkState(visible=final.visible[row],
+                                hidden=tuple(h[row] for h in final.hidden))
+            assert g.energies[-1] == pytest.approx(dense_energy_oracle(params, last),
+                                                   rel=1e-12, abs=1e-12)
 
     def test_langevin_rows_match_their_per_item_runs(self):
         rng = np.random.default_rng(25)

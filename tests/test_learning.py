@@ -24,7 +24,10 @@ from ffinit import (
     synth_blobs,
     train_stacked_ae,
 )
-from helpers import local_branch_oracle, param_bytes, traced_peak
+from ffinit import learning
+from ffinit.learning import _row_blocks
+from helpers import (local_branch_oracle, pair_error_oracle, param_bytes, random_untied_params,
+                     traced_peak)
 
 SPEC_432 = LayerSpec(sizes=(4, 3, 2))
 
@@ -69,6 +72,24 @@ class TestInitRandomTied:
         # The container adopts the fresh arrays instead of copying them.
         params, peak = traced_peak(init_random_tied, LayerSpec((784, 500, 500)),
                                    Activation.HARD_SIGMOID)
+        assert peak <= 1.25 * param_bytes(params)
+
+
+class TestNormMatchedRandom:
+    def test_scaled_random_tied_weights(self):
+        spec = LayerSpec(sizes=(64, 32, 16))
+        target = random_untied_params(np.random.default_rng(0), spec.sizes, scale=2.0)
+        got = norm_matched_random(target, 0.7, seed=3)
+        base = init_random_tied(spec, Activation.HARD_SIGMOID, 0.7, seed=3)
+        for w, v, w_base, w_target in zip(got.ff_weights, got.fb_weights, base.ff_weights,
+                                          target.ff_weights):
+            assert np.array_equal(w, w_base * (np.linalg.norm(w_target) / np.linalg.norm(w_base)))
+            assert np.array_equal(v, w.T)
+        assert all(not b.any() for b in got.ff_offsets + got.fb_offsets)
+
+    def test_peak_memory_near_the_parameters(self):
+        target = init_random_tied(LayerSpec((784, 500, 500)), Activation.HARD_SIGMOID, seed=1)
+        params, peak = traced_peak(norm_matched_random, target)
         assert peak <= 1.25 * param_bytes(params)
 
 
@@ -385,6 +406,90 @@ class TestReconstructionError:
         params = init_random_tied(SPEC_432, Activation.HARD_SIGMOID, 1.0, seed=0)
         with pytest.raises(InvalidInputError):
             reconstruction_error(params, data, 2)
+
+
+class TestFullDataPassesInBlocks:
+    """The epoch errors and reconstruction_error work in row blocks; at
+    64-32-16 they keep the bits of the one-gemm oracle, whether the last
+    block is as long as the others or one row shorter."""
+
+    SPEC = LayerSpec(sizes=(64, 32, 16))
+    SIZES = [257, 270, 513, 700]
+
+    @pytest.mark.parametrize("n", [1, 256, 257, 270, 513, 700, 2000])
+    def test_row_blocks_are_near_equal_and_cover_the_rows(self, n):
+        blocks = _row_blocks(n)
+        assert len(blocks) == -(-n // 256)
+        assert [i for block in blocks for i in range(n)[block]] == list(range(n))
+        lengths = {block.stop - block.start for block in blocks}
+        assert max(lengths) - min(lengths) <= 1
+        assert len(blocks) == 1 or min(lengths) >= 128
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("rule", list(TrainRule), ids=lambda rule: rule.value)
+    def test_epoch_errors_equal_the_one_gemm_oracle(self, rule, n):
+        data = blob_data(n=n, d=64, spread=0.2)
+        cfg = TrainConfig(epochs=2, rule=rule, seed=5)
+        curve = {}
+        params = train_stacked_ae(data, self.SPEC, cfg, progress=lambda pair, epoch, err:
+                                  curve.__setitem__((pair, epoch), err))
+        # Pair 1 after one epoch is the same in a run that stops there.
+        after_one = train_stacked_ae(data, self.SPEC, replace(cfg, epochs=1))
+        assert curve[1, 1] != curve[1, 2]
+        assert curve[1, 1] == pair_error_oracle(data.items, after_one, 0)
+        assert curve[1, 2] == pair_error_oracle(data.items, params, 0)
+        assert curve[2, 2] == pair_error_oracle(data.items, params, 1)
+
+    @pytest.mark.parametrize("rule, progress, whole", [
+        (TrainRule.AE_GRADIENT, False, 1), (TrainRule.AE_GRADIENT, True, 1),
+        (TrainRule.LOCAL_BRANCH, False, 1), (TrainRule.LOCAL_BRANCH, True, 2)])
+    def test_whole_encodings_only_where_read_again(self, monkeypatch, rule, progress, whole):
+        # Pair 1's output is pair 2's codes; local-branch errors decode each
+        # pair's whole encoding; nothing reads the top pair's output.
+        data, encode, sizes = blob_data(n=270, d=64), learning._encode, []
+        monkeypatch.setattr(learning, "_encode",
+                            lambda x, w, b: sizes.append(len(x)) or encode(x, w, b))
+        train_stacked_ae(data, self.SPEC, TrainConfig(epochs=2, rule=rule),
+                         (lambda pair, epoch, err: None) if progress else None)
+        assert sizes.count(270) == whole
+        assert set(sizes) <= {135, 270}
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_reconstruction_error_equals_the_one_gemm_oracle(self, n):
+        data = blob_data(n=n, d=64, spread=0.2)
+        params = random_untied_params(np.random.default_rng(n), self.SPEC.sizes)
+        for k in (0, 1):
+            assert reconstruction_error(params, data, k) == pair_error_oracle(
+                data.items, params, k)
+
+
+class TestMemory:
+    """Full-data passes hold row blocks, not whole-dataset encodings and
+    decodings, at the benchmark's shapes (2000 x 784 items, 784-500-500).
+    One encoding of all items is 8 MB, the parameters 10.3 MB."""
+
+    SPEC = LayerSpec(sizes=(784, 500, 500))
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return synth_blobs(2000, 784, 8, 0.02, 0)
+
+    # Traced peaks, whole-data passes -> row blocks: ae-gradient 34.4 -> 25.3 MB,
+    # local-branch 42.4 -> 36.7 MB.
+    @pytest.mark.parametrize("rule, bound_mb", [(TrainRule.AE_GRADIENT, 30.0),
+                                                (TrainRule.LOCAL_BRANCH, 39.5)],
+                             ids=lambda x: getattr(x, "value", None))
+    def test_training_with_progress_peak(self, data, rule, bound_mb):
+        _, peak = traced_peak(train_stacked_ae, data, self.SPEC,
+                              TrainConfig(epochs=2, rule=rule), lambda pair, epoch, err: None)
+        assert peak <= bound_mb * 1e6
+
+    # Whole-data passes -> row blocks: 20.6 -> 4.2 MB (k = 0), 24.1 -> 4.0 MB (k = 1).
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_reconstruction_error_holds_less_than_one_encoding(self, data, k):
+        params = init_random_tied(self.SPEC, Activation.HARD_SIGMOID)
+        _, peak = traced_peak(reconstruction_error, params, data, k)
+        assert peak <= 2000 * 500 * 8
 
 
 def test_good_autoencoder_implies_fast_inference_end_to_end():
