@@ -298,9 +298,12 @@ def load_params(path: str | Path) -> NetworkParams:
             f"{path}: unsupported format version {meta.get('format_version')}")
     try:
         spec = LayerSpec(sizes=tuple(meta["sizes"]))
-        gains = (float(meta["branch_gains"][0]), float(meta["branch_gains"][1]))
+        gains = meta["branch_gains"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint metadata: {exc}") from exc
+    if (not isinstance(gains, list) or len(gains) != 2
+            or any(isinstance(g, bool) or not isinstance(g, (int, float)) for g in gains)):
+        raise CheckpointError(f"{path}: branch_gains must be a list of two numbers, got {gains!r}")
     n_pairs = spec.n_hidden_layers
     expected = {f"{group}_{k}" for group in _ARRAY_GROUPS for k in range(n_pairs)}
     if set(entries) != expected:
@@ -312,7 +315,7 @@ def load_params(path: str | Path) -> NetworkParams:
             spec=spec,
             **{group: tuple(entries[f"{group}_{k}"] for k in range(n_pairs))
                for group in _ARRAY_GROUPS},
-            branch_gains=gains,
+            branch_gains=tuple(gains),   # NetworkParams checks their domain
             activation=meta.get("activation"),   # NetworkParams checks it
         )
     except (TypeError, ValueError) as exc:

@@ -4,6 +4,7 @@ configuration objects that raise them."""
 import enum
 import math
 import numbers
+import sys
 
 
 class FfinitError(Exception):
@@ -77,9 +78,11 @@ def check_count(name: str, value, minimum: int, maximum: float = math.inf) -> No
 
 def check_real(name: str, value, minimum: float, strict: bool = False) -> None:
     """Raise ConfigurationError unless ``value`` is a finite number ``>= minimum``
-    (``> minimum`` when ``strict``); NaN never passes."""
+    (``> minimum`` when ``strict``); NaN and integers beyond the float range
+    never pass."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value < minimum or (strict and value == minimum)):
+            or not abs(value) <= sys.float_info.max   # NaN, infinite or beyond a float
+            or value < minimum or (strict and value == minimum)):
         raise ConfigurationError(
             f"{name} must be a finite number {'>' if strict else '>='} {minimum}, got {value!r}")
 

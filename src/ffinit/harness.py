@@ -101,15 +101,20 @@ class ExperimentSpec:
                     f"unknown regime {regime!r}; known regimes: {KNOWN_REGIMES}")
         if len(set(self.regimes)) != len(self.regimes):
             raise ConfigurationError("regimes must not repeat")
-        # A synthetic dataset is an (n_items, visible) float64 array, whose
-        # entries numpy can address only up to sys.maxsize // 8; an IDX
-        # file's n_items only truncates the file.
-        n_entries = int(self.dataset.n_items) * self.sizes.visible_size
-        if self.dataset.source is not DataSource.IDX_FILE and n_entries > sys.maxsize // 8:
-            raise ConfigurationError(
-                f"dataset n_items {self.dataset.n_items} at visible size "
-                f"{self.sizes.visible_size} needs {n_entries} entries, more than the "
-                f"{sys.maxsize // 8} a float64 array can hold")
+        # A synthetic dataset is an (n_items, visible) float64 array and the
+        # blobs' centers an (n_clusters, visible) one, whose entries numpy can
+        # address only up to sys.maxsize // 8; an IDX file's n_items only
+        # truncates the file.
+        counts = {DataSource.SYNTHETIC_BLOBS: ("n_items", "n_clusters"),
+                  DataSource.SYNTHETIC_AUTOENCODABLE: ("n_items",)}
+        for key in counts.get(self.dataset.source, ()):
+            count = getattr(self.dataset, key)
+            n_entries = int(count) * self.sizes.visible_size
+            if n_entries > sys.maxsize // 8:
+                raise ConfigurationError(
+                    f"dataset {key} {count} at visible size {self.sizes.visible_size} "
+                    f"needs {n_entries} entries, more than the {sys.maxsize // 8} a "
+                    "float64 array can hold")
         check_count("n_inputs_evaluated", self.n_inputs_evaluated, 0)
         if not isinstance(self.output_dir, str):
             raise ConfigurationError(f"output_dir must be a string, got {self.output_dir!r}")

@@ -9,8 +9,8 @@ the top-down branch of each pair with the error-correcting delta rule
 (:func:`local_branch_update`), i.e. a linear regression of the branch's
 voltage-scale prediction onto the feedforward activation it should
 predict. Because its encoders stay frozen, ``local-branch`` encodes each
-pair's input codes once and reuses that encoding in every batch and
-epoch; recomputing it would give the same numbers.
+pair's input codes once, in one gemm, and that encoding feeds every
+batch, every epoch error and the next pair's codes.
 
 The epoch errors and :func:`reconstruction_error` run in row blocks
 (:func:`_row_blocks`), holding one block of each layer at a time; a
@@ -40,6 +40,7 @@ from .network import (
     Activation,
     LayerSpec,
     NetworkParams,
+    _encode,
     activation_subderivative,
     apply_activation,
 )
@@ -181,30 +182,6 @@ def local_branch_update(weights: np.ndarray, offsets: np.ndarray, soma: np.ndarr
     offsets += scale * err.sum(axis=0)
 
 
-def _encode(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The hard-sigmoid rates ``rho(x W^T + b)`` of every row of ``x``, from one gemm."""
-    hid = x @ w.T
-    hid += b
-    return np.clip(hid, 0.0, 1.0, out=hid)
-
-
-def _batch_pre_activation(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                          batch_size: int) -> np.ndarray:
-    """``x W^T + b``, from one gemm per ``batch_size`` rows of ``x`` in order.
-
-    A BLAS may round a row's product differently in different gemms.
-    Where it gives a row the same bits in every gemm of as many rows as a
-    training batch has (numpy's OpenBLAS on x86-64 does for gemms of 3
-    to 32 rows), these blocks hold exactly what each shuffled batch's own
-    gemm computed; elsewhere they differ from it by rounding only.
-    """
-    pre = np.empty((len(x), len(w)))
-    for start in range(0, len(x), batch_size):
-        np.matmul(x[start:start + batch_size], w.T, out=pre[start:start + batch_size])
-    pre += b
-    return pre
-
-
 def _row_blocks(n: int) -> list[slice]:
     """Near-equal consecutive slices of about ``_BLOCK_ROWS`` rows covering ``range(n)``.
 
@@ -288,17 +265,15 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
     ``cfg.seed``.
 
     The local-branch rule never moves an encoder, so it encodes each
-    pair's codes once instead of once per batch and epoch: the encoding
-    is the same at every step. The branch updates and the saturated-unit
-    count take it as computed in batch-size blocks, the epoch errors and
-    the next pair's codes as computed in one gemm over all codes. Those
-    are the gemms each step would run to encode for itself, so the
-    results keep their bits (see :func:`_batch_pre_activation`).
+    pair's codes once, in one gemm over all codes, instead of once per
+    batch and epoch. That one encoding gives the saturated-unit count
+    and feeds every branch update, every epoch error and the next pair's
+    codes.
 
     Besides the dataset and the parameters, training holds one pair's
     codes, one batch's temporaries and one row block of the epoch
     error's layers; the next pair's codes are encoded once per lower
-    pair. ``local-branch`` also holds the pair's encodings of its codes.
+    pair. ``local-branch`` also holds the pair's encoding of its codes.
 
     Args:
         data: Training items; dimension must equal the visible size.
@@ -339,19 +314,18 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
         lower = k < spec.n_hidden_layers
         hid = None   # _encode(codes, w, b), once computed for the current encoder
         if local:
-            hid_batched = None   # the last pair's; freed before this pair's is built
-            pre = _batch_pre_activation(codes, w, b, cfg.batch_size)
+            pre = codes @ w.T
+            pre += b
             # A unit is dead when its subderivative, 1 on [0, 1], is 0 on every
             # item; the boolean mask avoids a float temporary of the encoding's size.
             n_dead = int(np.count_nonzero(~np.any((pre >= 0.0) & (pre <= 1.0), axis=0)))
-            hid_batched = np.clip(pre, 0.0, 1.0, out=pre)
+            hid = np.clip(pre, 0.0, 1.0, out=pre)
         for epoch in range(1, cfg.epochs + 1):
             perm = rng.permutation(n)
             if local:
                 for start in range(0, n, cfg.batch_size):
                     batch = perm[start:start + cfg.batch_size]
-                    local_branch_update(v, c, codes[batch], hid_batched[batch],
-                                        cfg.learning_rate)
+                    local_branch_update(v, c, codes[batch], hid[batch], cfg.learning_rate)
             else:
                 n_dead = _ae_gradient_epoch(codes, perm, w, v, b, c, cfg)
             if not all(np.all(np.isfinite(a)) for a in (w, v, b, c)):
@@ -361,9 +335,8 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
                 logger.info("pair %d epoch %d: %d/%d encoder units saturated for "
                             "the entire epoch", k, epoch, n_dead, w.shape[0])
             if progress is not None:
-                # Encode whole only what is read again: every epoch's encoding
-                # under local-branch, the next pair's codes.
-                if hid is None and (local or lower and epoch == cfg.epochs):
+                # Encode whole only what is read again: the next pair's codes.
+                if hid is None and lower and epoch == cfg.epochs:
                     hid = _encode(codes, w, b)
                 err = _pair_error(codes, [(w, b)], v, c, hid)
                 if not np.isfinite(err):

@@ -64,6 +64,13 @@ def apply_activation(activation: Activation, x: np.ndarray) -> np.ndarray:
     return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
 
+def _encode(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The rates ``rho(x W^T + b)`` of every row of ``x``, from one gemm."""
+    hid = x @ w.T
+    hid += b
+    return np.clip(hid, 0.0, 1.0, out=hid)
+
+
 def activation_subderivative(activation: Activation, x: np.ndarray) -> np.ndarray:
     """Element-wise (sub)derivative of the rate non-linearity.
 
@@ -195,7 +202,12 @@ class NetworkParams:
                     raise InvalidInputError(f"{name}[{k}] contains non-finite entries")
                 frozen.append(a)
             object.__setattr__(self, name, tuple(frozen))
-        g_bu, g_td = self.branch_gains[0], self.branch_gains[1]
+        try:
+            g_bu, g_td = self.branch_gains
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"branch_gains must be a (bottom_up, top_down) pair, "
+                f"got {self.branch_gains!r}") from None
         check_real("the bottom-up branch gain", g_bu, 0.0, strict=True)
         check_real("the top-down branch gain", g_td, 0.0)
         object.__setattr__(self, "branch_gains", (float(g_bu), float(g_td)))
@@ -331,7 +343,7 @@ def feedforward_init(params: NetworkParams, visible: np.ndarray) -> NetworkState
     rates = apply_activation(params.activation, visible)
     for w, b in zip(params.ff_weights, params.ff_offsets):
         # A hidden state is already a rate, so it feeds the next layer as is.
-        rates = apply_activation(params.activation, b + rates @ w.T)
+        rates = _encode(rates, w, b)
         rates.setflags(write=False)   # NetworkState adopts it
         hidden.append(rates)
     return NetworkState(visible=visible, hidden=tuple(hidden))

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the package's own code paths: the
 energy oracle works on a dense all-units coupling matrix with explicit
 loops, the sweep oracle is a straight-line reimplementation of the
-alternating update, and the local-branch oracle re-encodes every batch.
+alternating update, and the local-branch oracle trains each pair in
+straight lines from one whole encoding of its codes.
 Tests compare package output against these.
 """
 
@@ -253,14 +254,16 @@ def sweep_oracle(params, state, n_iters):
 
 
 def local_branch_oracle(items, sizes, cfg):
-    """Straight-line local-branch training that encodes every batch anew.
+    """Straight-line local-branch training from one encoding per pair.
 
     Draws the same random-tied initialization and permutations from
-    ``cfg.seed`` as ``train_stacked_ae``, re-encodes each shuffled batch
-    through the frozen encoder and steps it with ``local_branch_update``.
-    Returns the trained ``(ws, vs, bs, cs)`` lists, the full-data
-    reconstruction error after every epoch, and per epoch the number of
-    encoder units saturated on every item.
+    ``cfg.seed`` as ``train_stacked_ae``. Each pair's codes are encoded
+    through the frozen encoder once, in one gemm; every shuffled batch of
+    that encoding is stepped with ``local_branch_update``, and the
+    encoding becomes the next pair's codes. Returns the trained
+    ``(ws, vs, bs, cs)`` lists, the full-data reconstruction error after
+    every epoch, and per epoch the number of encoder units saturated on
+    every item.
     """
     rng = np.random.default_rng(cfg.seed)
     ws, vs, bs, cs = [], [], [], []
@@ -273,16 +276,16 @@ def local_branch_oracle(items, sizes, cfg):
     codes = items
     errors, dead = [], []
     for w, v, b, c in zip(ws, vs, bs, cs):
+        pre = codes @ w.T + b
+        hid = _rho(pre)
+        n_dead = int(np.count_nonzero(~np.any((pre >= 0.0) & (pre <= 1.0), axis=0)))
         for _ in range(cfg.epochs):
             perm = rng.permutation(len(codes))
-            seen = np.zeros(len(w), dtype=bool)
             for start in range(0, len(codes), cfg.batch_size):
-                xb = codes[perm[start:start + cfg.batch_size]]
-                pre = xb @ w.T + b
-                seen |= np.any((pre >= 0.0) & (pre <= 1.0), axis=0)
-                local_branch_update(v, c, xb, _rho(pre), cfg.learning_rate)
-            dead.append(int(np.count_nonzero(~seen)))
-            rec = _rho(_rho(codes @ w.T + b) @ v.T + c)
+                batch = perm[start:start + cfg.batch_size]
+                local_branch_update(v, c, codes[batch], hid[batch], cfg.learning_rate)
+            dead.append(n_dead)
+            rec = _rho(hid @ v.T + c)
             errors.append(float(np.mean(np.sum((codes - rec) ** 2, axis=1))))
-        codes = _rho(codes @ w.T + b)
+        codes = hid
     return (ws, vs, bs, cs), errors, dead

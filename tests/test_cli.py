@@ -129,6 +129,8 @@ DAMAGE = {
                     r"unexpected \['ff_weights_2'\]"),
     "wrong-shape": (lambda path: rewrite_checkpoint(path, ff_weights_0=np.zeros((16, 8))),
                     r"ff_weights\[0\] must have shape \(8, 16\)"),
+    "one-gain": (lambda path: rewrite_checkpoint(path, meta={"branch_gains": [1.0]}),
+                 "branch_gains must be a list of two numbers"),
 }
 
 
@@ -163,6 +165,7 @@ class TestErrors:
         {"sizes": [10**30, 2]},
         {"sizes": [16, 4611686018427387904]},
         {"sizes": [4, 3], "dataset": {"n_items": 2305843009213693952}},
+        {"sizes": [784, 5], "dataset": {"n_clusters": 1152921504606846976}},
     ], ids=lambda changes: json.dumps(changes).replace(" ", ""))
     def test_invalid_config_value(self, tmp_path, capsys, changes):
         config = write_config(tmp_path, **changes)
@@ -184,7 +187,8 @@ class TestErrors:
             load_params(model)
         assert_usage_error(capsys, "infer", "--config", config, "--model", model)
 
-    @pytest.mark.parametrize("gains", [[0, 1], [float("nan"), 1]], ids=["zero", "nan"])
+    @pytest.mark.parametrize("gains", [[0, 1], [float("nan"), 1], [10**400, 1]],
+                             ids=["zero", "nan", "beyond-float"])
     def test_checkpoint_gains_outside_domain_rejected(self, tmp_path, capsys, config, model,
                                                       gains):
         rewrite_checkpoint(model, meta={"branch_gains": gains})

@@ -2,9 +2,9 @@
 the JSON config schema they define.
 
 Every value is either accepted as given or rejected with
-ConfigurationError; no other exception escapes, NaN and infinities never
-pass, counts must be integers, and an enum field takes a member or its
-value string.
+ConfigurationError; no other exception escapes, NaN, infinities and
+integers beyond the float range never pass as real numbers, counts must
+be integers, and an enum field takes a member or its value string.
 """
 
 import enum
@@ -36,7 +36,7 @@ ANY_VALUE = st.one_of(
     st.none(),
     st.text(max_size=3),
 )
-EDGE_CASES = (math.nan, math.inf, -math.inf, 2.5, 1.0, 1, 0, -1, True, "1", None)
+EDGE_CASES = (math.nan, math.inf, -math.inf, 2.5, 1.0, 1, 0, -1, 10**400, True, "1", None)
 
 
 MEMBERS = [member for kind in (Scheme, TrainRule, DataSource) for member in kind]
@@ -73,7 +73,8 @@ def accepts(make, **kwargs) -> bool:
 
 
 def is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def is_count(x, minimum) -> bool:
@@ -239,12 +240,16 @@ class TestConfigSchema:
 
     @pytest.mark.parametrize("source", list(DataSource), ids=lambda s: s.value)
     def test_dataset_beyond_any_array(self, source):
-        # 5 visible units: the largest synthetic dataset a float64 array holds
+        # 5 visible units: the most rows a float64 array can hold, for a
+        # synthetic dataset's items and for the blobs' cluster centers
         largest = (sys.maxsize // 8) // 5
-        for n_items in (largest, largest + 1):
-            doc = {**REQUIRED, "dataset": {"source": source.value, "n_items": n_items}}
-            if source is DataSource.IDX_FILE or n_items == largest:
-                assert experiment_spec_from_config(doc).dataset.n_items == n_items
-            else:
-                with pytest.raises(ConfigurationError, match="float64 array"):
-                    experiment_spec_from_config(doc)
+        sized = {"n_items": {DataSource.SYNTHETIC_BLOBS, DataSource.SYNTHETIC_AUTOENCODABLE},
+                 "n_clusters": {DataSource.SYNTHETIC_BLOBS}}
+        for key, sources in sized.items():
+            for count in (largest, largest + 1):
+                doc = {**REQUIRED, "dataset": {"source": source.value, key: count}}
+                if source not in sources or count == largest:
+                    assert getattr(experiment_spec_from_config(doc).dataset, key) == count
+                else:
+                    with pytest.raises(ConfigurationError, match=f"{key} .* float64 array"):
+                        experiment_spec_from_config(doc)

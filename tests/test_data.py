@@ -317,6 +317,16 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError, match="no valid meta entry"):
             load_params(path)
 
+    @pytest.mark.parametrize("gains", [[1.0], [1, 1, 5], "11", [True, True], [1.0, "1"],
+                                       {"bu": 1, "td": 1}, None],
+                             ids=["one", "three", "string", "bools", "number-string",
+                                  "object", "null"])
+    def test_gains_not_two_numbers_rejected(self, tmp_path, gains):
+        path, _ = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, meta={"branch_gains": gains})
+        with pytest.raises(CheckpointError, match="branch_gains must be a list of two numbers"):
+            load_params(path)
+
     def test_missing_key_rejected(self, tmp_path):
         path, _ = saved_checkpoint(tmp_path)
         rewrite_checkpoint(path, drop=("ff_weights_0",))

@@ -101,6 +101,12 @@ class TestSpecAndParams:
         with pytest.raises(ConfigurationError):
             make_params((2, 3), [np.zeros((3, 2))], gains=gains)
 
+    @pytest.mark.parametrize("gains", [(1.0,), (1.0, 1.0, 5.0), 1.0],
+                             ids=["one", "three", "scalar"])
+    def test_gains_not_a_pair_rejected(self, gains):
+        with pytest.raises(ConfigurationError, match="pair"):
+            make_params((2, 3), [np.zeros((3, 2))], gains=gains)
+
     def test_arrays_read_only(self):
         params = make_params((2, 3), [np.zeros((3, 2))])
         with pytest.raises(ValueError):
