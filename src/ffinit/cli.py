@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .data import save_params, load_params
 from .energy import energy_model_or_none
-from .exceptions import FfinitError, InvalidInputError
+from .exceptions import ConfigurationError, FfinitError, InvalidInputError
 from .harness import (
     build_dataset,
     experiment_spec_from_config,
@@ -33,8 +33,19 @@ from .network import mutual_prediction_residual
 
 
 def _load_config(args):
-    """The experiment spec of ``--config``, with ``--seed`` applied when given."""
-    spec = experiment_spec_from_config(json.loads(Path(args.config).read_text()))
+    """The experiment spec of ``--config``, with ``--seed`` applied when given.
+
+    A file that does not decode as UTF-8 JSON raises
+    :class:`ConfigurationError`, and so does an integer literal beyond
+    Python's digit limit or nesting deeper than the decoder's recursion
+    limit.
+    """
+    text = Path(args.config).read_bytes()
+    try:
+        doc = json.loads(text.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:   # JSON and Unicode errors are ValueErrors
+        raise ConfigurationError(f"cannot read config {args.config}: {exc}") from None
+    spec = experiment_spec_from_config(doc)
     return spec if args.seed is None else override_seed(spec, args.seed)
 
 
@@ -137,7 +148,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except (FfinitError, json.JSONDecodeError) as exc:
+    except FfinitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -12,6 +12,11 @@ predict. Because its encoders stay frozen, ``local-branch`` encodes each
 pair's input codes once, in one gemm, and that encoding feeds every
 batch, every epoch error and the next pair's codes.
 
+Both rules apply the learning rate to a batch-sized factor, the output
+error, before the weight steps are formed from it, so no weight-sized
+array is ever scaled, and each epoch writes its weight steps into
+buffers made once for that epoch.
+
 The epoch errors and :func:`reconstruction_error` run in row blocks
 (:func:`_row_blocks`), holding one block of each layer at a time; a
 whole encoding is built only where it is read again.
@@ -36,14 +41,7 @@ from .exceptions import (
     check_member,
     check_real,
 )
-from .network import (
-    Activation,
-    LayerSpec,
-    NetworkParams,
-    _encode,
-    activation_subderivative,
-    apply_activation,
-)
+from .network import Activation, LayerSpec, NetworkParams, _encode
 
 logger = logging.getLogger(__name__)
 
@@ -161,6 +159,10 @@ def local_branch_update(weights: np.ndarray, offsets: np.ndarray, soma: np.ndarr
     contracts ``|soma - d|`` monotonically whenever
     ``lr < 2 / (1 + ||r||^2)``.
 
+    ``lr / B`` scales the ``(B, n_out)`` prediction error before the
+    weight step is formed from it, so no ``(n_out, n_in)`` array is ever
+    scaled; the results differ from scaling the step by rounding only.
+
     ``weights`` (``(n_out, n_in)``) and ``offsets`` (``(n_out,)``) are
     float arrays updated in place, as training updates its decoder.
     """
@@ -174,12 +176,25 @@ def local_branch_update(weights: np.ndarray, offsets: np.ndarray, soma: np.ndarr
             f"presynaptic rates {presyn_rates.shape} do not fit together")
     if not np.all((presyn_rates >= 0.0) & (presyn_rates <= 1.0)):
         raise InvalidInputError("presynaptic rates must lie in [0, 1]")
-    err = soma - (presyn_rates @ weights.T + offsets)
-    scale = lr / len(presyn_rates)
-    g = err.T @ presyn_rates
-    g *= scale
+    _local_branch_step(weights, offsets, soma, presyn_rates, lr, np.empty(weights.shape))
+
+
+def _local_branch_step(weights, offsets, soma, rates, lr, g) -> None:
+    """:func:`local_branch_update` without its checks, writing the weight
+    step into ``g``, a float array of the shape of ``weights``."""
+    err = rates @ weights.T
+    err += offsets
+    np.subtract(soma, err, out=err)
+    err *= lr / len(rates)
+    np.matmul(err.T, rates, out=g)
     weights += g
-    offsets += scale * err.sum(axis=0)
+    offsets += err.sum(axis=0)
+
+
+def _on_slope(pre: np.ndarray) -> np.ndarray:
+    """Where the hard sigmoid's subderivative is 1: on the closed ``[0, 1]``,
+    kinks included, as :func:`ffinit.network.activation_subderivative`."""
+    return (pre >= 0.0) & (pre <= 1.0)
 
 
 def _row_blocks(n: int) -> list[slice]:
@@ -219,36 +234,41 @@ def _ae_gradient_epoch(codes: np.ndarray, perm: np.ndarray, w, v, b, c,
                        cfg: TrainConfig) -> int:
     """One epoch of ae-gradient steps over the batches of ``perm``, updating
     ``w, v, b, c`` in place; returns how many encoder units were saturated
-    on every item of the epoch."""
-    activation = Activation.HARD_SIGMOID
-    lr = cfg.learning_rate
+    on every item of the epoch.
+
+    The learning rate scales the batch-sized reconstruction error, so every
+    gradient comes out as its step and no weight-sized array is scaled;
+    both weight steps are written into buffers made once per epoch.
+    """
+    g_w, g_v = np.empty(w.shape), np.empty(v.shape)
     gradient_seen = np.zeros(w.shape[0], dtype=bool)
     for start in range(0, len(perm), cfg.batch_size):
         xb = codes[perm[start:start + cfg.batch_size]]
-        pre_h = xb @ w.T + b
-        hid = apply_activation(activation, pre_h)
-        d_act_h = activation_subderivative(activation, pre_h)
-        gradient_seen |= np.any(d_act_h > 0.0, axis=0)
-        pre_y = hid @ v.T + c
-        rec = apply_activation(activation, pre_y)
-        d_rec = (2.0 / len(xb)) * (rec - xb) * activation_subderivative(activation, pre_y)
-        g_v = d_rec.T @ hid
-        g_c = d_rec.sum(axis=0)
-        d_hid = (d_rec @ v) * d_act_h
-        g_w = d_hid.T @ xb
-        g_b = d_hid.sum(axis=0)
+        pre_h = xb @ w.T
+        pre_h += b
+        in_h = _on_slope(pre_h)
+        gradient_seen |= in_h.any(axis=0)
+        hid = np.clip(pre_h, 0.0, 1.0, out=pre_h)
+        pre_y = hid @ v.T
+        pre_y += c
+        in_y = _on_slope(pre_y)
+        d_rec = np.clip(pre_y, 0.0, 1.0, out=pre_y)
+        d_rec -= xb
+        d_rec *= 2.0 * cfg.learning_rate / len(xb)
+        d_rec *= in_y
+        np.matmul(d_rec.T, hid, out=g_v)
+        d_hid = d_rec @ v
+        d_hid *= in_h
+        np.matmul(d_hid.T, xb, out=g_w)
         if cfg.tie_decoder:
             g_w += g_v.T
-            g_w *= lr
             w -= g_w
             v[...] = w.T
         else:
-            g_w *= lr
             w -= g_w
-            g_v *= lr
             v -= g_v
-        b -= lr * g_b
-        c -= lr * g_c
+        b -= d_hid.sum(axis=0)
+        c -= d_rec.sum(axis=0)
     return int(np.count_nonzero(~gradient_seen))
 
 
@@ -273,7 +293,11 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
     Besides the dataset and the parameters, training holds one pair's
     codes, one batch's temporaries and one row block of the epoch
     error's layers; the next pair's codes are encoded once per lower
-    pair. ``local-branch`` also holds the pair's encoding of its codes.
+    pair. While an epoch's batches run it also holds that epoch's
+    weight-step buffers, one per weight matrix the rule moves, freed
+    before the epoch error. ``local-branch`` also holds the pair's
+    encoding of its codes, and counts saturated units one row block of
+    that encoding at a time.
 
     Args:
         data: Training items; dimension must equal the visible size.
@@ -316,16 +340,21 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
         if local:
             pre = codes @ w.T
             pre += b
-            # A unit is dead when its subderivative, 1 on [0, 1], is 0 on every
-            # item; the boolean mask avoids a float temporary of the encoding's size.
-            n_dead = int(np.count_nonzero(~np.any((pre >= 0.0) & (pre <= 1.0), axis=0)))
+            # A unit is dead when its subderivative is 0 on every item; one row
+            # block's mask at a time.
+            slope_seen = np.zeros(w.shape[0], dtype=bool)
+            for rows in _row_blocks(n):
+                slope_seen |= _on_slope(pre[rows]).any(axis=0)
+            n_dead = int(np.count_nonzero(~slope_seen))
             hid = np.clip(pre, 0.0, 1.0, out=pre)
         for epoch in range(1, cfg.epochs + 1):
             perm = rng.permutation(n)
             if local:
+                g = np.empty(v.shape)
                 for start in range(0, n, cfg.batch_size):
                     batch = perm[start:start + cfg.batch_size]
-                    local_branch_update(v, c, codes[batch], hid[batch], cfg.learning_rate)
+                    _local_branch_step(v, c, codes[batch], hid[batch], cfg.learning_rate, g)
+                del g   # freed before the epoch error's row blocks
             else:
                 n_dead = _ae_gradient_epoch(codes, perm, w, v, b, c, cfg)
             if not all(np.all(np.isfinite(a)) for a in (w, v, b, c)):

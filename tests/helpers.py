@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the package's own code paths: the
 energy oracle works on a dense all-units coupling matrix with explicit
 loops, the sweep oracle is a straight-line reimplementation of the
-alternating update, and the local-branch oracle trains each pair in
-straight lines from one whole encoding of its codes.
+alternating update, the local-branch oracle trains each pair in
+straight lines from one whole encoding of its codes, and the ae-gradient
+oracle takes its batch steps in straight lines, allocating freely.
 Tests compare package output against these.
 """
 
@@ -253,6 +254,22 @@ def sweep_oracle(params, state, n_iters):
     return hidden, steps
 
 
+def _random_tied_lists(rng, sizes, init_scale):
+    """The random-tied ``(ws, vs, bs, cs)`` that training starts from, drawn from ``rng``."""
+    ws, vs, bs, cs = [], [], [], []
+    for k in range(len(sizes) - 1):
+        bound = init_scale / np.sqrt(sizes[k])
+        ws.append(rng.uniform(-bound, bound, size=(sizes[k + 1], sizes[k])))
+        vs.append(ws[-1].T.copy())
+        bs.append(np.zeros(sizes[k + 1]))
+        cs.append(np.zeros(sizes[k]))
+    return ws, vs, bs, cs
+
+
+def _on_slope(x):
+    return (x >= 0.0) & (x <= 1.0)
+
+
 def local_branch_oracle(items, sizes, cfg):
     """Straight-line local-branch training from one encoding per pair.
 
@@ -266,19 +283,13 @@ def local_branch_oracle(items, sizes, cfg):
     every item.
     """
     rng = np.random.default_rng(cfg.seed)
-    ws, vs, bs, cs = [], [], [], []
-    for k in range(len(sizes) - 1):
-        bound = cfg.init_scale / np.sqrt(sizes[k])
-        ws.append(rng.uniform(-bound, bound, size=(sizes[k + 1], sizes[k])))
-        vs.append(ws[-1].T.copy())
-        bs.append(np.zeros(sizes[k + 1]))
-        cs.append(np.zeros(sizes[k]))
+    ws, vs, bs, cs = _random_tied_lists(rng, sizes, cfg.init_scale)
     codes = items
     errors, dead = [], []
     for w, v, b, c in zip(ws, vs, bs, cs):
         pre = codes @ w.T + b
         hid = _rho(pre)
-        n_dead = int(np.count_nonzero(~np.any((pre >= 0.0) & (pre <= 1.0), axis=0)))
+        n_dead = int(np.count_nonzero(~np.any(_on_slope(pre), axis=0)))
         for _ in range(cfg.epochs):
             perm = rng.permutation(len(codes))
             for start in range(0, len(codes), cfg.batch_size):
@@ -288,4 +299,48 @@ def local_branch_oracle(items, sizes, cfg):
             rec = _rho(hid @ v.T + c)
             errors.append(float(np.mean(np.sum((codes - rec) ** 2, axis=1))))
         codes = hid
+    return (ws, vs, bs, cs), errors, dead
+
+
+def ae_gradient_oracle(items, sizes, cfg):
+    """Straight-line ae-gradient training, allocating every array afresh.
+
+    Draws the same initialization and permutations from ``cfg.seed`` as
+    ``train_stacked_ae``. Every batch steps ``(w, v, b, c)`` by the
+    gradient of the batch's mean squared reconstruction error, with
+    ``2 * lr / B`` applied to the output error as the package applies it;
+    under ``cfg.tie_decoder`` the decoder is the encoder's transpose.
+    Each pair's trained encoding of its codes, from one gemm, becomes the
+    next pair's codes. Returns what :func:`local_branch_oracle` returns.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    ws, vs, bs, cs = _random_tied_lists(rng, sizes, cfg.init_scale)
+    codes = items
+    errors, dead = [], []
+    for w, v, b, c in zip(ws, vs, bs, cs):
+        for _ in range(cfg.epochs):
+            perm = rng.permutation(len(codes))
+            seen = np.zeros(len(w), dtype=bool)
+            for start in range(0, len(codes), cfg.batch_size):
+                xb = codes[perm[start:start + cfg.batch_size]]
+                pre_h = xb @ w.T + b
+                seen |= np.any(_on_slope(pre_h), axis=0)
+                hid = _rho(pre_h)
+                pre_y = hid @ v.T + c
+                d_rec = ((_rho(pre_y) - xb) * (2.0 * cfg.learning_rate / len(xb))
+                         * _on_slope(pre_y))
+                d_hid = (d_rec @ v) * _on_slope(pre_h)
+                g_w, g_v = d_hid.T @ xb, d_rec.T @ hid
+                if cfg.tie_decoder:
+                    w -= g_w + g_v.T
+                    v[...] = w.T
+                else:
+                    w -= g_w
+                    v -= g_v
+                b -= d_hid.sum(axis=0)
+                c -= d_rec.sum(axis=0)
+            dead.append(int(np.count_nonzero(~seen)))
+            rec = _rho(_rho(codes @ w.T + b) @ v.T + c)
+            errors.append(float(np.mean(np.sum((codes - rec) ** 2, axis=1))))
+        codes = _rho(codes @ w.T + b)
     return (ws, vs, bs, cs), errors, dead

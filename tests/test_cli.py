@@ -171,6 +171,17 @@ class TestErrors:
         config = write_config(tmp_path, **changes)
         assert_usage_error(capsys, "experiment", "--config", config, "--out", tmp_path / "o")
 
+    @pytest.mark.parametrize("text", [
+        b'{"sizes": [16, 8, 4],',
+        b'{"n_inputs_evaluated": ' + b"9" * 5000 + b"}",
+        '{"dataset": {"source": "synthetic-blobs\u00e9"}}'.encode("latin-1"),
+        b"[" * 100000,
+    ], ids=["truncated", "5000-digit-integer", "latin-1", "nested-100000-deep"])
+    def test_undecodable_config(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        assert_usage_error(capsys, "experiment", "--config", path, "--out", tmp_path / "o")
+
     def test_out_of_memory(self, tmp_path, capsys, config, monkeypatch):
         def run_experiment(spec):
             raise MemoryError("Unable to allocate 7.28 TiB for an array")

@@ -26,8 +26,8 @@ from ffinit import (
 )
 from ffinit import learning
 from ffinit.learning import _row_blocks
-from helpers import (local_branch_oracle, pair_error_oracle, param_bytes, random_untied_params,
-                     traced_peak)
+from helpers import (ae_gradient_oracle, local_branch_oracle, pair_error_oracle, param_bytes,
+                     random_untied_params, traced_peak)
 
 SPEC_432 = LayerSpec(sizes=(4, 3, 2))
 
@@ -381,6 +381,75 @@ class TestLocalBranchEncodesOnce:
                                              for k in (1, 2)]
 
 
+class TestAeGradientStep:
+    """The ae-gradient kernel against its straight-line oracle on 64-32-16
+    with 70 items in batches of 16, so every epoch ends on a batch of 6;
+    and one batch step against central differences of the batch loss."""
+
+    SPEC = LayerSpec(sizes=(64, 32, 16))
+
+    @pytest.mark.parametrize("tie", [False, True], ids=["untied", "tied"])
+    def test_every_array_error_and_saturation_line_equals_the_oracle(self, caplog, tie):
+        caplog.set_level(logging.INFO, logger="ffinit.learning")
+        cfg = TrainConfig(epochs=3, batch_size=16, tie_decoder=tie, seed=2)
+        data = blob_data(n=70, d=64)
+        curve = []
+        params = train_stacked_ae(data, self.SPEC, cfg,
+                                  progress=lambda pair, epoch, err: curve.append(err))
+        arrays, errors, dead = ae_gradient_oracle(data.items, self.SPEC.sizes, cfg)
+        got = (params.ff_weights, params.fb_weights, params.ff_offsets, params.fb_offsets)
+        for got_list, want_list in zip(got, arrays):
+            assert all(np.array_equal(a, b) for a, b in zip(got_list, want_list))
+        assert curve == errors
+        pair_epochs = [(pair, epoch) for pair in (1, 2) for epoch in (1, 2, 3)]
+        want = [f"pair {pair} epoch {epoch}: {n}/{self.SPEC.sizes[pair]} encoder units "
+                "saturated for the entire epoch"
+                for (pair, epoch), n in zip(pair_epochs, dead) if n]
+        assert len(want) == 6
+        assert [r.getMessage() for r in caplog.records if r.name == "ffinit.learning"] == want
+
+    @pytest.mark.parametrize("tie", [False, True], ids=["untied", "tied"])
+    def test_one_batch_step_is_minus_lr_times_the_loss_gradient(self, tie):
+        spec, lr, eps = LayerSpec(sizes=(6, 4)), 0.1, 1e-6
+        x = np.random.default_rng(7).uniform(0.0, 1.0, size=(5, 6))
+        init = init_random_tied(spec, Activation.HARD_SIGMOID, 1.0, seed=7)
+        w, v = init.ff_weights[0].copy(), init.fb_weights[0].copy()
+        b, c = np.zeros(4), np.zeros(6)
+        # Every pre-activation is at least 0.01 from a kink, so the loss is
+        # smooth around the initialization, and units lie on both sides.
+        pre_h = x @ w.T
+        pre_y = np.clip(pre_h, 0.0, 1.0) @ v.T
+        for pre in (pre_h, pre_y):
+            assert np.minimum(np.abs(pre), np.abs(pre - 1.0)).min() > 0.01
+            assert 0 < np.count_nonzero((pre >= 0.0) & (pre <= 1.0)) < pre.size
+
+        def loss():
+            hid = np.clip(x @ w.T + b, 0.0, 1.0)
+            rec = np.clip(hid @ (w.T if tie else v).T + c, 0.0, 1.0)
+            return np.mean(np.sum((rec - x) ** 2, axis=1))
+
+        variables = (w, b, c) if tie else (w, v, b, c)
+        gradients = []
+        for a in variables:
+            g = np.empty(a.shape)
+            for i in np.ndindex(a.shape):
+                saved = a[i]
+                a[i] = saved + eps
+                up = loss()
+                a[i] = saved - eps
+                g[i] = (up - loss()) / (2 * eps)
+                a[i] = saved
+            gradients.append(g)
+        trained = train_stacked_ae(DatasetHandle(items=x), spec, TrainConfig(
+            learning_rate=lr, epochs=1, batch_size=5, tie_decoder=tie, seed=7))
+        after = (trained.ff_weights[0], trained.fb_weights[0], trained.ff_offsets[0],
+                 trained.fb_offsets[0])
+        for a, g, moved in zip(variables, gradients,
+                               (after[0], after[2], after[3]) if tie else after):
+            assert np.allclose(moved - a, -lr * g, rtol=0, atol=1e-8)
+            assert np.abs(g).max() > 1e-3
+
+
 class TestReconstructionError:
     def test_exact_autoencoder_is_zero(self):
         data, params = synth_autoencodable(30, LayerSpec(sizes=(8, 6, 5, 4)), seed=9)
@@ -503,6 +572,15 @@ class TestMemory:
         _, peak = traced_peak(train_stacked_ae, data, self.SPEC,
                               TrainConfig(epochs=2, rule=rule), lambda pair, epoch, err: None)
         assert peak <= bound_mb * 1e6
+
+    def test_local_branch_dead_count_holds_one_block_of_masks(self):
+        # With few inputs the pair's encoding (8 MB) is nearly all training
+        # holds. Masks over the whole pre-activation took the traced peak to
+        # 10.1 MB; one row block's masks at a time keep it at 8.5 MB.
+        data = synth_blobs(2000, 16, 8, 0.02, 0)
+        _, peak = traced_peak(train_stacked_ae, data, LayerSpec((16, 500)),
+                              TrainConfig(epochs=1, rule=TrainRule.LOCAL_BRANCH))
+        assert peak <= 1.1 * 2000 * 500 * 8
 
     # Whole-data passes -> row blocks: 20.6 -> 4.2 MB (k = 0), 24.1 -> 4.0 MB (k = 1).
     @pytest.mark.parametrize("k", [0, 1])
