@@ -14,8 +14,7 @@ batch, every epoch error and the next pair's codes.
 
 Both rules apply the learning rate to a batch-sized factor, the output
 error, before the weight steps are formed from it, so no weight-sized
-array is ever scaled, and each epoch writes its weight steps into
-buffers made once for that epoch.
+array is ever scaled.
 
 The epoch errors and :func:`reconstruction_error` run in row blocks
 (:func:`_row_blocks`), holding one block of each layer at a time; a
@@ -41,7 +40,7 @@ from .exceptions import (
     check_member,
     check_real,
 )
-from .network import Activation, LayerSpec, NetworkParams, _encode
+from .network import Activation, LayerSpec, NetworkParams, _encode, _on_slope
 
 logger = logging.getLogger(__name__)
 
@@ -176,25 +175,17 @@ def local_branch_update(weights: np.ndarray, offsets: np.ndarray, soma: np.ndarr
             f"presynaptic rates {presyn_rates.shape} do not fit together")
     if not np.all((presyn_rates >= 0.0) & (presyn_rates <= 1.0)):
         raise InvalidInputError("presynaptic rates must lie in [0, 1]")
-    _local_branch_step(weights, offsets, soma, presyn_rates, lr, np.empty(weights.shape))
+    _local_branch_step(weights, offsets, soma, presyn_rates, lr)
 
 
-def _local_branch_step(weights, offsets, soma, rates, lr, g) -> None:
-    """:func:`local_branch_update` without its checks, writing the weight
-    step into ``g``, a float array of the shape of ``weights``."""
+def _local_branch_step(weights, offsets, soma, rates, lr) -> None:
+    """:func:`local_branch_update` without its checks."""
     err = rates @ weights.T
     err += offsets
     np.subtract(soma, err, out=err)
     err *= lr / len(rates)
-    np.matmul(err.T, rates, out=g)
-    weights += g
+    weights += err.T @ rates
     offsets += err.sum(axis=0)
-
-
-def _on_slope(pre: np.ndarray) -> np.ndarray:
-    """Where the hard sigmoid's subderivative is 1: on the closed ``[0, 1]``,
-    kinks included, as :func:`ffinit.network.activation_subderivative`."""
-    return (pre >= 0.0) & (pre <= 1.0)
 
 
 def _row_blocks(n: int) -> list[slice]:
@@ -237,10 +228,8 @@ def _ae_gradient_epoch(codes: np.ndarray, perm: np.ndarray, w, v, b, c,
     on every item of the epoch.
 
     The learning rate scales the batch-sized reconstruction error, so every
-    gradient comes out as its step and no weight-sized array is scaled;
-    both weight steps are written into buffers made once per epoch.
+    gradient comes out as its step and no weight-sized array is scaled.
     """
-    g_w, g_v = np.empty(w.shape), np.empty(v.shape)
     gradient_seen = np.zeros(w.shape[0], dtype=bool)
     for start in range(0, len(perm), cfg.batch_size):
         xb = codes[perm[start:start + cfg.batch_size]]
@@ -256,10 +245,10 @@ def _ae_gradient_epoch(codes: np.ndarray, perm: np.ndarray, w, v, b, c,
         d_rec -= xb
         d_rec *= 2.0 * cfg.learning_rate / len(xb)
         d_rec *= in_y
-        np.matmul(d_rec.T, hid, out=g_v)
+        g_v = d_rec.T @ hid
         d_hid = d_rec @ v
         d_hid *= in_h
-        np.matmul(d_hid.T, xb, out=g_w)
+        g_w = d_hid.T @ xb
         if cfg.tie_decoder:
             g_w += g_v.T
             w -= g_w
@@ -293,11 +282,8 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
     Besides the dataset and the parameters, training holds one pair's
     codes, one batch's temporaries and one row block of the epoch
     error's layers; the next pair's codes are encoded once per lower
-    pair. While an epoch's batches run it also holds that epoch's
-    weight-step buffers, one per weight matrix the rule moves, freed
-    before the epoch error. ``local-branch`` also holds the pair's
-    encoding of its codes, and counts saturated units one row block of
-    that encoding at a time.
+    pair. ``local-branch`` also holds the pair's encoding of its codes,
+    and counts saturated units one row block of that encoding at a time.
 
     Args:
         data: Training items; dimension must equal the visible size.
@@ -350,11 +336,9 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
         for epoch in range(1, cfg.epochs + 1):
             perm = rng.permutation(n)
             if local:
-                g = np.empty(v.shape)
                 for start in range(0, n, cfg.batch_size):
                     batch = perm[start:start + cfg.batch_size]
-                    _local_branch_step(v, c, codes[batch], hid[batch], cfg.learning_rate, g)
-                del g   # freed before the epoch error's row blocks
+                    _local_branch_step(v, c, codes[batch], hid[batch], cfg.learning_rate)
             else:
                 n_dead = _ae_gradient_epoch(codes, perm, w, v, b, c, cfg)
             if not all(np.all(np.isfinite(a)) for a in (w, v, b, c)):

@@ -71,6 +71,11 @@ def _encode(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(hid, 0.0, 1.0, out=hid)
 
 
+def _on_slope(x: np.ndarray) -> np.ndarray:
+    """Where the hard sigmoid's subderivative is 1, as a boolean mask."""
+    return (x >= 0.0) & (x <= 1.0)
+
+
 def activation_subderivative(activation: Activation, x: np.ndarray) -> np.ndarray:
     """Element-wise (sub)derivative of the rate non-linearity.
 
@@ -78,8 +83,7 @@ def activation_subderivative(activation: Activation, x: np.ndarray) -> np.ndarra
     ``[0, 1]`` and 0 outside; the value at the two kinks is fixed to 1 so
     that downstream computations are deterministic.
     """
-    x = np.asarray(x, dtype=float)
-    return ((x >= 0.0) & (x <= 1.0)).astype(float)
+    return _on_slope(np.asarray(x, dtype=float)).astype(float)
 
 
 def _frozen(x) -> np.ndarray:

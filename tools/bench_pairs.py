@@ -1,18 +1,18 @@
 """Run the benchmark on a parent revision and on this checkout, in alternating pairs.
 
-    python3 tools/bench_pairs.py --rev <parent> --workload <name> --pairs <n>
-                                 [--seed 1] [--seconds 25]
+    python3 tools/bench_pairs.py --rev <parent> --workload <name> --pairs <n> [--seed 1]
 
 The parent's committed files are exported with ``git archive`` into a
 temporary directory, which is removed when the script exits; "change" is
 the checkout holding this script, uncommitted edits included. Pair ``i``
-runs ``perfbench/run.py --trace 0`` at seed ``--seed + i`` in both
-checkouts, the parent first in even pairs and the change first in odd
-ones. Each run's end-to-end metrics are printed as it finishes; at the
-end, per metric of ``BENCHMARK.json``: each side's median and quartiles,
-how many pairs the change won (ties count for neither side), and whether
-the medians differ, in the change's favour, by more than the distance
-between the parent's quartiles.
+runs ``perfbench/run.py --trace 0`` at seed ``--seed + i`` for
+``BENCHMARK.json``'s ``run_seconds`` in both checkouts, the parent first
+in even pairs and the change first in odd ones. Each run's end-to-end
+metrics are printed as it finishes; at the end, per metric of
+``BENCHMARK.json``: each side's median and quartiles, how many pairs the
+change won (ties count for neither side), and whether the medians
+differ, in the change's favour, by more than the distance between the
+parent's quartiles.
 """
 
 from __future__ import annotations
@@ -106,22 +106,22 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=25.0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     parent, change = [], []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         commit = export(args.rev, Path(tmp))
         print(f"parent {commit} vs {ROOT}; workload {args.workload}, "
-              f"{args.pairs} pairs from seed {args.seed}, {args.seconds:g} s", flush=True)
+              f"{args.pairs} pairs from seed {args.seed}, {seconds:g} s", flush=True)
         for i in range(args.pairs):
             seed = args.seed + i
             sides = [("parent", Path(tmp), parent), ("change", ROOT, change)]
             for name, checkout, results in (sides if i % 2 == 0 else sides[::-1]):
-                results.append(run_benchmark(checkout, args.workload, seed, args.seconds))
+                results.append(run_benchmark(checkout, args.workload, seed, seconds))
                 values = ", ".join(f"{k} {v['value']:.4g}"
                                    for k, v in results[-1]["metrics"].items())
                 print(f"pair {i + 1} seed {seed} {name}: {values}, "
