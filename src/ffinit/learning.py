@@ -160,7 +160,7 @@ def local_branch_update(weights: np.ndarray, offsets: np.ndarray, soma: np.ndarr
 
     ``lr / B`` scales the ``(B, n_out)`` prediction error before the
     weight step is formed from it, so no ``(n_out, n_in)`` array is ever
-    scaled; the results differ from scaling the step by rounding only.
+    scaled.
 
     ``weights`` (``(n_out, n_in)``) and ``offsets`` (``(n_out,)``) are
     float arrays updated in place, as training updates its decoder.
