@@ -235,7 +235,8 @@ def save_params(params: NetworkParams, path: str | Path) -> None:
     ``fb_offsets_<k>`` for ``k`` in ``0..L-1``, indexed as in
     :class:`~ffinit.network.NetworkParams`. A ``meta`` entry holds one
     JSON string with ``format``, ``format_version`` (2), ``sizes``,
-    ``activation`` and ``branch_gains``. The arrays are stored in binary,
+    ``activation`` and ``branch_gains``, always ``[1.0, 1.0]`` (the
+    branches' plain mean). The arrays are stored in binary,
     so :func:`load_params` reproduces every value bit for bit. The file
     is written at ``path`` as given; no ``.npz`` suffix is added.
     """
@@ -244,7 +245,7 @@ def save_params(params: NetworkParams, path: str | Path) -> None:
         "format_version": MODEL_FORMAT_VERSION,
         "sizes": list(params.spec.sizes),
         "activation": params.activation.value,
-        "branch_gains": [params.branch_gains[0], params.branch_gains[1]],
+        "branch_gains": [1.0, 1.0],
     }
     arrays = {f"{group}_{k}": a for group in _ARRAY_GROUPS
               for k, a in enumerate(getattr(params, group))}
@@ -256,10 +257,11 @@ def load_params(path: str | Path) -> NetworkParams:
     """Load a format 2 checkpoint written by :func:`save_params`.
 
     The archive is read with ``allow_pickle=False``, so no entry is ever
-    unpickled. It must hold the ``meta`` entry and exactly the array
-    entries its ``sizes`` call for; the arrays then go through
-    :class:`~ffinit.network.NetworkParams`, which checks every shape,
-    every value for finiteness and the branch gains.
+    unpickled. It must hold the ``meta`` entry, whose ``branch_gains``
+    must be ``[1.0, 1.0]`` because the branches are combined by their
+    plain mean, and exactly the array entries its ``sizes`` call for;
+    the arrays then go through :class:`~ffinit.network.NetworkParams`,
+    which checks every shape and every value for finiteness.
 
     Raises:
         CheckpointError: The file is not a format 2 archive (a format 1
@@ -289,7 +291,7 @@ def load_params(path: str | Path) -> NetworkParams:
             raise CheckpointError(f"{path}: unreadable checkpoint archive: {exc}") from exc
     try:
         meta = json.loads(str(entries.pop("meta")))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, RecursionError) as exc:   # too deeply nested
         raise CheckpointError(f"{path}: no valid meta entry: {exc!r}") from exc
     if not isinstance(meta, dict) or meta.get("format") != MODEL_FORMAT:
         raise CheckpointError(f"{path}: not a {MODEL_FORMAT} checkpoint")
@@ -301,9 +303,10 @@ def load_params(path: str | Path) -> NetworkParams:
         gains = meta["branch_gains"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint metadata: {exc}") from exc
-    if (not isinstance(gains, list) or len(gains) != 2
-            or any(isinstance(g, bool) or not isinstance(g, (int, float)) for g in gains)):
-        raise CheckpointError(f"{path}: branch_gains must be a list of two numbers, got {gains!r}")
+    if gains != [1.0, 1.0] or any(isinstance(g, bool) for g in gains):
+        raise CheckpointError(
+            f"{path}: branch_gains must be [1.0, 1.0]: the two branches are combined by "
+            f"their plain mean; got {gains!r}")
     n_pairs = spec.n_hidden_layers
     expected = {f"{group}_{k}" for group in _ARRAY_GROUPS for k in range(n_pairs)}
     if set(entries) != expected:
@@ -315,7 +318,6 @@ def load_params(path: str | Path) -> NetworkParams:
             spec=spec,
             **{group: tuple(entries[f"{group}_{k}"] for k in range(n_pairs))
                for group in _ARRAY_GROUPS},
-            branch_gains=tuple(gains),   # NetworkParams checks their domain
             activation=meta.get("activation"),   # NetworkParams checks it
         )
     except (TypeError, ValueError) as exc:

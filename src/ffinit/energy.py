@@ -11,10 +11,10 @@ term per unit:
 where the couplings are read off the feedforward matrices (tied weights
 make the coupling direction-independent) and ``beta`` collects every
 branch offset a unit receives. The quadratic weight of a hidden layer is
-half the total gain of its branches: ``q = 1`` for interior layers,
-which integrate a bottom-up and a top-down branch, and ``q = 1/2`` for
-the top layer, which has only a bottom-up branch (the clamped visible
-layer also uses ``1/2``; its terms are constant during inference).
+half the number of its branches: ``q = 1`` for interior layers, which
+integrate a bottom-up and a top-down branch, and ``q = 1/2`` for the top
+layer, which has only a bottom-up branch (the clamped visible layer also
+uses ``1/2``; its terms are constant during inference).
 
 This weighting is what makes the energy a Lyapunov function of the
 direct relaxation scheme: every layer update of
@@ -34,7 +34,7 @@ from .exceptions import NotAnEnergyModelError
 from .network import (
     NetworkParams,
     NetworkState,
-    activation_subderivative,
+    _on_slope,
     branch_predictions,
     check_state,
     layer_rates,
@@ -47,9 +47,9 @@ class EnergyModel:
 
     Raises:
         NotAnEnergyModelError: If any feedback matrix differs from the
-            transpose of its feedforward matrix, or the two branch gains
-            differ. Either condition breaks the symmetry the energy
-            presupposes, and refusing beats reporting a fake number.
+            transpose of its feedforward matrix. That breaks the symmetry
+            the energy presupposes, and refusing beats reporting a fake
+            number.
     """
 
     params: NetworkParams
@@ -59,10 +59,6 @@ class EnergyModel:
             raise NotAnEnergyModelError(
                 "energy requires feedback weights exactly equal to transposed "
                 "feedforward weights; these parameters are untied")
-        g_bu, g_td = self.params.branch_gains
-        if g_bu != g_td:
-            raise NotAnEnergyModelError(
-                f"energy requires equal branch gains, got {(g_bu, g_td)}")
 
     def layer_quadratic_weight(self, k: int) -> float:
         """Quadratic weight of hidden layer ``k`` (1-based)."""
@@ -70,8 +66,8 @@ class EnergyModel:
 
 
 def energy_model_or_none(params: NetworkParams) -> EnergyModel | None:
-    """The energy model of tied parameters, or None for parameters that
-    define no energy (untied weights or unequal branch gains)."""
+    """The energy model of tied parameters, or None for untied ones,
+    which define no energy."""
     try:
         return EnergyModel(params)
     except NotAnEnergyModelError:
@@ -135,5 +131,5 @@ def energy_gradient(model: EnergyModel, state: NetworkState) -> tuple[np.ndarray
         d_bu, d_td = branch_predictions(p, rates, k)
         total_in = d_bu if d_td is None else d_bu + d_td
         q = model.layer_quadratic_weight(k)
-        grads.append(2.0 * q * h - activation_subderivative(p.activation, h) * total_in)
+        grads.append(2.0 * q * h - _on_slope(h) * total_in)
     return tuple(grads)

@@ -27,9 +27,8 @@ class NotAnEnergyModelError(FfinitError, ValueError):
     """The parameters do not define a symmetric-coupling energy.
 
     The scalar energy is only defined when every feedback matrix is exactly
-    the transpose of the corresponding feedforward matrix and both branch
-    gains are equal; anything else would silently report a meaningless
-    number, so we refuse instead.
+    the transpose of the corresponding feedforward matrix; untied weights
+    would silently report a meaningless number, so we refuse instead.
     """
 
 

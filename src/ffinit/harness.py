@@ -276,6 +276,16 @@ def emit_csv(report: ExperimentReport, out_dir: str | Path) -> None:
     ``training_curve.csv`` the per-epoch reconstruction errors when
     training took place. Floats use shortest round-trip decimals, so
     re-parsing reproduces them exactly.
+
+    Summary statistics, over the evaluated inputs: ``initial_step_mag_*``
+    is the first sweep's step. ``iters_to_tol_*`` counts sweeps until the
+    step drops below the absolute ``tol`` (the budget if it never does),
+    so it measures contraction near the fixed point, not closeness to it.
+    ``final_residual_*`` is the largest single-branch prediction error
+    ``|d - h_k|`` over the layers of the relaxed state; predictions are
+    voltages and states rates, and a fixed point matches the clipped mean
+    of the branches, not each branch, so it is not zero there.
+    ``frac_converged`` is the share of inputs that reached ``tol``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

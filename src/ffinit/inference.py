@@ -128,7 +128,7 @@ def _layer_target(params: NetworkParams, rates, k: int,
                   d_bu: np.ndarray | None = None) -> np.ndarray:
     """Update target ``rho(branch_combine(d_bu, d_td))`` of hidden layer ``k``."""
     return apply_activation(params.activation,
-                            branch_combine(params, *branch_predictions(params, rates, k, d_bu)))
+                            branch_combine(*branch_predictions(params, rates, k, d_bu)))
 
 
 def direct_update_layer(params: NetworkParams, state: NetworkState, k: int) -> np.ndarray:

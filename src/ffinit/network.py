@@ -9,19 +9,20 @@ layer above (the top layer ``L`` has only the bottom-up branch),
 
     d_bu = b_k + W_k rho(s_{k-1}),    d_td = c_{k+1} + V_{k+1} rho(s_{k+1}).
 
-The layer update rule moves the layer to the rate of the gain-weighted
-mean of its branch predictions,
+The layer update rule moves the layer to the rate of the plain mean of
+its branch predictions, so that both branches contribute equally to the
+soma's total input,
 
-    s_k <- rho((g_bu d_bu + g_td d_td) / (g_bu + g_td)),    s_L <- rho(g_bu d_bu / g_bu),
+    s_k <- rho((d_bu + d_td) / 2),    s_L <- rho(d_bu),
 
-so a state that every branch predicts exactly is a fixed point.
+and a state that every branch predicts exactly is a fixed point.
 :func:`branch_predictions` is the only place that computes ``(d_bu,
 d_td)`` from layer rates and :func:`branch_combine` the only place that
-weighs them; relaxation (:mod:`ffinit.inference`), the energy gradient
+combines them; relaxation (:mod:`ffinit.inference`), the energy gradient
 and :func:`mutual_prediction_residual` all go through them.
 
 Inputs are checked once, where they enter: :class:`NetworkParams`
-(shapes, finite arrays, the gain domain), :class:`NetworkState` (shapes,
+(shapes, finite arrays), :class:`NetworkState` (shapes,
 finite entries) and :class:`ffinit.data.DatasetHandle` (finite items in
 ``[0, 1]``). Every state an operation takes or returns is a
 :class:`NetworkState`, so a run that overflows to a non-finite value
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (ConfigurationError, DimensionError, InvalidInputError,
-                         check_count, check_member, check_real)
+                         check_count, check_member)
 
 
 class Activation(enum.Enum):
@@ -72,18 +73,9 @@ def _encode(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _on_slope(x: np.ndarray) -> np.ndarray:
-    """Where the hard sigmoid's subderivative is 1, as a boolean mask."""
+    """Where the hard sigmoid's subderivative is 1, as a boolean mask: on
+    ``[0, 1]``, the two kinks fixed to 1 so that the result is deterministic."""
     return (x >= 0.0) & (x <= 1.0)
-
-
-def activation_subderivative(activation: Activation, x: np.ndarray) -> np.ndarray:
-    """Element-wise (sub)derivative of the rate non-linearity.
-
-    For the hard sigmoid the subderivative is 1 on the closed interval
-    ``[0, 1]`` and 0 outside; the value at the two kinks is fixed to 1 so
-    that downstream computations are deterministic.
-    """
-    return _on_slope(np.asarray(x, dtype=float)).astype(float)
 
 
 def _frozen(x) -> np.ndarray:
@@ -165,10 +157,9 @@ class NetworkParams:
             ``n_{k+1}``.
         fb_offsets: ``L`` top-down branch offsets, entry ``k`` of length
             ``n_k``.
-        branch_gains: Finite ``(bottom_up, top_down)`` gains used when
-            combining branch predictions. The bottom-up gain is positive,
-            because the top layer has no other branch; the top-down gain
-            is non-negative.
+        branch_gains: Always ``(1.0, 1.0)``: the branches are combined by
+            their plain mean (see :func:`branch_combine`), and any other
+            value is rejected.
         activation: Rate non-linearity shared by all layers, or its value string.
 
     Every array is held read-only in C order, so one instance can safely
@@ -183,6 +174,7 @@ class NetworkParams:
     fb_weights: tuple[np.ndarray, ...]
     ff_offsets: tuple[np.ndarray, ...]
     fb_offsets: tuple[np.ndarray, ...]
+    # Kept only because perfbench builds and reads it.
     branch_gains: tuple[float, float] = (1.0, 1.0)
     activation: Activation = Activation.HARD_SIGMOID
 
@@ -206,15 +198,13 @@ class NetworkParams:
                     raise InvalidInputError(f"{name}[{k}] contains non-finite entries")
                 frozen.append(a)
             object.__setattr__(self, name, tuple(frozen))
-        try:
-            g_bu, g_td = self.branch_gains
-        except (TypeError, ValueError):
+        gains = self.branch_gains
+        if (not isinstance(gains, tuple) or gains != (1.0, 1.0)
+                or any(isinstance(g, (bool, np.bool_)) for g in gains)):
             raise ConfigurationError(
-                f"branch_gains must be a (bottom_up, top_down) pair, "
-                f"got {self.branch_gains!r}") from None
-        check_real("the bottom-up branch gain", g_bu, 0.0, strict=True)
-        check_real("the top-down branch gain", g_td, 0.0)
-        object.__setattr__(self, "branch_gains", (float(g_bu), float(g_td)))
+                f"branch_gains must be (1.0, 1.0): the two branches are combined by "
+                f"their plain mean; got {gains!r}")
+        object.__setattr__(self, "branch_gains", (1.0, 1.0))
         object.__setattr__(self, "activation",
                            check_member("activation", self.activation, Activation))
 
@@ -302,27 +292,22 @@ def branch_predictions(params: NetworkParams, rates, k: int,
     return d_bu, params.fb_offsets[k] + rates[k + 1] @ params.fb_weights[k].T
 
 
-def branch_combine(params: NetworkParams, d_bu: np.ndarray,
-                   d_td: np.ndarray | None = None) -> np.ndarray:
-    """Gain-weighted mean of the branch predictions.
+def branch_combine(d_bu: np.ndarray, d_td: np.ndarray | None = None) -> np.ndarray:
+    """Plain mean of the branch predictions.
 
-    Computes ``(g_bu * d_bu + g_td * d_td) / (g_bu + g_td)``; for the top
-    layer, which has no top-down branch, ``g_bu * d_bu / g_bu``.
-
-    :class:`NetworkParams` keeps ``g_bu`` positive, so neither
-    denominator is zero.
+    Computes ``(d_bu + d_td) / 2``; for the top layer, which has no
+    top-down branch, ``d_bu`` itself.
 
     Raises:
         DimensionError: If the two predictions differ in length.
     """
-    g_bu, g_td = params.branch_gains
     d_bu = np.asarray(d_bu, dtype=float)
     if d_td is None:
-        return g_bu * d_bu / g_bu
+        return d_bu
     d_td = np.asarray(d_td, dtype=float)
     if d_td.shape != d_bu.shape:
         raise DimensionError("branch predictions must have the same length")
-    return (g_bu * d_bu + g_td * d_td) / (g_bu + g_td)
+    return (d_bu + d_td) / 2
 
 
 def feedforward_init(params: NetworkParams, visible: np.ndarray) -> NetworkState:

@@ -225,8 +225,10 @@ def sweep_oracle(params, state, n_iters):
     """Straight-line reimplementation of the alternating direct sweep.
 
     Returns the final hidden vectors and the per-iteration step
-    magnitudes, using the same odd-then-even order and gain-weighted
-    branch averaging as the inference engine.
+    magnitudes, using the same odd-then-even order as the inference
+    engine. It weighs the two branches by ``params.branch_gains``, written
+    out: at the only gains there are, (1, 1), that is exactly the bits of
+    the engine's plain mean.
     """
     assert params.activation is Activation.HARD_SIGMOID
     a_bu, a_td = params.branch_gains

@@ -130,7 +130,9 @@ DAMAGE = {
     "wrong-shape": (lambda path: rewrite_checkpoint(path, ff_weights_0=np.zeros((16, 8))),
                     r"ff_weights\[0\] must have shape \(8, 16\)"),
     "one-gain": (lambda path: rewrite_checkpoint(path, meta={"branch_gains": [1.0]}),
-                 "branch_gains must be a list of two numbers"),
+                 r"branch_gains must be \[1.0, 1.0\]"),
+    "meta-nested-100000-deep": (lambda path: rewrite_checkpoint(path, meta="[" * 100000),
+                                "no valid meta entry"),
 }
 
 
@@ -203,7 +205,7 @@ class TestErrors:
     def test_checkpoint_gains_outside_domain_rejected(self, tmp_path, capsys, config, model,
                                                       gains):
         rewrite_checkpoint(model, meta={"branch_gains": gains})
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match=r"branch_gains must be \[1.0, 1.0\]"):
             load_params(model)
         assert_usage_error(capsys, "infer", "--config", config, "--model", model)
 

@@ -266,13 +266,13 @@ class TestCheckpointRoundTrip:
                                                 for n in (5, 3)),
                                fb_offsets=tuple(rng.normal(size=n)
                                                 for n in (6, 5)),
-                               branch_gains=(1.25, 0.75),
+                               branch_gains=(1.0, 1.0),
                                activation=Activation.HARD_SIGMOID)
         path = tmp_path / "model.json"
         save_params(params, path)
         loaded = load_params(path)
         assert loaded.activation is Activation.HARD_SIGMOID
-        assert loaded.branch_gains == (1.25, 0.75)
+        assert loaded.branch_gains == (1.0, 1.0)
         assert_bit_identical(params, loaded)
 
     def test_loaded_arrays_are_read_only(self, tmp_path):
@@ -318,13 +318,13 @@ class TestCheckpointRoundTrip:
             load_params(path)
 
     @pytest.mark.parametrize("gains", [[1.0], [1, 1, 5], "11", [True, True], [1.0, "1"],
-                                       {"bu": 1, "td": 1}, None],
+                                       {"bu": 1, "td": 1}, None, [1.25, 0.75]],
                              ids=["one", "three", "string", "bools", "number-string",
-                                  "object", "null"])
-    def test_gains_not_two_numbers_rejected(self, tmp_path, gains):
+                                  "object", "null", "weighted-mean"])
+    def test_gains_other_than_the_plain_mean_rejected(self, tmp_path, gains):
         path, _ = saved_checkpoint(tmp_path)
         rewrite_checkpoint(path, meta={"branch_gains": gains})
-        with pytest.raises(CheckpointError, match="branch_gains must be a list of two numbers"):
+        with pytest.raises(CheckpointError, match=r"branch_gains must be \[1.0, 1.0\]"):
             load_params(path)
 
     def test_missing_key_rejected(self, tmp_path):

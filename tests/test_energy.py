@@ -32,11 +32,6 @@ class TestEnergyModelValidation:
         with pytest.raises(NotAnEnergyModelError):
             EnergyModel(params)
 
-    def test_unequal_gains_refused(self):
-        params = make_params((2, 1), [np.zeros((1, 2))], gains=(1.0, 2.0))
-        with pytest.raises(NotAnEnergyModelError):
-            EnergyModel(params)
-
 
 class TestEnergyValue:
     def test_zero_state_zero_offsets(self):

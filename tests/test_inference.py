@@ -64,17 +64,6 @@ class TestDirectUpdateLayer:
         assert np.array_equal(direct_update_layer(params, state, 1), [0.5])
         assert np.array_equal(direct_update_layer(params, state, 2), [0.5])
 
-    def test_degenerate_gain_reduces_to_feedforward(self):
-        rng = np.random.default_rng(0)
-        base = random_tied_params(rng, sizes=(4, 3, 2), with_offsets=True)
-        params = make_params(base.spec.sizes, base.ff_weights,
-                             fb_weights=base.fb_weights, ff_offsets=base.ff_offsets,
-                             fb_offsets=base.fb_offsets, gains=(1.0, 0.0))
-        state = random_state(rng, params)
-        got = direct_update_layer(params, state, 1)
-        d_bu = params.ff_offsets[0] + np.clip(state.visible, 0, 1) @ params.ff_weights[0].T
-        assert np.array_equal(got, np.clip(d_bu, 0, 1))
-
     def test_matches_compositional_oracle(self):
         rng = np.random.default_rng(1)
         params = random_tied_params(rng, sizes=(5, 4, 3, 2), with_offsets=True)
@@ -85,7 +74,7 @@ class TestDirectUpdateLayer:
             d_td = (params.fb_offsets[k] + rates[k + 1] @ params.fb_weights[k].T
                     if k < 3 else None)
             want = apply_activation(params.activation,
-                                    branch_combine(params, d_bu, d_td))
+                                    branch_combine(d_bu, d_td))
             assert np.array_equal(direct_update_layer(params, state, k), want)
 
     def test_does_not_mutate_state(self):

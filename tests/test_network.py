@@ -85,26 +85,16 @@ class TestSpecAndParams:
         with pytest.raises(InvalidInputError):
             make_params((2, 3), [w])
 
-    def test_gains_not_both_zero(self):
-        with pytest.raises(ConfigurationError):
-            make_params((2, 3), [np.zeros((3, 2))], gains=(0.0, 0.0))
-
-    def test_negative_gain_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_params((2, 3), [np.zeros((3, 2))], gains=(-1.0, 1.0))
-
-    # The top layer has only its bottom-up branch, so its gain must be positive.
-    @pytest.mark.parametrize("gains", [(0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
-                                       (1.0, np.nan), (1.0, np.inf)],
-                             ids=["zero-bu", "nan-bu", "inf-bu", "nan-td", "inf-td"])
-    def test_gain_outside_domain_rejected(self, gains):
-        with pytest.raises(ConfigurationError):
-            make_params((2, 3), [np.zeros((3, 2))], gains=gains)
-
-    @pytest.mark.parametrize("gains", [(1.0,), (1.0, 1.0, 5.0), 1.0],
-                             ids=["one", "three", "scalar"])
-    def test_gains_not_a_pair_rejected(self, gains):
-        with pytest.raises(ConfigurationError, match="pair"):
+    # The branches are combined by their plain mean, so (1, 1) are the only gains.
+    @pytest.mark.parametrize("gains", [(0.0, 0.0), (-1.0, 1.0), (0.0, 1.0), (np.nan, 1.0),
+                                       (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf), (1.0, 0.0),
+                                       (2.0, 1.0), (1.0, 2.0), (1.25, 0.75), (True, True),
+                                       (1.0,), (1.0, 1.0, 5.0), 1.0, [1.0, 1.0]],
+                             ids=["both-zero", "negative", "zero-bu", "nan-bu", "inf-bu",
+                                  "nan-td", "inf-td", "zero-td", "weighted-bu", "weighted-td",
+                                  "weighted-mean", "bools", "one", "three", "scalar", "list"])
+    def test_gains_other_than_the_plain_mean_rejected(self, gains):
+        with pytest.raises(ConfigurationError, match=r"branch_gains must be \(1.0, 1.0\)"):
             make_params((2, 3), [np.zeros((3, 2))], gains=gains)
 
     def test_arrays_read_only(self):
@@ -224,37 +214,40 @@ class TestTopDown:
 
 
 class TestBranchCombine:
-    def test_equal_gains_mean(self):
-        params = make_params((1, 1), [[[0.0]]])
-        out = branch_combine(params, np.array([0.2]), np.array([0.4]))
+    def test_plain_mean(self):
+        out = branch_combine(np.array([0.2]), np.array([0.4]))
         assert np.allclose(out, [0.3], atol=1e-15)
 
-    def test_degenerate_gain_returns_bottom_up(self):
-        params = make_params((1, 1), [[[0.0]]], gains=(1.0, 0.0))
-        out = branch_combine(params, np.array([0.9]), np.array([123.0]))
-        assert np.array_equal(out, [0.9])
-
-    def test_weighted_case(self):
-        params = make_params((1, 1), [[[0.0]]], gains=(2.0, 1.0))
-        out = branch_combine(params, np.array([0.3]), np.array([0.9]))
-        assert np.allclose(out, [0.5], atol=1e-15)
-
     def test_length_mismatch(self):
-        params = make_params((1, 1), [[[0.0]]])
         with pytest.raises(DimensionError):
-            branch_combine(params, np.zeros(2), np.zeros(3))
+            branch_combine(np.zeros(2), np.zeros(3))
 
     def test_convexity_property(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            gains = tuple(rng.uniform(0.1, 3.0, size=2))
-            params = make_params((1, 1), [[[0.0]]], gains=gains)
             d_bu = rng.normal(size=6)
             d_td = rng.normal(size=6)
-            out = branch_combine(params, d_bu, d_td)
+            out = branch_combine(d_bu, d_td)
             lo = np.minimum(d_bu, d_td) - 1e-12
             hi = np.maximum(d_bu, d_td) + 1e-12
             assert np.all(out >= lo) and np.all(out <= hi)
+
+    def test_bits_of_the_unit_gain_weighted_mean(self):
+        """The plain mean gives exactly the bits of the gain-weighted mean at
+        gains (1, 1), on random blocks and on signed zeros, subnormals and
+        values near the float maximum (where ``a + b`` overflows)."""
+        rng = np.random.default_rng(6)
+        tiny, huge = np.finfo(float).smallest_subnormal, np.finfo(float).max
+        edges = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-310, -1e-310,
+                          huge, -huge, huge / 2, np.nextafter(huge, 0.0), 1.0, -1.0])
+        blocks = [(rng.normal(scale=10.0, size=(40, 25)), rng.normal(scale=10.0, size=(40, 25))),
+                  np.meshgrid(edges, edges)]
+        for d_bu, d_td in blocks:
+            with np.errstate(over="ignore"):
+                want = (1.0 * d_bu + 1.0 * d_td) / (1.0 + 1.0)
+                got = branch_combine(d_bu, d_td)
+            assert got.tobytes() == want.tobytes()
+            assert branch_combine(d_bu).tobytes() == (1.0 * d_bu / 1.0).tobytes()
 
 
 class TestFeedforwardInit:
