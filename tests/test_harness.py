@@ -2,13 +2,16 @@
 per regime and the per-iteration CSV columns."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ffinit import harness
-from ffinit import (DataSource, DatasetError, LayerSpec, RelaxationConfig, TrainConfig,
-                    load_idx_images, synth_autoencodable)
+from ffinit import (DataSource, DatasetError, LayerSpec, RelaxationConfig, Scheme,
+                    TrainConfig, energy_model_or_none, infer_from_feedforward,
+                    load_idx_images, norm_matched_random, synth_autoencodable,
+                    train_stacked_ae)
 from ffinit.harness import DatasetSpec, ExperimentSpec, build_dataset, run_experiment
 from helpers import write_idx
 
@@ -57,6 +60,46 @@ def test_n_active_counts_the_inputs_still_relaxing(tmp_path):
         assert n_active == [int(np.sum(rr.iters_to_tol > i)) for i in range(len(rows))]
         assert n_active[0] == N_INPUTS and n_active[-1] >= 1
         assert all(a >= b for a, b in zip(n_active, n_active[1:]))
+
+
+@pytest.mark.parametrize("relaxation, train", [
+    (RelaxationConfig(max_iters=60), TrainConfig(epochs=2, batch_size=16)),
+    (RelaxationConfig(scheme=Scheme.LEAKY, tau=2.0, max_iters=80),
+     TrainConfig(epochs=2, batch_size=16, tie_decoder=True)),
+    (RelaxationConfig(scheme=Scheme.LANGEVIN, tau=2.0, noise_scale=0.01, max_iters=15,
+                      seed=4), TrainConfig(epochs=2, batch_size=16)),
+], ids=["direct", "leaky-tied", "langevin"])
+def test_iteration_means_average_over_the_inputs_still_relaxing(tmp_path, relaxation, train):
+    # Row i of <regime>.csv must hold the statistics of sweep i over exactly the
+    # inputs whose own run is longer than i sweeps. Training is deterministic
+    # under the seed, so the regimes' parameters are rebuilt here and every
+    # evaluated input is relaxed on its own.
+    s = replace(spec(tmp_path), relaxation=relaxation, train=train)
+    run_experiment(s)
+    data = build_dataset(s.dataset, s.sizes, s.seed)
+    trained = train_stacked_ae(data, s.sizes, s.train)
+    regimes = {"trained-ae": trained,
+               "random-tied": norm_matched_random(trained, train.init_scale, train.seed)}
+    for regime, params in regimes.items():
+        model = energy_model_or_none(params)
+        traces = [infer_from_feedforward(params, x, relaxation, energy_model=model)[1]
+                  for x in data.items[:N_INPUTS]]
+        with (tmp_path / f"{regime}.csv").open(newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == max(t.iters_run for t in traces)
+        for i, row in enumerate(rows):
+            active = [t for t in traces if t.iters_run > i]
+            steps = np.array([t.step_magnitudes[i] for t in active])
+            assert int(row["n_active"]) == len(active)
+            for column, want in (("step_mag_mean", steps.mean()),
+                                 ("step_mag_min", steps.min()),
+                                 ("step_mag_max", steps.max())):
+                assert float(row[column]) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            if model is None:
+                assert row["energy_mean"] == ""
+            else:
+                want = np.mean([t.energies[i + 1] for t in active])
+                assert float(row["energy_mean"]) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestBuildDataset:
