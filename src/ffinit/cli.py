@@ -25,6 +25,7 @@ from .harness import (
     experiment_spec_from_config,
     override_seed,
     run_experiment,
+    write_trace,
     write_training_curve,
 )
 from .inference import infer_from_feedforward
@@ -95,13 +96,7 @@ def _cmd_infer(args) -> int:
                                           energy_model=energy_model)
     residual = float(mutual_prediction_residual(params, state).max())
     if args.out:
-        lines = ["iter,step_magnitude" + (",energy" if energy_model is not None else "")]
-        for i, step in enumerate(trace.step_magnitudes):
-            row = f"{i},{float(step)!r}"
-            if energy_model is not None:
-                row += f",{float(trace.energies[i + 1])!r}"
-            lines.append(row)
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        write_trace(trace, args.out)
         print(f"wrote trace to {args.out}")
     print(f"item {args.index}: converged={trace.converged} after {trace.iters_run} "
           f"iterations, initial step {trace.step_magnitudes[0]:.6g}, "

@@ -33,7 +33,7 @@ from .exceptions import (
     check_member,
     check_real,
 )
-from .inference import RelaxationConfig, infer_from_feedforward
+from .inference import ConvergenceTrace, RelaxationConfig, infer_from_feedforward
 from .learning import (
     TrainConfig,
     init_random_tied,
@@ -168,29 +168,22 @@ def build_dataset(dspec: DatasetSpec, sizes: LayerSpec, seed: int) -> DatasetHan
 def _evaluate_regime(regime: str, params: NetworkParams, items: np.ndarray,
                      cfg: RelaxationConfig) -> RegimeResult:
     energy_model = energy_model_or_none(params)
-    state, traces = infer_from_feedforward(params, items, cfg, energy_model=energy_model)
+    state, trace = infer_from_feedforward(params, items, cfg, energy_model=energy_model)
     resid = mutual_prediction_residual(params, state).max(axis=1)
-    iters = np.asarray([t.iters_run for t in traces], dtype=int)
-    n_iters = int(iters.max(initial=0))
-    stats = np.empty((n_iters, 3))
-    n_active = np.empty(n_iters, dtype=int)
-    energy_means = np.empty(n_iters) if energy_model is not None else None
-    for i in range(n_iters):
-        active = [t for t in traces if t.iters_run > i]
-        vals = np.array([t.step_magnitudes[i] for t in active])
-        stats[i] = (vals.mean(), vals.min(), vals.max())
-        n_active[i] = len(active)
-        if energy_means is not None:
-            energy_means[i] = np.mean([t.energies[i + 1] for t in active])
+    steps = trace.step_magnitudes   # (inputs, sweeps), NaN after an input's last sweep
+    active = ~np.isnan(steps).T     # (sweeps, inputs)
+    # Each sweep's column compacted in input order: a mean sums as over its inputs alone.
+    columns = [steps[a, i] for i, a in enumerate(active)]
     return RegimeResult(
         regime=regime,
-        initial_steps=np.asarray([t.step_magnitudes[0] for t in traces]),
-        iters_to_tol=iters,
-        converged=np.asarray([t.converged for t in traces], dtype=bool),
+        initial_steps=steps[:, :1].ravel(),   # empty for no inputs
+        iters_to_tol=trace.iters_run,
+        converged=trace.converged,
         final_residuals=resid,
-        step_stats=stats,
-        n_active=n_active,
-        energy_means=energy_means,
+        step_stats=np.array([(c.mean(), c.min(), c.max()) for c in columns]).reshape(-1, 3),
+        n_active=active.sum(axis=1),
+        energy_means=None if energy_model is None else np.array(
+            [trace.energies[a, i + 1].mean() for i, a in enumerate(active)]),
     )
 
 
@@ -261,14 +254,23 @@ def write_training_curve(curve, path: str | Path) -> None:
                  + [f"{epoch},{pair},{_fmt(err)}" for pair, epoch, err in curve])
 
 
+def write_trace(trace: ConvergenceTrace, path: str | Path) -> None:
+    """Write one input's trace as the CSV ``iter,step_magnitude[,energy]``."""
+    e = trace.energies
+    _write_lines(Path(path), ["iter,step_magnitude" + ("" if e is None else ",energy")]
+                 + [f"{i},{_fmt(m)}" + ("" if e is None else f",{_fmt(e[i + 1])}")
+                    for i, m in enumerate(trace.step_magnitudes)])
+
+
 def emit_csv(report: ExperimentReport, out_dir: str | Path) -> None:
     """Write the report as CSV files under ``out_dir``.
 
     Per regime: ``<regime>.csv`` with columns
     ``iter,step_mag_mean,step_mag_min,step_mag_max,energy_mean,n_active``
     and ``<regime>_log10.csv`` with the same step statistics in log10.
-    ``n_active`` counts the inputs still relaxing at that iteration, and
-    the ``step_mag_*`` statistics and ``energy_mean`` average over those
+    ``n_active`` counts the inputs still relaxing at that iteration, the
+    entries of the block trace's column that are not NaN, and the
+    ``step_mag_*`` statistics and ``energy_mean`` average over those
     ``n_active`` inputs only; inputs that have converged drop out. The
     energy column is populated only for regimes whose parameters admit
     an energy, i.e. tied weights. ``summary.csv`` holds one

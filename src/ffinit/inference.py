@@ -28,8 +28,8 @@ computed once per run instead of once per sweep. The block contract:
   rows only by BLAS matrix-matrix versus matrix-vector rounding, about
   1e-14; iteration counts and convergence flags agree.
 * Rows stop independently: a row whose step drops below ``tol`` is
-  frozen and leaves the block, and its trace ends at its own
-  convergence.
+  frozen and leaves the block, and its row of the block's one trace is
+  NaN after its last sweep; a non-finite step raises, so none is NaN.
 * Langevin noise is shared across rows: each layer update draws one
   noise vector from the ``cfg.seed`` stream and adds it to every row,
   so every row sees the noise its own single-input run would see.
@@ -109,19 +109,22 @@ class RelaxationConfig:
 class ConvergenceTrace:
     """Per-iteration record of a relaxation run.
 
-    ``step_magnitudes[i]`` is the step of iteration ``i`` (one entry per
-    iteration run). When recorded, ``energies`` carries one extra leading
-    entry for the initial state, so ``energies[i + 1]`` is the energy
-    after iteration ``i``.
+    ``step_magnitudes[i]`` is the step of iteration ``i``. When recorded,
+    ``energies`` carries one extra leading entry for the initial state,
+    so ``energies[i + 1]`` is the energy after iteration ``i``. A block's
+    trace has a leading row axis, as a block state has: ``(B, sweeps)``
+    steps for its longest row's ``sweeps``, NaN after a row's last
+    sweep, and ``(B,)`` ``converged`` and ``iters_run``.
     """
 
     step_magnitudes: np.ndarray
-    converged: bool
+    converged: bool | np.ndarray
     energies: np.ndarray | None = None
 
     @property
-    def iters_run(self) -> int:
-        return len(self.step_magnitudes)
+    def iters_run(self) -> int | np.ndarray:
+        steps = self.step_magnitudes
+        return len(steps) if steps.ndim == 1 else np.count_nonzero(~np.isnan(steps), axis=1)
 
 
 def _layer_target(params: NetworkParams, rates, k: int,
@@ -152,9 +155,8 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
     all read-only like a state's layers.
     Only the rows still relaxing are updated: a row whose step drops
     below ``cfg.tol`` is written to the result and dropped from the
-    working block. Returns the final hidden blocks and, per row, the
-    step magnitudes, the converged flag and the energies (None without
-    an energy model).
+    working block. Returns the final hidden blocks and the block's
+    trace, whose records hold NaN for the rows that have stopped.
     """
     act = params.activation
     L = params.n_layers
@@ -165,17 +167,19 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
     rng = np.random.default_rng(cfg.seed) if cfg.noise_scale > 0.0 else None
     # The visible layer is clamped, so its drive into layer 1 is fixed.
     drive = params.ff_offsets[0] + apply_activation(act, visible) @ params.ff_weights[0].T
-    steps: list[list[float]] = [[] for _ in range(n_rows)]
+    steps: list[np.ndarray] = []   # one length-B record per sweep
     converged = np.zeros(n_rows, dtype=bool)
-    energies = [[] for _ in range(n_rows)] if energy_model is not None else None
+    energies: list[np.ndarray] | None = [] if energy_model is not None else None
+
+    def record(into, values):   # the working rows' values, NaN for the stopped rows
+        into.append(np.full(n_rows, np.nan))
+        into[-1][rows] = values
 
     def snapshot():
         if energies is not None:
             vis = visible if len(rows) == n_rows else visible[rows]
             vis.setflags(write=False)   # as the sweep's blocks are: the state adopts them
-            block = NetworkState(visible=vis, hidden=tuple(work))
-            for r, e in zip(rows, energy(energy_model, block)):
-                energies[r].append(float(e))
+            record(energies, energy(energy_model, NetworkState(visible=vis, hidden=tuple(work))))
 
     snapshot()
     for sweep in range(1, cfg.max_iters + 1):
@@ -199,8 +203,7 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
             # A NaN step never drops below tol, so stop at the first one.
             raise InvalidInputError(
                 f"relaxation overflowed to a non-finite state in sweep {sweep}")
-        for r, m in zip(rows, step):
-            steps[r].append(float(m))
+        record(steps, step)
         snapshot()
         if rng is None:
             done = step < cfg.tol
@@ -214,12 +217,14 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
     for out, h in zip(result, work):
         out[rows] = h
         out.setflags(write=False)   # NetworkState adopts it
-    return result, steps, converged, energies
+    return result, ConvergenceTrace(
+        step_magnitudes=np.reshape(steps, (len(steps), n_rows)).T,   # (0, 0) for no rows
+        converged=converged, energies=None if energies is None else np.array(energies).T)
 
 
 def relax(params: NetworkParams, state: NetworkState, cfg: RelaxationConfig,
           energy_model: EnergyModel | None = None
-          ) -> tuple[NetworkState, ConvergenceTrace | list[ConvergenceTrace]]:
+          ) -> tuple[NetworkState, ConvergenceTrace]:
     """Run the configured relaxation scheme from a given state.
 
     Iterates until the full-sweep step magnitude drops below ``cfg.tol``
@@ -239,32 +244,29 @@ def relax(params: NetworkParams, state: NetworkState, cfg: RelaxationConfig,
             parameters.
 
     Returns:
-        The relaxed state and its convergence trace; for a block state,
-        the relaxed block and a list of one trace per row.
+        The relaxed state and its convergence trace; a block's trace has
+        a leading row axis (see :class:`ConvergenceTrace`).
 
     Raises:
         InvalidInputError: If the run overflows to a non-finite state;
             raised in the sweep where that happens.
     """
     check_state(params, state)
-    single = state.visible.ndim == 1
-    hidden, steps, converged, energies = _relax_block(
+    hidden, trace = _relax_block(
         params, np.atleast_2d(state.visible), [np.atleast_2d(h) for h in state.hidden],
         cfg, energy_model)
-    traces = [ConvergenceTrace(
-        step_magnitudes=np.asarray(steps[i]),
-        converged=bool(converged[i]),
-        energies=np.asarray(energies[i]) if energies is not None else None,
-    ) for i in range(len(steps))]
-    if single:
-        return NetworkState(visible=state.visible, hidden=tuple(h[0] for h in hidden)), traces[0]
-    return NetworkState(visible=state.visible, hidden=tuple(hidden)), traces
+    if state.visible.ndim == 1:
+        hidden = [h[0] for h in hidden]
+        trace = ConvergenceTrace(
+            step_magnitudes=trace.step_magnitudes[0], converged=bool(trace.converged[0]),
+            energies=None if trace.energies is None else trace.energies[0])
+    return NetworkState(visible=state.visible, hidden=tuple(hidden)), trace
 
 
 def infer_from_feedforward(params: NetworkParams, visible: np.ndarray,
                            cfg: RelaxationConfig,
                            energy_model: EnergyModel | None = None
-                           ) -> tuple[NetworkState, ConvergenceTrace | list[ConvergenceTrace]]:
+                           ) -> tuple[NetworkState, ConvergenceTrace]:
     """Feedforward-initialize on a clamped input, then relax.
 
     Equivalent to ``relax(params, feedforward_init(params, visible), cfg)``;

@@ -5,6 +5,7 @@ from ffinit import inference, network
 from ffinit import (
     Activation,
     ConfigurationError,
+    ConvergenceTrace,
     DimensionError,
     EnergyModel,
     InvalidInputError,
@@ -295,11 +296,11 @@ class TestInferFromFeedforward:
         # random weights of the same norms need further sweeps.
         data, exact = synth_autoencodable(50, LayerSpec(sizes=(12, 10, 8, 6)), seed=0)
         cfg = RelaxationConfig()
-        _, exact_traces = infer_from_feedforward(exact, data.items, cfg)
-        _, random_traces = infer_from_feedforward(norm_matched_random(exact, 1.0, 0),
-                                                  data.items, cfg)
-        assert all(t.converged and t.iters_run == 1 for t in exact_traces)
-        assert all(t.iters_run > 1 for t in random_traces)
+        _, exact_trace = infer_from_feedforward(exact, data.items, cfg)
+        _, random_trace = infer_from_feedforward(norm_matched_random(exact, 1.0, 0),
+                                                 data.items, cfg)
+        assert exact_trace.converged.all() and (exact_trace.iters_run == 1).all()
+        assert (random_trace.iters_run > 1).all()
 
     @staticmethod
     def overflowing_params():
@@ -338,6 +339,14 @@ def block_of(states):
                         hidden=tuple(np.stack(h) for h in zip(*(s.hidden for s in states))))
 
 
+def row_of(trace, i):
+    """Row ``i`` of a block trace as a single input's trace, cut at its last sweep."""
+    n = trace.iters_run[i]
+    return ConvergenceTrace(
+        step_magnitudes=trace.step_magnitudes[i, :n], converged=bool(trace.converged[i]),
+        energies=None if trace.energies is None else trace.energies[i, :n + 1])
+
+
 class TestBlockRelaxation:
     """A block of inputs relaxes as one state whose rows stop independently."""
 
@@ -346,12 +355,12 @@ class TestBlockRelaxation:
         params = random_tied_params(rng, sizes=(30, 20, 20, 20), with_offsets=True)
         x = rng.uniform(0, 1, size=30)
         state = feedforward_init(params, x)
-        block, traces = relax(params, feedforward_init(params, x[None]),
-                              RelaxationConfig(max_iters=25, tol=1e-300))
+        block, trace = relax(params, feedforward_init(params, x[None]),
+                             RelaxationConfig(max_iters=25, tol=1e-300))
         oracle_hidden, oracle_steps = sweep_oracle(params, state, 25)
-        assert len(traces) == 1
+        assert trace.step_magnitudes.shape == (1, 25)
         assert all(np.array_equal(h[0], o) for h, o in zip(block.hidden, oracle_hidden))
-        assert np.array_equal(traces[0].step_magnitudes, np.asarray(oracle_steps))
+        assert np.array_equal(trace.step_magnitudes[0], np.asarray(oracle_steps))
         assert np.array_equal(block.visible[0], x)
 
     def test_batch_of_one_equals_the_vector_call(self):
@@ -361,12 +370,12 @@ class TestBlockRelaxation:
         x = rng.uniform(0, 1, size=12)
         cfg = RelaxationConfig(max_iters=40)
         one, trace = infer_from_feedforward(params, x, cfg, energy_model=model)
-        block, (row_trace,) = infer_from_feedforward(params, x[None], cfg,
-                                                     energy_model=model)
+        block, block_trace = infer_from_feedforward(params, x[None], cfg, energy_model=model)
         assert all(np.array_equal(h[0], g) for h, g in zip(block.hidden, one.hidden))
-        assert np.array_equal(row_trace.step_magnitudes, trace.step_magnitudes)
-        assert np.array_equal(row_trace.energies, trace.energies)
-        assert row_trace.converged == trace.converged
+        assert np.array_equal(block_trace.step_magnitudes, trace.step_magnitudes[None])
+        assert np.array_equal(block_trace.energies, trace.energies[None])
+        assert block_trace.converged.tolist() == [trace.converged]
+        assert block_trace.iters_run.tolist() == [trace.iters_run]
         assert np.array_equal(mutual_prediction_residual(params, block)[0],
                               mutual_prediction_residual(params, one))
         assert energy(model, block)[0] == energy(model, one)
@@ -380,21 +389,21 @@ class TestBlockRelaxation:
                                             with_offsets=True)
                 model = EnergyModel(params)
                 items = rng.uniform(0, 1, size=(9, params.spec.visible_size))
-                block, traces = infer_from_feedforward(params, items, scheme,
-                                                       energy_model=model)
+                block, block_trace = infer_from_feedforward(params, items, scheme,
+                                                            energy_model=model)
                 assert block.hidden[0].shape == (9, params.spec.sizes[1])
                 residuals = mutual_prediction_residual(params, block)
                 assert residuals.shape == (9, params.n_layers)
                 for i, x in enumerate(items):
                     state, trace = infer_from_feedforward(params, x, scheme,
                                                           energy_model=model)
-                    assert traces[i].iters_run == trace.iters_run
-                    assert traces[i].converged == trace.converged
+                    row = row_of(block_trace, i)
+                    assert row.iters_run == trace.iters_run
+                    assert row.converged == trace.converged
                     for h, g in zip(block.hidden, state.hidden):
                         assert np.abs(h[i] - g).max() <= 1e-12
-                    assert np.abs(traces[i].step_magnitudes
-                                  - trace.step_magnitudes).max() <= 1e-12
-                    assert np.abs(traces[i].energies - trace.energies).max() <= 1e-12
+                    assert np.abs(row.step_magnitudes - trace.step_magnitudes).max() <= 1e-12
+                    assert np.abs(row.energies - trace.energies).max() <= 1e-12
                     assert np.abs(residuals[i]
                                   - mutual_prediction_residual(params, state)).max() <= 1e-12
 
@@ -405,7 +414,8 @@ class TestBlockRelaxation:
         far = NetworkState(visible=data.items[1],
                            hidden=tuple(rng.uniform(0, 1, size=n) for n in (6, 5, 4)))
         cfg = RelaxationConfig(max_iters=200)
-        block, (t_rest, t_far) = relax(params, block_of([at_rest, far]), cfg)
+        block, trace = relax(params, block_of([at_rest, far]), cfg)
+        t_rest, t_far = row_of(trace, 0), row_of(trace, 1)
         alone, t_alone = relax(params, at_rest, cfg)
         assert t_rest.converged and t_rest.iters_run == t_alone.iters_run == 1
         assert t_far.iters_run > t_rest.iters_run
@@ -417,18 +427,40 @@ class TestBlockRelaxation:
         assert all(np.abs(h[1] - g).max() <= 1e-12
                    for h, g in zip(block.hidden, far_alone.hidden))
 
+    def test_rows_that_stop_early_are_padded_with_nan(self):
+        # Rows stop at different sweeps, some by convergence and some at the
+        # budget; the block's trace is as wide as its longest row.
+        rng = np.random.default_rng(28)
+        params = random_tied_params(rng, sizes=(10, 8, 6, 4), scale=1.5, with_offsets=True)
+        states = ([random_state(rng, params) for _ in range(5)]
+                  + [feedforward_init(params, rng.uniform(0, 1, size=10))])
+        cfg, model = RelaxationConfig(max_iters=57, tol=1e-9), EnergyModel(params)
+        _, trace = relax(params, block_of(states), cfg, energy_model=model)
+        alone = [relax(params, state, cfg, energy_model=model)[1] for state in states]
+        assert trace.iters_run.tolist() == [t.iters_run for t in alone]
+        assert trace.converged.tolist() == [t.converged for t in alone]
+        assert len(set(trace.iters_run)) > 2 and len(set(trace.converged)) == 2
+        width = max(t.iters_run for t in alone)
+        assert trace.step_magnitudes.shape == (6, width)
+        assert trace.energies.shape == (6, width + 1)
+        for steps, energies, n in zip(trace.step_magnitudes, trace.energies, trace.iters_run):
+            assert np.isfinite(steps[:n]).all() and np.isnan(steps[n:]).all()
+            assert np.isfinite(energies[:n + 1]).all() and np.isnan(energies[n + 1:]).all()
+
     def test_tied_block_energies_never_increase(self):
         rng = np.random.default_rng(24)
         for _ in range(10):
             params = random_tied_params(rng, random_sizes(rng), scale=1.5,
                                         with_offsets=True)
             states = [random_state(rng, params) for _ in range(6)]
-            _, traces = relax(params, block_of(states),
-                              RelaxationConfig(max_iters=30, tol=1e-12),
-                              energy_model=EnergyModel(params))
-            for trace in traces:
-                assert len(trace.energies) == trace.iters_run + 1
-                assert np.all(np.diff(trace.energies) <= 1e-10)
+            _, trace = relax(params, block_of(states),
+                             RelaxationConfig(max_iters=30, tol=1e-12),
+                             energy_model=EnergyModel(params))
+            assert trace.energies.shape == (6, trace.step_magnitudes.shape[1] + 1)
+            for i in range(6):
+                energies = row_of(trace, i).energies
+                assert np.isfinite(energies).all()
+                assert np.all(np.diff(energies) <= 1e-10)
 
     def test_energy_snapshots_adopt_the_working_blocks(self, monkeypatch):
         # Each snapshot's NetworkState adopts the engine's read-only blocks, also
@@ -452,13 +484,13 @@ class TestBlockRelaxation:
         final, got = relax(params, state, cfg, energy_model=model)
         monkeypatch.undo()
         assert copied == []
-        assert len({t.iters_run for t in got}) > 1   # rows leave at different sweeps
-        for row, (g, w) in enumerate(zip(got, want)):
-            assert np.array_equal(g.energies, w.energies)
+        assert len(set(got.iters_run)) > 1   # rows leave at different sweeps
+        assert np.array_equal(got.energies, want.energies, equal_nan=True)
+        for row, n in enumerate(got.iters_run):
             last = NetworkState(visible=final.visible[row],
                                 hidden=tuple(h[row] for h in final.hidden))
-            assert g.energies[-1] == pytest.approx(dense_energy_oracle(params, last),
-                                                   rel=1e-12, abs=1e-12)
+            assert got.energies[row, n] == pytest.approx(dense_energy_oracle(params, last),
+                                                         rel=1e-12, abs=1e-12)
 
     def test_langevin_rows_match_their_per_item_runs(self):
         rng = np.random.default_rng(25)
@@ -466,21 +498,25 @@ class TestBlockRelaxation:
         cfg = RelaxationConfig(scheme=Scheme.LANGEVIN, noise_scale=0.05, tau=2.0,
                                max_iters=20, seed=7)
         states = [random_state(rng, params) for _ in range(5)]
-        block, traces = relax(params, block_of(states), cfg)
+        block, block_trace = relax(params, block_of(states), cfg)
+        assert block_trace.step_magnitudes.shape == (5, 20)
         for i, state in enumerate(states):
             alone, trace = relax(params, state, cfg)
-            assert traces[i].iters_run == trace.iters_run == 20
-            assert not traces[i].converged
+            row = row_of(block_trace, i)
+            assert row.iters_run == trace.iters_run == 20
+            assert not row.converged
             assert all(np.abs(h[i] - g).max() <= 1e-12
                        for h, g in zip(block.hidden, alone.hidden))
-            assert np.abs(traces[i].step_magnitudes - trace.step_magnitudes).max() <= 1e-12
+            assert np.abs(row.step_magnitudes - trace.step_magnitudes).max() <= 1e-12
 
     def test_empty_block(self):
         rng = np.random.default_rng(26)
         params = random_tied_params(rng, sizes=(4, 3, 2))
-        block, traces = infer_from_feedforward(params, np.empty((0, 4)), RelaxationConfig(),
-                                               energy_model=EnergyModel(params))
-        assert traces == [] and block.hidden[1].shape == (0, 2)
+        block, trace = infer_from_feedforward(params, np.empty((0, 4)), RelaxationConfig(),
+                                              energy_model=EnergyModel(params))
+        assert trace.step_magnitudes.shape == (0, 0) and trace.energies.shape == (0, 1)
+        assert trace.iters_run.shape == (0,) and trace.converged.shape == (0,)
+        assert block.hidden[1].shape == (0, 2)
         assert mutual_prediction_residual(params, block).shape == (0, 2)
 
     def test_block_rows_must_agree(self):
