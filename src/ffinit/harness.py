@@ -269,9 +269,8 @@ def emit_csv(report: ExperimentReport, out_dir: str | Path) -> None:
     ``iter,step_mag_mean,step_mag_min,step_mag_max,energy_mean,n_active``
     and ``<regime>_log10.csv`` with the same step statistics in log10.
     ``n_active`` counts the inputs still relaxing at that iteration, the
-    entries of the block trace's column that are not NaN, and the
-    ``step_mag_*`` statistics and ``energy_mean`` average over those
-    ``n_active`` inputs only; inputs that have converged drop out. The
+    non-NaN entries of its column of the block trace, and ``step_mag_*``
+    and ``energy_mean`` average over those inputs only, in input order. The
     energy column is populated only for regimes whose parameters admit
     an energy, i.e. tied weights. ``summary.csv`` holds one
     ``regime,metric,value`` row per summary statistic, and

@@ -167,23 +167,34 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
     rng = np.random.default_rng(cfg.seed) if cfg.noise_scale > 0.0 else None
     # The visible layer is clamped, so its drive into layer 1 is fixed.
     drive = params.ff_offsets[0] + apply_activation(act, visible) @ params.ff_weights[0].T
-    steps: list[np.ndarray] = []   # one length-B record per sweep
+    # One column per sweep (energies: plus the initial state's), NaN for stopped
+    # rows; the columns double when full, as an array per sweep fragments the heap.
+    steps = np.full((n_rows, 8), np.nan)
+    energies = np.full((n_rows, 8), np.nan) if energy_model is not None else None
     converged = np.zeros(n_rows, dtype=bool)
-    energies: list[np.ndarray] | None = [] if energy_model is not None else None
 
-    def record(into, values):   # the working rows' values, NaN for the stopped rows
-        into.append(np.full(n_rows, np.nan))
-        into[-1][rows] = values
+    def record(into, j, values):
+        if j == into.shape[1]:
+            into = np.concatenate([into, np.full_like(into, np.nan)], axis=1)
+        into[rows, j] = values
+        return into
 
-    def snapshot():
+    for sweep in range(cfg.max_iters + 1):   # sweeps done so far
         if energies is not None:
             vis = visible if len(rows) == n_rows else visible[rows]
             vis.setflags(write=False)   # as the sweep's blocks are: the state adopts them
-            record(energies, energy(energy_model, NetworkState(visible=vis, hidden=tuple(work))))
-
-    snapshot()
-    for sweep in range(1, cfg.max_iters + 1):
-        if not len(rows):
+            energies = record(energies, sweep,
+                              energy(energy_model, NetworkState(visible=vis, hidden=tuple(work))))
+        if rng is None and sweep:
+            done = step < cfg.tol
+            if done.any():
+                converged[rows[done]] = True
+                for out, h in zip(result, work):
+                    out[rows[done]] = h[done]
+                keep = ~done
+                rows, drive = rows[keep], drive[keep]
+                work = [h[keep] for h in work]
+        if sweep == cfg.max_iters or not len(rows):
             break
         before = np.concatenate(work, axis=1)
         for first in (1, 2):
@@ -202,24 +213,14 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
         if not np.isfinite(step).all():
             # A NaN step never drops below tol, so stop at the first one.
             raise InvalidInputError(
-                f"relaxation overflowed to a non-finite state in sweep {sweep}")
-        record(steps, step)
-        snapshot()
-        if rng is None:
-            done = step < cfg.tol
-            if done.any():
-                converged[rows[done]] = True
-                for out, h in zip(result, work):
-                    out[rows[done]] = h[done]
-                keep = ~done
-                rows, drive = rows[keep], drive[keep]
-                work = [h[keep] for h in work]
+                f"relaxation overflowed to a non-finite state in sweep {sweep + 1}")
+        steps = record(steps, sweep, step)
     for out, h in zip(result, work):
         out[rows] = h
         out.setflags(write=False)   # NetworkState adopts it
     return result, ConvergenceTrace(
-        step_magnitudes=np.reshape(steps, (len(steps), n_rows)).T,   # (0, 0) for no rows
-        converged=converged, energies=None if energies is None else np.array(energies).T)
+        step_magnitudes=steps[:, :sweep], converged=converged,
+        energies=None if energies is None else energies[:, :sweep + 1])
 
 
 def relax(params: NetworkParams, state: NetworkState, cfg: RelaxationConfig,
