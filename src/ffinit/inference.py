@@ -29,7 +29,7 @@ computed once per run instead of once per sweep. The block contract:
   1e-14; iteration counts and convergence flags agree.
 * Rows stop independently: a row whose step drops below ``tol`` is
   frozen and leaves the block, and its row of the block's one trace is
-  NaN after its last sweep; a non-finite step raises, so none is NaN.
+  NaN after its last sweep (a non-finite step raises, so a recorded one is finite).
 * Langevin noise is shared across rows: each layer update draws one
   noise vector from the ``cfg.seed`` stream and adds it to every row,
   so every row sees the noise its own single-input run would see.
