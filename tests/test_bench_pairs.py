@@ -77,3 +77,60 @@ def test_format_names_every_metric_and_the_failures():
     assert "change won 2/2" in text and "exceeds parent IQR 0.1" in text
     assert "rate (1/s, higher is better)" in text and "change won 0/2" in text
     assert text.splitlines()[-1] == "failed/attempted: parent 0/20, change 2/20"
+
+
+WORKLOADS = [w["name"] for w in json.loads(
+    (_PATH.parents[1] / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.fixture
+def fake_runs(monkeypatch):
+    """Stub out the export and the benchmark runs; return the runs made, in order."""
+    calls = []
+
+    def run_benchmark(checkout, workload, seed, seconds):
+        side = "change" if checkout == bench_pairs.ROOT else "parent"
+        calls.append((seed, workload, side))
+        value = {"parent": 3.0, "change": 2.0}[side] + WORKLOADS.index(workload)
+        metrics = {name: {"value": value, "unit": "s"}
+                   for name in ("setup_s", "wall_s", "peak_rss_mb")}
+        return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, into: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "run_benchmark", run_benchmark)
+    return calls
+
+
+def summaries(text):
+    """The workload named by each summary heading of ``main``'s output, and its wall_s line."""
+    lines = text.splitlines()
+    return {line[3:-3]: next(row for row in lines[i:] if row.startswith("wall_s"))
+            for i, line in enumerate(lines) if line.startswith("== ")}
+
+
+def test_every_workload_runs_by_default_with_one_summary_each(fake_runs, capsys):
+    assert bench_pairs.main(["--rev", "HEAD", "--pairs", "2", "--seed", "5"]) == 0
+    assert fake_runs == [(5, w, side) for w in WORKLOADS for side in ("parent", "change")] + [
+        (6, w, side) for w in WORKLOADS for side in ("change", "parent")]
+    found = summaries(capsys.readouterr().out)
+    assert list(found) == WORKLOADS
+    for i, w in enumerate(WORKLOADS):
+        assert found[w].startswith(f"wall_s (s, lower is better): parent {3 + i:g} ")
+        assert f"-> change {2 + i:g} " in found[w] and "change won 2/2" in found[w]
+
+
+def test_workload_may_be_given_more_than_once(fake_runs, capsys):
+    picked = WORKLOADS[::-1][:2]
+    argv = ["--rev", "HEAD", "--pairs", "1"]
+    for w in picked + picked[:1]:
+        argv += ["--workload", w]
+    assert bench_pairs.main(argv) == 0
+    assert [w for _, w, _ in fake_runs] == [picked[0], picked[0], picked[1], picked[1]]
+    assert list(summaries(capsys.readouterr().out)) == picked
+
+
+def test_an_unknown_workload_is_rejected_before_any_run(fake_runs, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--rev", "HEAD", "--pairs", "1", "--workload", "no-such-workload"])
+    assert exit_info.value.code == 2 and fake_runs == []
+    assert "unknown workload no-such-workload" in capsys.readouterr().err

@@ -1,18 +1,20 @@
 """Run the benchmark on a parent revision and on this checkout, in alternating pairs.
 
-    python3 tools/bench_pairs.py --rev <parent> --workload <name> --pairs <n> [--seed 1]
+    python3 tools/bench_pairs.py --rev <parent> [--workload <name> ...] --pairs <n> [--seed 1]
 
 The parent's committed files are exported with ``git archive`` into a
 temporary directory, which is removed when the script exits; "change" is
-the checkout holding this script, uncommitted edits included. Pair ``i``
-runs ``perfbench/run.py --trace 0`` at seed ``--seed + i`` for
+the checkout holding this script, uncommitted edits included.
+``--workload`` may be given more than once; without it, every workload
+of ``BENCHMARK.json`` runs. Pair ``i`` runs each workload in turn with
+``perfbench/run.py --trace 0`` at seed ``--seed + i`` for
 ``BENCHMARK.json``'s ``run_seconds`` in both checkouts, the parent first
 in even pairs and the change first in odd ones. Each run's end-to-end
-metrics are printed as it finishes; at the end, per metric of
-``BENCHMARK.json``: each side's median and quartiles, how many pairs the
-change won (ties count for neither side), and whether the medians
-differ, in the change's favour, by more than the distance between the
-parent's quartiles.
+metrics are printed as it finishes; at the end, one summary per
+workload, giving per metric of ``BENCHMARK.json``: each side's median
+and quartiles, how many pairs the change won (ties count for neither
+side), and whether the medians differ, in the change's favour, by more
+than the distance between the parent's quartiles.
 """
 
 from __future__ import annotations
@@ -103,30 +105,39 @@ def export(rev: str, into: Path) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", required=True, help="parent revision to compare against")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append",
+                        help="workload to run; repeat for more (default: every workload)")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in bench["workloads"]]
+    workloads = list(dict.fromkeys(args.workload or known))
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)}; known: {', '.join(known)}")
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
-    parent, change = [], []
+    runs = {w: ([], []) for w in workloads}   # workload -> (parent, change) result lines
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         commit = export(args.rev, Path(tmp))
-        print(f"parent {commit} vs {ROOT}; workload {args.workload}, "
+        print(f"parent {commit} vs {ROOT}; workloads {', '.join(workloads)}, "
               f"{args.pairs} pairs from seed {args.seed}, {seconds:g} s", flush=True)
         for i in range(args.pairs):
             seed = args.seed + i
-            sides = [("parent", Path(tmp), parent), ("change", ROOT, change)]
-            for name, checkout, results in (sides if i % 2 == 0 else sides[::-1]):
-                results.append(run_benchmark(checkout, args.workload, seed, seconds))
-                values = ", ".join(f"{k} {v['value']:.4g}"
-                                   for k, v in results[-1]["metrics"].items())
-                print(f"pair {i + 1} seed {seed} {name}: {values}, "
-                      f"failed {results[-1]['failed']}/{results[-1]['attempted']}", flush=True)
-    print(format_rows(summarize(parent, change, better), parent, change))
+            for workload, (parent, change) in runs.items():
+                sides = [("parent", Path(tmp), parent), ("change", ROOT, change)]
+                for name, checkout, results in (sides if i % 2 == 0 else sides[::-1]):
+                    results.append(run_benchmark(checkout, workload, seed, seconds))
+                    values = ", ".join(f"{k} {v['value']:.4g}"
+                                       for k, v in results[-1]["metrics"].items())
+                    print(f"pair {i + 1} seed {seed} {workload} {name}: {values}, failed "
+                          f"{results[-1]['failed']}/{results[-1]['attempted']}", flush=True)
+    for workload, (parent, change) in runs.items():
+        print(f"== {workload} ==")
+        print(format_rows(summarize(parent, change, better), parent, change))
     return 0
 
 
