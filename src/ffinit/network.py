@@ -62,7 +62,7 @@ def apply_activation(activation: Activation, x: np.ndarray) -> np.ndarray:
     Returns:
         Array of the same shape with rates in ``[0, 1]``.
     """
-    return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    return np.asarray(x, dtype=float).clip(0.0, 1.0)
 
 
 def _encode(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -281,15 +281,18 @@ def branch_predictions(params: NetworkParams, rates, k: int,
     visible layer), a vector or a ``(B, n_j)`` block. Returns ``(d_bu,
     d_td)`` on the voltage scale, with ``d_td`` None for the top layer.
     A caller that already holds ``d_bu`` passes it in, and then
-    ``rates[k - 1]`` is not read: relaxation computes the clamped drive
-    into layer 1 once per run. Nothing is validated here, so that
-    relaxation can call it every sweep; callers check the state once.
+    ``rates[k - 1]`` is not read. Each product gets its offset added in
+    place. Nothing is validated here, so that relaxation can call it every
+    sweep; callers check the state once.
     """
     if d_bu is None:
-        d_bu = params.ff_offsets[k - 1] + rates[k - 1] @ params.ff_weights[k - 1].T
+        d_bu = rates[k - 1] @ params.ff_weights[k - 1].T
+        d_bu += params.ff_offsets[k - 1]
     if k == params.n_layers:
         return d_bu, None
-    return d_bu, params.fb_offsets[k] + rates[k + 1] @ params.fb_weights[k].T
+    d_td = rates[k + 1] @ params.fb_weights[k].T
+    d_td += params.fb_offsets[k]
+    return d_bu, d_td
 
 
 def branch_combine(d_bu: np.ndarray, d_td: np.ndarray | None = None) -> np.ndarray:
@@ -307,7 +310,8 @@ def branch_combine(d_bu: np.ndarray, d_td: np.ndarray | None = None) -> np.ndarr
     d_td = np.asarray(d_td, dtype=float)
     if d_td.shape != d_bu.shape:
         raise DimensionError("branch predictions must have the same length")
-    return (d_bu + d_td) / 2
+    s = d_bu + d_td
+    return np.true_divide(s, 2, out=s)
 
 
 def feedforward_init(params: NetworkParams, visible: np.ndarray) -> NetworkState:
@@ -324,18 +328,24 @@ def feedforward_init(params: NetworkParams, visible: np.ndarray) -> NetworkState
         DimensionError: If ``visible`` has the wrong length.
         InvalidInputError: If ``visible`` has non-finite entries.
     """
+    return _feedforward(params, visible)[0]
+
+
+def _feedforward(params: NetworkParams, visible: np.ndarray) -> tuple[NetworkState, np.ndarray]:
+    """:func:`feedforward_init` and the clamped drive, layer 1's pre-activation."""
     visible = np.asarray(visible, dtype=float)
     if visible.ndim not in (1, 2) or visible.shape[-1] != params.spec.visible_size:
         raise DimensionError(
             f"visible must have length {params.spec.visible_size}, got {visible.shape}")
-    hidden = []
-    rates = apply_activation(params.activation, visible)
-    for w, b in zip(params.ff_weights, params.ff_offsets):
+    drive = apply_activation(params.activation, visible) @ params.ff_weights[0].T
+    drive += params.ff_offsets[0]
+    hidden = [apply_activation(params.activation, drive)]
+    for w, b in zip(params.ff_weights[1:], params.ff_offsets[1:]):
         # A hidden state is already a rate, so it feeds the next layer as is.
-        rates = _encode(rates, w, b)
-        rates.setflags(write=False)   # NetworkState adopts it
-        hidden.append(rates)
-    return NetworkState(visible=visible, hidden=tuple(hidden))
+        hidden.append(_encode(hidden[-1], w, b))
+    for a in (drive, *hidden):
+        a.setflags(write=False)   # NetworkState adopts the hidden layers
+    return NetworkState(visible=visible, hidden=tuple(hidden)), drive
 
 
 def mutual_prediction_residual(params: NetworkParams, state: NetworkState) -> np.ndarray:

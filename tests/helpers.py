@@ -221,20 +221,26 @@ def pair_error_oracle(items, params, k):
     return float(np.mean(np.square(rec - codes).sum(axis=1)))
 
 
-def sweep_oracle(params, state, n_iters):
-    """Straight-line reimplementation of the alternating direct sweep.
+def sweep_oracle(params, state, n_iters, tau=1.0, noise_scale=0.0, seed=0):
+    """Straight-line reimplementation of the alternating sweep.
 
     Returns the final hidden vectors and the per-iteration step
     magnitudes, using the same odd-then-even order as the inference
-    engine. It weighs the two branches by ``params.branch_gains``, written
-    out: at the only gains there are, (1, 1), that is exactly the bits of
-    the engine's plain mean.
+    engine. Each half-sweep clips every layer afresh, and each updated
+    layer moves to ``(1 - 1/tau) s + (1/tau) (T + noise)`` for its target
+    ``T`` (``tau = 1``, the default, is the direct sweep). With a
+    positive ``noise_scale``, each layer update draws its noise from the
+    ``seed`` stream in update order, as Langevin relaxation does. It weighs the two
+    branches by ``params.branch_gains``, written out: at the only gains
+    there are, (1, 1), that is exactly the bits of the engine's plain
+    mean.
     """
     assert params.activation is Activation.HARD_SIGMOID
     a_bu, a_td = params.branch_gains
     L = params.n_layers
     hidden = [np.array(h) for h in state.hidden]
     rho_v = _rho(np.asarray(state.visible, dtype=float))
+    rng = np.random.default_rng(seed)
     steps = []
     for _ in range(n_iters):
         before = np.concatenate(hidden)
@@ -250,8 +256,10 @@ def sweep_oracle(params, state, n_iters):
                 else:
                     g = params.fb_offsets[k] + params.fb_weights[k] @ rates[k + 1]
                     new[k] = _rho((a_bu * f + a_td * g) / (a_bu + a_td))
+                if noise_scale > 0.0:
+                    new[k] = new[k] + rng.normal(0.0, noise_scale, size=len(new[k]))
             for k, val in new.items():
-                hidden[k - 1] = val
+                hidden[k - 1] = (1.0 - 1.0 / tau) * hidden[k - 1] + (1.0 / tau) * val
         steps.append(float(np.linalg.norm(np.concatenate(hidden) - before)))
     return hidden, steps
 

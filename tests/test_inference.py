@@ -142,6 +142,36 @@ class TestRelax:
         assert np.array_equal(trace.step_magnitudes, np.asarray(oracle_steps))
         assert np.all(trace.step_magnitudes > 0.0)
 
+    def test_leaky_matches_the_sweep_oracle_from_states_outside_the_unit_interval(self):
+        # Hidden states outside [0, 1] are where a layer's rate differs from
+        # its state, so the engine's rate, clipped once per update of its
+        # layer, must match the oracle's, clipped afresh every half-sweep.
+        rng = np.random.default_rng(29)
+        for sizes in ((10, 8), (10, 8, 6), (12, 9, 7, 5)):
+            params = random_tied_params(rng, sizes, with_offsets=True)
+            state = random_state(rng, params, lo=-1.0, hi=2.0)
+            cfg = RelaxationConfig(scheme=Scheme.LEAKY, tau=2.5, max_iters=25, tol=1e-300)
+            final, trace = relax(params, state, cfg)
+            oracle_hidden, oracle_steps = sweep_oracle(params, state, 25, tau=2.5)
+            assert all(np.array_equal(a, b) for a, b in zip(final.hidden, oracle_hidden))
+            assert np.array_equal(trace.step_magnitudes, np.asarray(oracle_steps))
+            assert any(((h < 0.0) | (h > 1.0)).any() for h in final.hidden)
+
+    @pytest.mark.parametrize("sizes", [(12, 9), (12, 9, 7)], ids=["L1", "L2"])
+    def test_langevin_matches_the_noisy_sweep_oracle(self, sizes):
+        # At L = 1 every sweep after the first moves the top layer by noise
+        # only, and only the clamped drive keeps it near its feedforward rate.
+        rng = np.random.default_rng(31)
+        params = random_tied_params(rng, sizes, with_offsets=True)
+        v = rng.uniform(0, 1, size=12)
+        cfg = RelaxationConfig(scheme=Scheme.LANGEVIN, noise_scale=0.05, tau=2.0,
+                               max_iters=15, seed=9)
+        final, trace = infer_from_feedforward(params, v, cfg)
+        oracle_hidden, oracle_steps = sweep_oracle(params, feedforward_init(params, v), 15,
+                                                   tau=2.0, noise_scale=0.05, seed=9)
+        assert all(np.array_equal(a, b) for a, b in zip(final.hidden, oracle_hidden))
+        assert np.array_equal(trace.step_magnitudes, np.asarray(oracle_steps))
+
     def test_langevin_deterministic_under_seed(self):
         rng = np.random.default_rng(7)
         params = random_tied_params(rng, sizes=(5, 4, 3))
@@ -250,6 +280,59 @@ class TestInferFromFeedforward:
         assert all(np.array_equal(x, y) for x, y in zip(a_state.hidden, b_state.hidden))
         assert np.array_equal(a_trace.step_magnitudes, b_trace.step_magnitudes)
 
+    @pytest.mark.parametrize("scheme", [
+        RelaxationConfig(max_iters=60, tol=1e-9),
+        RelaxationConfig(scheme=Scheme.LEAKY, tau=2.5, max_iters=60, tol=1e-9),
+        RelaxationConfig(scheme=Scheme.LANGEVIN, noise_scale=0.05, tau=2.0, max_iters=15, seed=3),
+    ], ids=["direct", "leaky", "langevin"])
+    @pytest.mark.parametrize("sizes", [(12, 9), (12, 9, 7), (12, 9, 7, 5)],
+                             ids=["L1", "L2", "L3"])
+    @pytest.mark.parametrize("block", [False, True], ids=["vector", "block"])
+    def test_shares_the_feedforward_drive_bit_for_bit(self, scheme, sizes, block):
+        # The relaxation takes layer 1's clamped drive from the feedforward
+        # sweep; at L = 1 Langevin runs its whole budget on that drive, so a
+        # drive written in place would show there.
+        rng = np.random.default_rng(30)
+        params = random_tied_params(rng, sizes, scale=1.5, with_offsets=True)
+        model = EnergyModel(params)
+        items = rng.uniform(0, 1, size=(6, 12))
+        v = items if block else items[0]
+        got_state, got = infer_from_feedforward(params, v, scheme, model)
+        want_state, want = relax(params, feedforward_init(params, v), scheme, model)
+        assert all(np.array_equal(a, b) for a, b in zip(got_state.hidden, want_state.hidden))
+        assert np.array_equal(got_state.visible, want_state.visible)
+        assert np.array_equal(got.step_magnitudes, want.step_magnitudes, equal_nan=True)
+        assert np.array_equal(got.energies, want.energies, equal_nan=True)
+        assert np.array_equal(got.converged, want.converged)
+        assert np.array_equal(got.iters_run, want.iters_run)
+        if len(sizes) > 2 or scheme.scheme is Scheme.LANGEVIN:   # else one sweep settles it
+            assert np.max(got.iters_run) > 1
+
+        # The layer-1 product with ff_weights[0] is formed once per call.
+        counted = params.ff_weights[0].view(CountsProducts)
+        counted.log = []
+        object.__setattr__(params, "ff_weights", (counted, *params.ff_weights[1:]))
+        counted_state, _ = infer_from_feedforward(params, v, scheme)
+        assert counted.log == ["matmul"]
+        assert all(np.array_equal(a, b) for a, b in zip(counted_state.hidden, got_state.hidden))
+
+    @pytest.mark.parametrize("visible, error", [
+        (np.zeros(3), DimensionError),
+        (np.zeros((4, 3)), DimensionError),
+        (np.zeros((1, 4, 2)), DimensionError),
+        (np.zeros(()), DimensionError),
+        (np.array([0.5, np.nan]), InvalidInputError),
+        (np.array([np.inf, 0.5]), InvalidInputError),
+        (np.array([[0.5, 0.5], [0.5, -np.inf]]), InvalidInputError),
+    ], ids=["wrong-length", "wrong-length-block", "3-d", "0-d", "nan", "inf", "block-minus-inf"])
+    def test_rejects_what_feedforward_init_rejects(self, visible, error):
+        params = make_params((2, 3, 2), [np.ones((3, 2)), np.ones((2, 3))])
+        with pytest.raises(error) as want:
+            feedforward_init(params, visible)
+        with pytest.raises(error) as got:
+            infer_from_feedforward(params, visible, RelaxationConfig())
+        assert str(got.value) == str(want.value)
+
     def test_exact_autoencoder_converges_fast(self):
         data, params = synth_autoencodable(20, LayerSpec(sizes=(8, 6, 5, 4)), seed=3)
         for x in data.items:
@@ -331,6 +414,19 @@ class TestInferFromFeedforward:
                 infer_from_feedforward(self.overflowing_params(), np.ones(2),
                                        RelaxationConfig(max_iters=100))
         assert layers == [1, 2]
+
+
+class CountsProducts(np.ndarray):
+    """A matrix that appends to its ``log`` every matrix product it enters."""
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.log.append(ufunc.__name__)
+        plain = [x.view(np.ndarray) if isinstance(x, CountsProducts) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
 
 
 def block_of(states):
