@@ -230,10 +230,10 @@ def sweep_oracle(params, state, n_iters, tau=1.0, noise_scale=0.0, seed=0):
     layer moves to ``(1 - 1/tau) s + (1/tau) (T + noise)`` for its target
     ``T`` (``tau = 1``, the default, is the direct sweep). With a
     positive ``noise_scale``, each layer update draws its noise from the
-    ``seed`` stream in update order, as Langevin relaxation does. It weighs the two
-    branches by ``params.branch_gains``, written out: at the only gains
-    there are, (1, 1), that is exactly the bits of the engine's plain
-    mean.
+    ``seed`` stream in update order, as Langevin relaxation does. It
+    weighs the two branches by ``params.branch_gains``, written out: at
+    the only gains there are, (1, 1), that is exactly the bits of the
+    engine's plain mean.
     """
     assert params.activation is Activation.HARD_SIGMOID
     a_bu, a_td = params.branch_gains

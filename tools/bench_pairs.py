@@ -114,16 +114,16 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     known = [w["name"] for w in bench["workloads"]]
-    workloads = list(dict.fromkeys(args.workload or known))
+    workloads = args.workload or known
     unknown = [w for w in workloads if w not in known]
     if unknown:
         parser.error(f"unknown workload {', '.join(unknown)}; known: {', '.join(known)}")
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
-    runs = {w: ([], []) for w in workloads}   # workload -> (parent, change) result lines
+    runs = {w: ([], []) for w in workloads}   # workload -> (parent, change); a repeat runs once
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         commit = export(args.rev, Path(tmp))
-        print(f"parent {commit} vs {ROOT}; workloads {', '.join(workloads)}, "
+        print(f"parent {commit} vs {ROOT}; workloads {', '.join(runs)}, "
               f"{args.pairs} pairs from seed {args.seed}, {seconds:g} s", flush=True)
         for i in range(args.pairs):
             seed = args.seed + i
