@@ -2,8 +2,8 @@
 
 A chain of hard-sigmoid hidden layers sits over a clamped visible
 vector; each hidden layer moves to the rate of the plain mean of its
-bottom-up and top-down branch predictions, the one update rule stated
-in :mod:`ffinit.network`. The package also provides a scalar
+bottom-up and top-down branch predictions, the one update rule, stated
+and computed in :mod:`ffinit.network`. The package also provides a scalar
 energy with analytic gradient for tied weights (:mod:`ffinit.energy`),
 direct / leaky / Langevin relaxation (:mod:`ffinit.inference`),
 random-tied and trained auto-encoder weight regimes
@@ -31,7 +31,6 @@ from .network import (
     NetworkParams,
     NetworkState,
     apply_activation,
-    branch_combine,
     branch_predictions,
     feedforward_init,
     mutual_prediction_residual,
@@ -77,8 +76,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Activation", "LayerSpec", "NetworkParams", "NetworkState",
-    "apply_activation", "branch_predictions",
-    "branch_combine", "feedforward_init", "mutual_prediction_residual",
+    "apply_activation", "branch_predictions", "feedforward_init",
+    "mutual_prediction_residual",
     "EnergyModel", "energy", "energy_gradient", "energy_model_or_none",
     "Scheme", "RelaxationConfig", "ConvergenceTrace",
     "direct_update_layer", "relax", "infer_from_feedforward",

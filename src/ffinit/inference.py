@@ -1,11 +1,12 @@
 """Relaxation engines for clamped-input inference.
 
 Every scheme applies the layer update rule of :mod:`ffinit.network`:
-hidden layer ``k`` has the target ``T_k = rho(branch_combine(d_bu,
-d_td))``. Within an iteration, every odd-indexed hidden layer is updated
-simultaneously from the current even layers, then every even layer from
-the new odd layers. Layers of equal parity are never adjacent, so the
-simultaneous update within a parity class is exact. A layer moves to
+hidden layer ``k`` has the target ``T_k = rho((d_bu + d_td) / 2)``
+(``rho(d_bu)`` at the top layer). Within an iteration, every
+odd-indexed hidden layer is updated simultaneously from the current
+even layers, then every even layer from the new odd layers. Layers of
+equal parity are never adjacent, so the simultaneous update within a
+parity class is exact. A layer moves to
 
     s_k <- (1 - 1/tau) s_k + (1/tau) (T_k + noise)
 
@@ -20,7 +21,9 @@ One engine relaxes a block of ``B`` clamped inputs, an ``(B, n_k)``
 state per layer; :func:`relax` and :func:`infer_from_feedforward` take
 one input's vector or a ``(B, n_0)`` block. The visible layer never
 changes, so the clamped drive into layer 1, ``b_1 + W_1 rho(v)``, is
-formed once per run, by the feedforward sweep when there is one. The block contract:
+formed once per run: :func:`infer_from_feedforward` takes it from the
+feedforward sweep, and :func:`relax` forms it before the first sweep.
+The block contract:
 
 * A single input is a batch of one, and it is bit-identical to the
   per-item sweep (the straight-line oracle of the tests).
@@ -48,12 +51,12 @@ from .exceptions import (ConfigurationError, DimensionError, InvalidInputError, 
 from .network import (
     NetworkParams,
     NetworkState,
+    _drive,
     _feedforward,
+    _layer_target,
     apply_activation,
-    branch_combine,
-    branch_predictions,
     check_state,
-    feedforward_init,   # noqa: F401  perfbench's tracer wraps inference.feedforward_init
+    feedforward_init,   # noqa: F401  uncalled; only for perfbench's tracer, whose span is empty
     layer_rates,
 )
 from .energy import EnergyModel, energy
@@ -128,13 +131,6 @@ class ConvergenceTrace:
         return len(steps) if steps.ndim == 1 else np.count_nonzero(~np.isnan(steps), axis=1)
 
 
-def _layer_target(params: NetworkParams, rates, k: int,
-                  d_bu: np.ndarray | None = None) -> np.ndarray:
-    """Update target ``rho(branch_combine(d_bu, d_td))`` of hidden layer ``k``."""
-    return apply_activation(params.activation,
-                            branch_combine(*branch_predictions(params, rates, k, d_bu)))
-
-
 def direct_update_layer(params: NetworkParams, state: NetworkState, k: int) -> np.ndarray:
     """Direct update target for hidden layer ``k`` given the current state.
 
@@ -149,11 +145,11 @@ def direct_update_layer(params: NetworkParams, state: NetworkState, k: int) -> n
 
 
 def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.ndarray],
-                 cfg: RelaxationConfig, energy_model: EnergyModel | None, drive=None):
+                 drive: np.ndarray, cfg: RelaxationConfig, energy_model: EnergyModel | None):
     """The relaxation engine: relax ``B`` clamped inputs as one block.
 
     ``visible`` is ``(B, n_0)``, ``hidden[k - 1]`` ``(B, n_k)`` and the clamped
-    ``drive`` (formed here when None) ``(B, n_1)``, all read-only like a state's layers.
+    ``drive`` ``(B, n_1)``; the engine writes none of them.
     Only the rows still relaxing are updated: a row whose step drops
     below ``cfg.tol`` is written to the result and dropped from the
     working block. Returns the final hidden blocks and the block's
@@ -168,8 +164,6 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
     rates = [None] + [apply_activation(act, h) for h in work]
     rows = np.arange(n_rows)   # block row of every working row
     rng = np.random.default_rng(cfg.seed) if cfg.noise_scale > 0.0 else None
-    if drive is None:
-        drive = params.ff_offsets[0] + apply_activation(act, visible) @ params.ff_weights[0].T
     # One column per sweep (energies: plus the initial state's), NaN for stopped
     # rows; the columns double when full, as an array per sweep fragments the heap.
     steps = np.full((n_rows, 8), np.nan)
@@ -208,8 +202,9 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
                 if rng is not None:
                     # One draw per layer update, shared by every row.
                     t += rng.normal(0.0, cfg.noise_scale, size=t.shape[1])
+                t *= 1.0 / cfg.tau
                 h = (1.0 - 1.0 / cfg.tau) * work[k - 1]
-                h += (1.0 / cfg.tau) * t
+                h += t
                 h.setflags(write=False)
                 work[k - 1], rates[k] = h, apply_activation(act, h)
         # Row by row: a norm over axis 1 rounds differently from the
@@ -229,8 +224,8 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
 
 
 def relax(params: NetworkParams, state: NetworkState, cfg: RelaxationConfig,
-          energy_model: EnergyModel | None = None, *, _drive: np.ndarray | None = None
-          ) -> tuple[NetworkState, ConvergenceTrace]:
+          energy_model: EnergyModel | None = None, *,
+          _clamped_drive: np.ndarray | None = None) -> tuple[NetworkState, ConvergenceTrace]:
     """Run the configured relaxation scheme from a given state.
 
     Iterates until the full-sweep step magnitude drops below ``cfg.tol``
@@ -258,9 +253,10 @@ def relax(params: NetworkParams, state: NetworkState, cfg: RelaxationConfig,
             raised in the sweep where that happens.
     """
     check_state(params, state)
-    hidden, trace = _relax_block(
-        params, np.atleast_2d(state.visible), [np.atleast_2d(h) for h in state.hidden],
-        cfg, energy_model, None if _drive is None else np.atleast_2d(_drive))
+    visible = np.atleast_2d(state.visible)
+    drive = _drive(params, visible) if _clamped_drive is None else np.atleast_2d(_clamped_drive)
+    hidden, trace = _relax_block(params, visible, [np.atleast_2d(h) for h in state.hidden],
+                                 drive, cfg, energy_model)
     if state.visible.ndim == 1:
         hidden = [h[0] for h in hidden]
         trace = ConvergenceTrace(
@@ -282,4 +278,4 @@ def infer_from_feedforward(params: NetworkParams, visible: np.ndarray,
     lands near the relaxation fixed point and the run converges after very few sweeps.
     """
     state, drive = _feedforward(params, visible)
-    return relax(params, state, cfg, energy_model=energy_model, _drive=drive)
+    return relax(params, state, cfg, energy_model=energy_model, _clamped_drive=drive)

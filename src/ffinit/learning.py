@@ -212,9 +212,7 @@ def _pair_error(x: np.ndarray, encoders, v: np.ndarray, c: np.ndarray,
         codes = x[rows]
         for w, b in encoders[:-1]:
             codes = _encode(codes, w, b)
-        rec = (hid[rows] if hid is not None else _encode(codes, *encoders[-1])) @ v.T
-        rec += c
-        np.clip(rec, 0.0, 1.0, out=rec)
+        rec = _encode(hid[rows] if hid is not None else _encode(codes, *encoders[-1]), v, c)
         rec -= codes
         np.square(rec, out=rec)
         rec.sum(axis=1, out=sums[rows])

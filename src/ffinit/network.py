@@ -17,9 +17,10 @@ soma's total input,
 
 and a state that every branch predicts exactly is a fixed point.
 :func:`branch_predictions` is the only place that computes ``(d_bu,
-d_td)`` from layer rates and :func:`branch_combine` the only place that
-combines them; relaxation (:mod:`ffinit.inference`), the energy gradient
-and :func:`mutual_prediction_residual` all go through them.
+d_td)`` from layer rates and ``_layer_target`` the only place that
+combines them into a target; every relaxation update goes through it,
+while :func:`ffinit.energy.energy_gradient` and
+:func:`mutual_prediction_residual` read the predictions alone.
 
 Inputs are checked once, where they enter: :class:`NetworkParams`
 (shapes, finite arrays), :class:`NetworkState` (shapes,
@@ -27,8 +28,8 @@ finite entries) and :class:`ffinit.data.DatasetHandle` (finite items in
 ``[0, 1]``). Every state an operation takes or returns is a
 :class:`NetworkState`, so a run that overflows to a non-finite value
 fails with :class:`~ffinit.exceptions.InvalidInputError` instead of
-returning it. :func:`apply_activation` and :func:`branch_predictions` run
-unchecked; :func:`branch_combine` only checks that its predictions match in shape.
+returning it. :func:`apply_activation`, :func:`branch_predictions` and
+``_layer_target`` run unchecked.
 """
 
 from __future__ import annotations
@@ -158,8 +159,8 @@ class NetworkParams:
         fb_offsets: ``L`` top-down branch offsets, entry ``k`` of length
             ``n_k``.
         branch_gains: Always ``(1.0, 1.0)``: the branches are combined by
-            their plain mean (see :func:`branch_combine`), and any other
-            value is rejected.
+            their plain mean (the update rule of the module docstring),
+            and any other value is rejected.
         activation: Rate non-linearity shared by all layers, or its value string.
 
     Every array is held read-only in C order, so one instance can safely
@@ -295,23 +296,27 @@ def branch_predictions(params: NetworkParams, rates, k: int,
     return d_bu, d_td
 
 
-def branch_combine(d_bu: np.ndarray, d_td: np.ndarray | None = None) -> np.ndarray:
-    """Plain mean of the branch predictions.
+def _layer_target(params: NetworkParams, rates, k: int,
+                  d_bu: np.ndarray | None = None) -> np.ndarray:
+    """The update target ``rho((d_bu + d_td) / 2)`` of hidden layer ``k``, or
+    ``rho(d_bu)`` at the top; ``rates`` and ``d_bu`` as for :func:`branch_predictions`.
 
-    Computes ``(d_bu + d_td) / 2``; for the top layer, which has no
-    top-down branch, ``d_bu`` itself.
-
-    Raises:
-        DimensionError: If the two predictions differ in length.
+    Works in place on the fresh top-down prediction and never writes a
+    ``d_bu`` handed in; the result is a fresh array.
     """
-    d_bu = np.asarray(d_bu, dtype=float)
+    d_bu, d_td = branch_predictions(params, rates, k, d_bu)
     if d_td is None:
-        return d_bu
-    d_td = np.asarray(d_td, dtype=float)
-    if d_td.shape != d_bu.shape:
-        raise DimensionError("branch predictions must have the same length")
-    s = d_bu + d_td
-    return np.true_divide(s, 2, out=s)
+        return d_bu.clip(0.0, 1.0)
+    d_td += d_bu
+    d_td /= 2
+    return d_td.clip(0.0, 1.0, out=d_td)
+
+
+def _drive(params: NetworkParams, visible: np.ndarray) -> np.ndarray:
+    """The clamped drive ``b_1 + W_1 rho(v)`` into layer 1, a fresh array; unchecked."""
+    drive = apply_activation(params.activation, visible) @ params.ff_weights[0].T
+    drive += params.ff_offsets[0]
+    return drive
 
 
 def feedforward_init(params: NetworkParams, visible: np.ndarray) -> NetworkState:
@@ -337,8 +342,7 @@ def _feedforward(params: NetworkParams, visible: np.ndarray) -> tuple[NetworkSta
     if visible.ndim not in (1, 2) or visible.shape[-1] != params.spec.visible_size:
         raise DimensionError(
             f"visible must have length {params.spec.visible_size}, got {visible.shape}")
-    drive = apply_activation(params.activation, visible) @ params.ff_weights[0].T
-    drive += params.ff_offsets[0]
+    drive = _drive(params, visible)
     hidden = [apply_activation(params.activation, drive)]
     for w, b in zip(params.ff_weights[1:], params.ff_offsets[1:]):
         # A hidden state is already a rate, so it feeds the next layer as is.

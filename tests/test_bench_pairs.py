@@ -11,7 +11,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-BETTER = {"wall_s": "lower", "rate": "higher"}
+METRICS = [{"name": "wall_s", "better": "lower", "bound": 0.24},
+           {"name": "rate", "better": "higher", "bound": 0.05}]
 
 
 def run_output(wall_s, rate, failed=0):
@@ -27,7 +28,7 @@ def results(pairs, failed=0):
 
 
 def rows_by_metric(parent, change):
-    return {row["metric"]: row for row in bench_pairs.summarize(parent, change, BETTER)}
+    return {row["metric"]: row for row in bench_pairs.summarize(parent, change, METRICS)}
 
 
 def test_parse_result_reads_the_last_line():
@@ -72,11 +73,54 @@ def test_a_worse_median_is_a_negative_gain():
 def test_format_names_every_metric_and_the_failures():
     parent = results([(3.0, 1.0), (3.2, 1.0)])
     change = results([(2.0, 1.0), (2.1, 1.0)], failed=1)
-    text = bench_pairs.format_rows(bench_pairs.summarize(parent, change, BETTER), parent, change)
+    text = bench_pairs.format_rows(bench_pairs.summarize(parent, change, METRICS), parent, change)
     assert "wall_s (s, lower is better): parent 3.1 [3.05, 3.15] -> change 2.05" in text
     assert "change won 2/2" in text and "exceeds parent IQR 0.1" in text
     assert "rate (1/s, higher is better)" in text and "change won 0/2" in text
     assert text.splitlines()[-1] == "failed/attempted: parent 0/20, change 2/20"
+
+
+def test_no_regression_within_the_bound():
+    # wall_s 20% worse and rate 4% lower: both inside their bounds (24%, 5%),
+    # and the parent's spread (IQR/median 0.1/3.0 and 0) is inside them too.
+    parent = results([(2.9, 1.0), (3.0, 1.0), (3.1, 1.0)])
+    change = results([(3.5, 0.96), (3.6, 0.96), (3.7, 0.96)])
+    rows = rows_by_metric(parent, change)
+    for row in rows.values():
+        assert not row["regression"] and not row["unresolved"]
+    assert rows["wall_s"]["gain_frac"] == pytest.approx(-0.2)
+    text = bench_pairs.format_rows(list(rows.values()), parent, change)
+    assert "no regression beyond bound 24%" in text and "no regression beyond bound 5%" in text
+    assert "REGRESSION" not in text and "UNRESOLVED" not in text
+
+
+def test_a_median_worse_by_more_than_the_bound_is_a_regression():
+    # wall_s 30% worse (bound 24%) and rate 10% lower (bound 5%).
+    parent = results([(2.9, 1.0), (3.0, 1.0), (3.1, 1.0)])
+    change = results([(3.8, 0.9), (3.9, 0.9), (4.0, 0.9)])
+    rows = rows_by_metric(parent, change)
+    for row in rows.values():
+        assert row["regression"] and not row["unresolved"]
+    text = bench_pairs.format_rows(list(rows.values()), parent, change)
+    assert "REGRESSION beyond bound 24%" in text and "REGRESSION beyond bound 5%" in text
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    # The parent's wall_s IQR is 1.0 on a median of 3.0: 33% > 24%.
+    parent = results([(2.0, 1.0), (2.5, 1.0), (3.0, 1.0), (3.5, 1.0), (4.0, 1.0)])
+    change = results([(2.9, 1.0), (3.0, 1.0), (3.1, 1.0), (2.4, 1.0), (3.3, 1.0)])
+    rows = rows_by_metric(parent, change)
+    wall = rows["wall_s"]
+    assert wall["parent_spread"] == pytest.approx(1.0 / 3.0)
+    assert wall["unresolved"] and not wall["regression"]
+    assert not rows["rate"]["unresolved"]
+    text = bench_pairs.format_rows(list(rows.values()), parent, change)
+    assert "UNRESOLVED: parent IQR/median 33.3% exceeds bound" in text
+    # Unless every change run beats every parent run.
+    faster = results([(1.5, 1.0), (1.6, 1.0), (1.7, 1.0), (1.8, 1.0), (1.9, 1.0)])
+    assert not rows_by_metric(parent, faster)["wall_s"]["unresolved"]
+    tied = results([(1.5, 1.0), (1.6, 1.0), (1.7, 1.0), (1.8, 1.0), (2.0, 1.0)])
+    assert rows_by_metric(parent, tied)["wall_s"]["unresolved"]
 
 
 WORKLOADS = [w["name"] for w in json.loads(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ffinit import inference, network
+from ffinit import network
 from ffinit import (
     Activation,
     ConfigurationError,
@@ -15,7 +15,6 @@ from ffinit import (
     RelaxationConfig,
     Scheme,
     apply_activation,
-    branch_combine,
     branch_predictions,
     direct_update_layer,
     energy,
@@ -75,7 +74,7 @@ class TestDirectUpdateLayer:
             d_td = (params.fb_offsets[k] + rates[k + 1] @ params.fb_weights[k].T
                     if k < 3 else None)
             want = apply_activation(params.activation,
-                                    branch_combine(d_bu, d_td))
+                                    d_bu if d_td is None else (d_bu + d_td) / 2)
             assert np.array_equal(direct_update_layer(params, state, k), want)
 
     def test_does_not_mutate_state(self):
@@ -171,6 +170,26 @@ class TestRelax:
                                                    tau=2.0, noise_scale=0.05, seed=9)
         assert all(np.array_equal(a, b) for a, b in zip(final.hidden, oracle_hidden))
         assert np.array_equal(trace.step_magnitudes, np.asarray(oracle_steps))
+
+    @pytest.mark.parametrize("sizes", [(12, 9), (12, 9, 7)], ids=["L1", "L2"])
+    @pytest.mark.parametrize("block", [False, True], ids=["vector", "block"])
+    def test_forms_the_clamped_drive_once_per_call(self, sizes, block):
+        # Without energy snapshots, the drive b_1 + W_1 rho(v) is the only
+        # product ff_weights[0] enters: one per call, however many sweeps run.
+        rng = np.random.default_rng(32)
+        params = random_tied_params(rng, sizes, scale=1.5, with_offsets=True)
+        states = [random_state(rng, params) for _ in range(4)]
+        state = block_of(states) if block else states[0]
+        cfg = RelaxationConfig(scheme=Scheme.LEAKY, tau=2.5, max_iters=8, tol=1e-300)
+        want_state, want = relax(params, state, cfg)
+        counted = params.ff_weights[0].view(CountsProducts)
+        counted.log = []
+        object.__setattr__(params, "ff_weights", (counted, *params.ff_weights[1:]))
+        got_state, got = relax(params, state, cfg)
+        assert counted.log == ["matmul"]
+        assert np.all(got.iters_run == 8)
+        assert all(np.array_equal(a, b) for a, b in zip(got_state.hidden, want_state.hidden))
+        assert np.array_equal(got.step_magnitudes, want.step_magnitudes)
 
     def test_langevin_deterministic_under_seed(self):
         rng = np.random.default_rng(7)
@@ -408,7 +427,7 @@ class TestInferFromFeedforward:
             layers.append(k)
             return branch_predictions(params, rates, k, d_bu)
 
-        monkeypatch.setattr(inference, "branch_predictions", counting)
+        monkeypatch.setattr(network, "branch_predictions", counting)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(InvalidInputError, match="sweep 1$"):
                 infer_from_feedforward(self.overflowing_params(), np.ones(2),

@@ -12,12 +12,12 @@ from ffinit import (
     NetworkParams,
     NetworkState,
     apply_activation,
-    branch_combine,
     branch_predictions,
     feedforward_init,
     init_random_tied,
     mutual_prediction_residual,
 )
+from ffinit import network
 from helpers import (ADOPTED_CASES, COPIED_CASES, make_params, random_sizes, random_state,
                      random_tied_params)
 
@@ -213,41 +213,84 @@ class TestTopDown:
         assert np.allclose(got, want, atol=1e-14)
 
 
-class TestBranchCombine:
-    def test_plain_mean(self):
-        out = branch_combine(np.array([0.2]), np.array([0.4]))
-        assert np.allclose(out, [0.3], atol=1e-15)
+class TestLayerTarget:
+    """``network._layer_target``: the clipped plain mean of the branch predictions,
+    or the clipped bottom-up prediction at the top layer."""
 
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            branch_combine(np.zeros(2), np.zeros(3))
+    @staticmethod
+    def interior(fb_weight, fb_offset):
+        """A two-hidden-layer net whose layer 1 takes its top-down prediction
+        from ``fb_weight`` and ``fb_offset``; its other weights are zero."""
+        n, m = fb_weight.shape
+        return make_params((3, n, m), [np.zeros((n, 3)), np.zeros((m, n))],
+                           fb_weights=[np.zeros((3, n)), fb_weight],
+                           fb_offsets=[np.zeros(3), fb_offset])
+
+    def test_plain_mean(self):
+        params = self.interior(np.zeros((1, 1)), np.array([0.4]))
+        out = network._layer_target(params, [None, None, np.zeros(1)], 1, np.array([0.2]))
+        assert np.allclose(out, [0.3], atol=1e-15)
 
     def test_convexity_property(self):
         rng = np.random.default_rng(5)
+        rates = [None, None, np.zeros(1)]
         for _ in range(50):
+            params = self.interior(np.zeros((6, 1)), rng.normal(size=6))
             d_bu = rng.normal(size=6)
-            d_td = rng.normal(size=6)
-            out = branch_combine(d_bu, d_td)
-            lo = np.minimum(d_bu, d_td) - 1e-12
-            hi = np.maximum(d_bu, d_td) + 1e-12
+            d_td = network.branch_predictions(params, rates, 1, d_bu)[1]
+            out = network._layer_target(params, rates, 1, d_bu)
+            lo = np.clip(np.minimum(d_bu, d_td), 0.0, 1.0) - 1e-12
+            hi = np.clip(np.maximum(d_bu, d_td), 0.0, 1.0) + 1e-12
             assert np.all(out >= lo) and np.all(out <= hi)
 
-    def test_bits_of_the_unit_gain_weighted_mean(self):
-        """The plain mean gives exactly the bits of the gain-weighted mean at
-        gains (1, 1), on random blocks and on signed zeros, subnormals and
-        values near the float maximum (where ``a + b`` overflows)."""
+    def test_bits_of_the_clipped_mean(self):
+        """The kernel gives exactly the bits of ``np.clip((d_bu + d_td) / 2, 0, 1)``,
+        and of ``np.clip(d_bu, 0, 1)`` at the top layer, on random blocks and on
+        signed zeros, subnormals and values near the float maximum (where
+        ``a + b`` overflows). ``d_bu`` is handed in; ``d_td`` comes from the
+        top-down offsets, over a zero product at the edge values."""
         rng = np.random.default_rng(6)
         tiny, huge = np.finfo(float).smallest_subnormal, np.finfo(float).max
         edges = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-310, -1e-310,
                           huge, -huge, huge / 2, np.nextafter(huge, 0.0), 1.0, -1.0])
-        blocks = [(rng.normal(scale=10.0, size=(40, 25)), rng.normal(scale=10.0, size=(40, 25))),
-                  np.meshgrid(edges, edges)]
-        for d_bu, d_td in blocks:
+        cases = [  # (d_bu, top-down weight, top-down offset, rate of layer 2)
+            (rng.normal(scale=10.0, size=(40, 25)), rng.normal(size=(25, 6)),
+             rng.normal(scale=10.0, size=25), rng.uniform(0.0, 1.0, size=(40, 6))),
+            # every (d_bu, offset) pair of edge values: row i pairs edges[i] with each
+            (np.repeat(edges[:, None], len(edges), axis=1), np.zeros((len(edges), 1)),
+             edges, np.zeros((len(edges), 1))),
+        ]
+        for d_bu, v, c, rate in cases:
+            interior = self.interior(v, c)
+            top = make_params((3, d_bu.shape[1]), [np.zeros((d_bu.shape[1], 3))])
+            rates = [None, None, rate]
             with np.errstate(over="ignore"):
-                want = (1.0 * d_bu + 1.0 * d_td) / (1.0 + 1.0)
-                got = branch_combine(d_bu, d_td)
+                d_td = network.branch_predictions(interior, rates, 1, d_bu)[1]
+                want = np.clip((d_bu + d_td) / 2, 0, 1)
+                got = network._layer_target(interior, rates, 1, d_bu)
             assert got.tobytes() == want.tobytes()
-            assert branch_combine(d_bu).tobytes() == (1.0 * d_bu / 1.0).tobytes()
+            top_got = network._layer_target(top, [None], 1, d_bu)
+            assert top_got.tobytes() == np.clip(d_bu, 0, 1).tobytes()
+
+    @pytest.mark.parametrize("sizes", [(5, 4), (5, 4, 3)], ids=["L1", "L2"])
+    def test_a_drive_handed_in_is_not_written(self, sizes):
+        rng = np.random.default_rng(7)
+        params = random_tied_params(rng, sizes, scale=2.0, with_offsets=True)
+        state = random_state(rng, params, lo=-1.0, hi=2.0)
+        rates = network.layer_rates(params, state)
+        for r in rates:
+            r.setflags(write=False)
+        drive = network._drive(params, state.visible)
+        drive.setflags(write=False)
+        kept = drive.copy()
+        got = network._layer_target(params, rates, 1, drive)
+        assert got.tobytes() == network._layer_target(params, rates, 1).tobytes()
+        top = network._layer_target(params, rates, params.n_layers,
+                                    drive if params.n_layers == 1 else None)
+        for out in (got, top):
+            assert out.flags.writeable and out.flags.owndata
+            assert not any(np.shares_memory(out, a) for a in (drive, *rates))
+        assert drive.tobytes() == kept.tobytes()
 
 
 class TestFeedforwardInit:

@@ -11,10 +11,17 @@ of ``BENCHMARK.json`` runs. Pair ``i`` runs each workload in turn with
 ``BENCHMARK.json``'s ``run_seconds`` in both checkouts, the parent first
 in even pairs and the change first in odd ones. Each run's end-to-end
 metrics are printed as it finishes; at the end, one summary per
-workload, giving per metric of ``BENCHMARK.json``: each side's median
-and quartiles, how many pairs the change won (ties count for neither
-side), and whether the medians differ, in the change's favour, by more
-than the distance between the parent's quartiles.
+workload, giving per end-to-end metric of ``BENCHMARK.json``:
+
+* each side's median and quartiles, and how many pairs the change won
+  (ties count for neither side);
+* the gain rule: whether the medians differ, in the change's favour, by
+  more than the distance between the parent's quartiles (its IQR);
+* the no-regression rule, against the metric's relative ``bound``: a
+  REGRESSION when the change's median is worse than the parent's by
+  more than the bound, and UNRESOLVED when the parent's IQR exceeds the
+  bound times its median (too spread to tell), unless every change run
+  beats every parent run.
 """
 
 from __future__ import annotations
@@ -44,22 +51,27 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) -> list[dict]:
-    """One row per metric of ``better`` (name -> ``"lower"`` or ``"higher"``)
-    comparing the result lines of paired runs, ``parent[i]`` with ``change[i]``."""
+def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> list[dict]:
+    """One row per entry of ``metrics`` (``BENCHMARK.json``'s ``end_to_end``:
+    ``name``, ``better`` ``"lower"`` or ``"higher"``, relative ``bound``) comparing
+    the result lines of paired runs, ``parent[i]`` with ``change[i]``."""
     rows = []
-    for name, direction in better.items():
+    for metric in metrics:
+        name, direction, bound = metric["name"], metric["better"], metric["bound"]
         sign = 1.0 if direction == "lower" else -1.0
         p = [r["metrics"][name]["value"] for r in parent]
         c = [r["metrics"][name]["value"] for r in change]
         pq, cq = quartiles(p), quartiles(c)
         gain = sign * (pq[1] - cq[1])
+        gain_frac, spread = gain / pq[1], (pq[2] - pq[0]) / pq[1]
         rows.append({
             "metric": name, "unit": parent[0]["metrics"][name]["unit"], "better": direction,
             "parent": pq, "change": cq,
             "wins": sum(sign * (a - b) > 0 for a, b in zip(p, c)), "pairs": len(p),
-            "gain": gain, "gain_frac": gain / pq[1],
+            "gain": gain, "gain_frac": gain_frac,
             "parent_iqr": pq[2] - pq[0], "beyond_iqr": gain > pq[2] - pq[0],
+            "bound": bound, "regression": gain_frac < -bound, "parent_spread": spread,
+            "unresolved": spread > bound and not all(sign * (a - b) > 0 for a in p for b in c),
         })
     return rows
 
@@ -73,7 +85,11 @@ def format_rows(rows: list[dict], parent: list[dict], change: list[dict]) -> str
             f"parent {p2:.4g} [{p1:.4g}, {p3:.4g}] -> change {c2:.4g} [{c1:.4g}, {c3:.4g}]; "
             f"change won {row['wins']}/{row['pairs']}; gain {row['gain']:+.4g} "
             f"({row['gain_frac']:+.1%}) {'exceeds' if row['beyond_iqr'] else 'within'} "
-            f"parent IQR {row['parent_iqr']:.4g}")
+            f"parent IQR {row['parent_iqr']:.4g}; "
+            f"{'REGRESSION' if row['regression'] else 'no regression'} beyond bound "
+            f"{row['bound']:.0%}"
+            + (f"; UNRESOLVED: parent IQR/median {row['parent_spread']:.1%} exceeds bound"
+               if row["unresolved"] else ""))
     lines.append(f"failed/attempted: parent {sum(r['failed'] for r in parent)}/"
                  f"{sum(r['attempted'] for r in parent)}, change "
                  f"{sum(r['failed'] for r in change)}/{sum(r['attempted'] for r in change)}")
@@ -118,7 +134,6 @@ def main(argv=None) -> int:
     unknown = [w for w in workloads if w not in known]
     if unknown:
         parser.error(f"unknown workload {', '.join(unknown)}; known: {', '.join(known)}")
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     runs = {w: ([], []) for w in workloads}   # workload -> (parent, change); a repeat runs once
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -137,7 +152,7 @@ def main(argv=None) -> int:
                           f"{results[-1]['failed']}/{results[-1]['attempted']}", flush=True)
     for workload, (parent, change) in runs.items():
         print(f"== {workload} ==")
-        print(format_rows(summarize(parent, change, better), parent, change))
+        print(format_rows(summarize(parent, change, bench["end_to_end"]), parent, change))
     return 0
 
 
