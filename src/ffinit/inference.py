@@ -21,8 +21,8 @@ One engine relaxes a block of ``B`` clamped inputs, an ``(B, n_k)``
 state per layer; :func:`relax` and :func:`infer_from_feedforward` take
 one input's vector or a ``(B, n_0)`` block. The visible layer never
 changes, so the clamped drive into layer 1, ``b_1 + W_1 rho(v)``, is
-formed once per run: :func:`infer_from_feedforward` takes it from the
-feedforward sweep, and :func:`relax` forms it before the first sweep.
+formed once per input and carried by the state, from the feedforward
+sweep (or :func:`relax`, for a state that carries none) to the residual.
 The block contract:
 
 * A single input is a batch of one, and it is bit-identical to the
@@ -48,17 +48,8 @@ import numpy as np
 
 from .exceptions import (ConfigurationError, DimensionError, InvalidInputError, check_count,
                          check_member, check_real)
-from .network import (
-    NetworkParams,
-    NetworkState,
-    _drive,
-    _feedforward,
-    _layer_target,
-    apply_activation,
-    check_state,
-    feedforward_init,   # noqa: F401  uncalled; only for perfbench's tracer, whose span is empty
-    layer_rates,
-)
+from .network import (NetworkParams, NetworkState, _layer_target, apply_activation, check_state,
+                      feedforward_init, layer_rates)
 from .energy import EnergyModel, energy
 
 
@@ -152,8 +143,9 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
     ``drive`` ``(B, n_1)``; the engine writes none of them.
     Only the rows still relaxing are updated: a row whose step drops
     below ``cfg.tol`` is written to the result and dropped from the
-    working block. Returns the final hidden blocks and the block's
-    trace, whose records hold NaN for the rows that have stopped.
+    working block. Returns the final hidden blocks, the bottom-up
+    predictions the last sweep formed last (none if rows had stopped) and
+    the trace ``(steps, converged, energies)``, NaN for stopped rows.
     """
     act = params.activation
     L = params.n_layers
@@ -164,6 +156,8 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
     rates = [None] + [apply_activation(act, h) for h in work]
     rows = np.arange(n_rows)   # block row of every working row
     rng = np.random.default_rng(cfg.seed) if cfg.noise_scale > 0.0 else None
+    jump = rng is None and cfg.tau == 1.0   # a clipped target is the new state and its rate
+    bottom_up = {}   # the predictions into the layers a sweep updates last, all current after it
     # One column per sweep (energies: plus the initial state's), NaN for stopped
     # rows; the columns double when full, as an array per sweep fragments the heap.
     steps = np.full((n_rows, 8), np.nan)
@@ -176,56 +170,63 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
         into[rows, j] = values
         return into
 
+    before = np.concatenate(work, axis=1)
     for sweep in range(cfg.max_iters + 1):   # sweeps done so far
         if energies is not None:
             vis = visible if len(rows) == n_rows else visible[rows]
-            vis.setflags(write=False)   # as the sweep's blocks are: the state adopts them
+            for a in (vis, *work):
+                a.setflags(write=False)   # the state adopts them
             energies = record(energies, sweep,
                               energy(energy_model, NetworkState(visible=vis, hidden=tuple(work))))
-        if rng is None and sweep:
+        if rng is None and sweep and step.min() < cfg.tol:
             done = step < cfg.tol
-            if done.any():
-                converged[rows[done]] = True
-                for out, h in zip(result, work):
-                    out[rows[done]] = h[done]
-                keep = ~done
-                rows, drive = rows[keep], drive[keep]
-                work = [h[keep] for h in work]
-                rates = [None] + [r[keep] for r in rates[1:]]
-        if sweep == cfg.max_iters or not len(rows):
+            converged[rows] = done
+            if done.all():
+                break
+            for out, h in zip(result, work):
+                out[rows[done]] = h[done]
+            keep = ~done
+            rows, drive, before = rows[keep], drive[keep], before[keep]
+            work = [h[keep] for h in work]
+            rates = [None] + (work if jump else [r[keep] for r in rates[1:]])
+        if sweep == cfg.max_iters or not n_rows:
             break
-        before = np.concatenate(work, axis=1)
         for first in (1, 2):
             # Targets read only the other parity's rates, so a rate is replaced at once.
             for k in range(first, L + 1, 2):
-                t = _layer_target(params, rates, k, drive if k == 1 else None)
-                if rng is not None:
-                    # One draw per layer update, shared by every row.
-                    t += rng.normal(0.0, cfg.noise_scale, size=t.shape[1])
-                t *= 1.0 / cfg.tau
-                h = (1.0 - 1.0 / cfg.tau) * work[k - 1]
-                h += t
-                h.setflags(write=False)
-                work[k - 1], rates[k] = h, apply_activation(act, h)
-        # Row by row: a norm over axis 1 rounds differently from the
-        # norm of one input's vector.
-        step = np.array([np.linalg.norm(d) for d in np.concatenate(work, axis=1) - before])
-        if not np.isfinite(step).all():
+                h = _layer_target(params, rates, k, drive if k == 1 else None,
+                                  bottom_up if first == 2 else None)
+                if not jump:
+                    if rng is not None:
+                        # One draw per layer update, shared by every row.
+                        h += rng.normal(0.0, cfg.noise_scale, size=h.shape[1])
+                    h *= 1.0 / cfg.tau
+                    h += (1.0 - 1.0 / cfg.tau) * work[k - 1]
+                work[k - 1] = h
+                rates[k] = h if jump else apply_activation(act, h)
+        # Row by row, with the bits of np.linalg.norm of one input's vector,
+        # sqrt(d @ d); a norm over axis 1 rounds differently.
+        after = np.concatenate(work, axis=1)
+        diff = after - before
+        step = np.sqrt(np.vecdot(diff, diff))
+        if not step.max() < np.inf:
             # A NaN step never drops below tol, so stop at the first one.
             raise InvalidInputError(
                 f"relaxation overflowed to a non-finite state in sweep {sweep + 1}")
         steps = record(steps, sweep, step)
+        before = after
     for out, h in zip(result, work):
         out[rows] = h
-        out.setflags(write=False)   # NetworkState adopts it
-    return result, ConvergenceTrace(
-        step_magnitudes=steps[:, :sweep], converged=converged,
-        energies=None if energies is None else energies[:, :sweep + 1])
+    # The predictions cover the working rows only: keep none once rows have stopped.
+    bottom_up = bottom_up if len(rows) == n_rows else {}
+    for a in (*result, *bottom_up.values()):
+        a.setflags(write=False)   # NetworkState adopts them
+    return (result, bottom_up, steps[:, :sweep], converged,
+            None if energies is None else energies[:, :sweep + 1])
 
 
 def relax(params: NetworkParams, state: NetworkState, cfg: RelaxationConfig,
-          energy_model: EnergyModel | None = None, *,
-          _clamped_drive: np.ndarray | None = None) -> tuple[NetworkState, ConvergenceTrace]:
+          energy_model: EnergyModel | None = None) -> tuple[NetworkState, ConvergenceTrace]:
     """Run the configured relaxation scheme from a given state.
 
     Iterates until the full-sweep step magnitude drops below ``cfg.tol``
@@ -233,6 +234,7 @@ def relax(params: NetworkParams, state: NetworkState, cfg: RelaxationConfig,
     deterministic fixed point, so they never set ``converged`` and always
     run the full budget. The input state is left untouched; the visible
     layer of the returned state is the clamped input, bit for bit.
+    The returned state carries the clamped drive and the last sweep's even-layer predictions.
 
     Args:
         params: Network parameters (shared, read-only).
@@ -253,16 +255,18 @@ def relax(params: NetworkParams, state: NetworkState, cfg: RelaxationConfig,
             raised in the sweep where that happens.
     """
     check_state(params, state)
-    visible = np.atleast_2d(state.visible)
-    drive = _drive(params, visible) if _clamped_drive is None else np.atleast_2d(_clamped_drive)
-    hidden, trace = _relax_block(params, visible, [np.atleast_2d(h) for h in state.hidden],
-                                 drive, cfg, energy_model)
+    drive = state._bottom_up(params)[1]
+    visible, block_drive, *hidden = np.atleast_2d(state.visible, drive, *state.hidden)
+    hidden, bottom_up, steps, converged, energies = _relax_block(
+        params, visible, hidden, block_drive, cfg, energy_model)
     if state.visible.ndim == 1:
         hidden = [h[0] for h in hidden]
-        trace = ConvergenceTrace(
-            step_magnitudes=trace.step_magnitudes[0], converged=bool(trace.converged[0]),
-            energies=None if trace.energies is None else trace.energies[0])
-    return NetworkState(visible=state.visible, hidden=tuple(hidden)), trace
+        bottom_up = {k: d[0] for k, d in bottom_up.items()}
+        steps, converged = steps[0], bool(converged[0])
+        energies = None if energies is None else energies[0]
+    return (NetworkState(visible=state.visible, hidden=tuple(hidden))._carrying(
+                params, {**bottom_up, 1: drive}),
+            ConvergenceTrace(step_magnitudes=steps, converged=converged, energies=energies))
 
 
 def infer_from_feedforward(params: NetworkParams, visible: np.ndarray,
@@ -271,11 +275,9 @@ def infer_from_feedforward(params: NetworkParams, visible: np.ndarray,
                            ) -> tuple[NetworkState, ConvergenceTrace]:
     """Feedforward-initialize on a clamped input, then relax.
 
-    Equivalent to ``relax(params, feedforward_init(params, visible), cfg)``, with the
-    clamped drive taken from the feedforward pass (still through :func:`relax`, which
-    perfbench's tracer wraps); ``visible`` is one input or a ``(B, n_0)`` block of them.
-    When consecutive layers reconstruct each other well, the feedforward pass already
-    lands near the relaxation fixed point and the run converges after very few sweeps.
+    That is ``relax(params, feedforward_init(params, visible), cfg)``, for one
+    input or a ``(B, n_0)`` block of them. When consecutive layers reconstruct
+    each other well, the feedforward pass already lands near the relaxation
+    fixed point and the run converges after very few sweeps.
     """
-    state, drive = _feedforward(params, visible)
-    return relax(params, state, cfg, energy_model=energy_model, _clamped_drive=drive)
+    return relax(params, feedforward_init(params, visible), cfg, energy_model=energy_model)

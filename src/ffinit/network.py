@@ -37,6 +37,7 @@ from __future__ import annotations
 import enum
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,7 +71,7 @@ def _encode(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The rates ``rho(x W^T + b)`` of every row of ``x``, from one gemm."""
     hid = x @ w.T
     hid += b
-    return np.clip(hid, 0.0, 1.0, out=hid)
+    return hid.clip(0.0, 1.0, out=hid)
 
 
 def _on_slope(x: np.ndarray) -> np.ndarray:
@@ -110,7 +111,7 @@ def _frozen_block(x, name: str) -> np.ndarray:
     if arr.ndim not in (1, 2):
         raise DimensionError(
             f"{name} must be a 1-d vector or a 2-d block, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
 
@@ -209,7 +210,7 @@ class NetworkParams:
         object.__setattr__(self, "activation",
                            check_member("activation", self.activation, Activation))
 
-    @property
+    @cached_property   # read every layer update; cached in the instance dict
     def n_layers(self) -> int:
         """Number of hidden layers ``L``."""
         return self.spec.n_hidden_layers
@@ -231,7 +232,10 @@ class NetworkState:
     arrays are read-only to enforce that. Each layer is held in C order;
     a read-only float64 C array that owns its memory is adopted without a
     copy, and handing it over hands over ownership; any other array is
-    copied (see :func:`_frozen`).
+    copied (see :func:`_frozen`). A state from :func:`feedforward_init` or
+    ``relax`` privately carries the bottom-up predictions formed for it (layer
+    1's, the clamped drive, always), read-only and keyed by the identity of the
+    params that formed them; a state built by hand or by ``replace`` carries none.
 
     Raises:
         DimensionError: If a layer is not a vector or a 2-d block.
@@ -240,6 +244,7 @@ class NetworkState:
 
     visible: np.ndarray
     hidden: tuple[np.ndarray, ...]
+    _carried = None   # (params, {layer: d_bu}); not a field
 
     def __post_init__(self):
         object.__setattr__(self, "visible", _frozen_block(self.visible, "visible"))
@@ -247,6 +252,15 @@ class NetworkState:
             self, "hidden",
             tuple(_frozen_block(h, f"hidden[{k}]") for k, h in enumerate(self.hidden)),
         )
+
+    def _bottom_up(self, params: NetworkParams) -> dict:
+        """The predictions ``{k: d_bu}`` carried under ``params``, else a fresh drive's."""
+        owner, bottom_up = self._carried or (None, None)
+        return bottom_up if owner is params else {1: _drive(params, self.visible)}
+
+    def _carrying(self, params: NetworkParams, bottom_up: dict) -> NetworkState:
+        object.__setattr__(self, "_carried", (params, bottom_up))
+        return self
 
 
 def check_state(params: NetworkParams, state: NetworkState) -> None:
@@ -296,15 +310,17 @@ def branch_predictions(params: NetworkParams, rates, k: int,
     return d_bu, d_td
 
 
-def _layer_target(params: NetworkParams, rates, k: int,
-                  d_bu: np.ndarray | None = None) -> np.ndarray:
+def _layer_target(params: NetworkParams, rates, k: int, d_bu: np.ndarray | None = None,
+                  keep: dict | None = None) -> np.ndarray:
     """The update target ``rho((d_bu + d_td) / 2)`` of hidden layer ``k``, or
     ``rho(d_bu)`` at the top; ``rates`` and ``d_bu`` as for :func:`branch_predictions`.
 
-    Works in place on the fresh top-down prediction and never writes a
-    ``d_bu`` handed in; the result is a fresh array.
+    Works in place on the fresh top-down prediction and never writes ``d_bu``,
+    which it stores as ``keep[k]`` when given ``keep``; the result is a fresh array.
     """
     d_bu, d_td = branch_predictions(params, rates, k, d_bu)
+    if keep is not None:
+        keep[k] = d_bu
     if d_td is None:
         return d_bu.clip(0.0, 1.0)
     d_td += d_bu
@@ -313,9 +329,10 @@ def _layer_target(params: NetworkParams, rates, k: int,
 
 
 def _drive(params: NetworkParams, visible: np.ndarray) -> np.ndarray:
-    """The clamped drive ``b_1 + W_1 rho(v)`` into layer 1, a fresh array; unchecked."""
+    """The clamped drive ``b_1 + W_1 rho(v)`` into layer 1, a fresh read-only array; unchecked."""
     drive = apply_activation(params.activation, visible) @ params.ff_weights[0].T
     drive += params.ff_offsets[0]
+    drive.setflags(write=False)
     return drive
 
 
@@ -324,20 +341,15 @@ def feedforward_init(params: NetworkParams, visible: np.ndarray) -> NetworkState
 
     Sets ``h_k = rho(b_k + W_k rho(h_{k-1}))`` for ``k = 1..L`` starting
     from the clamped visible vector, or from every row of a ``(B, n_0)``
-    block of them. Applying the non-linearity at every step makes the
-    result a fixed point of the direct relaxation update whenever both
-    branches of every layer agree on their predictions. The function is
-    pure: two calls with equal inputs agree exactly.
+    block of them; the state carries ``b_1 + W_1 rho(v)``, the clamped drive.
+    Applying the non-linearity at every step makes the result a fixed point
+    of the direct relaxation update whenever both branches of every layer
+    agree on their predictions. Two calls with equal inputs agree exactly.
 
     Raises:
         DimensionError: If ``visible`` has the wrong length.
         InvalidInputError: If ``visible`` has non-finite entries.
     """
-    return _feedforward(params, visible)[0]
-
-
-def _feedforward(params: NetworkParams, visible: np.ndarray) -> tuple[NetworkState, np.ndarray]:
-    """:func:`feedforward_init` and the clamped drive, layer 1's pre-activation."""
     visible = np.asarray(visible, dtype=float)
     if visible.ndim not in (1, 2) or visible.shape[-1] != params.spec.visible_size:
         raise DimensionError(
@@ -347,9 +359,9 @@ def _feedforward(params: NetworkParams, visible: np.ndarray) -> tuple[NetworkSta
     for w, b in zip(params.ff_weights[1:], params.ff_offsets[1:]):
         # A hidden state is already a rate, so it feeds the next layer as is.
         hidden.append(_encode(hidden[-1], w, b))
-    for a in (drive, *hidden):
-        a.setflags(write=False)   # NetworkState adopts the hidden layers
-    return NetworkState(visible=visible, hidden=tuple(hidden)), drive
+    for h in hidden:
+        h.setflags(write=False)   # NetworkState adopts them
+    return NetworkState(visible=visible, hidden=tuple(hidden))._carrying(params, {1: drive})
 
 
 def mutual_prediction_residual(params: NetworkParams, state: NetworkState) -> np.ndarray:
@@ -366,10 +378,11 @@ def mutual_prediction_residual(params: NetworkParams, state: NetworkState) -> np
         shape ``(B, L)`` for a block state.
     """
     check_state(params, state)
-    rates = layer_rates(params, state)
+    bottom_up = state._bottom_up(params)
+    rates = [None] + [apply_activation(params.activation, h) for h in state.hidden]
     out = np.empty(state.visible.shape[:-1] + (params.n_layers,))
     for k, h in enumerate(state.hidden, start=1):
-        d_bu, d_td = branch_predictions(params, rates, k)
+        d_bu, d_td = branch_predictions(params, rates, k, bottom_up.get(k))
         err = np.abs(d_bu - h).max(axis=-1)
         if d_td is not None:
             err = np.maximum(err, np.abs(d_td - h).max(axis=-1))

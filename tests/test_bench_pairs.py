@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -133,7 +134,7 @@ def fake_runs(monkeypatch):
     calls = []
 
     def run_benchmark(checkout, workload, seed, seconds):
-        side = "change" if checkout == bench_pairs.ROOT else "parent"
+        side = checkout.name   # main runs each side in a directory named after it
         calls.append((seed, workload, side))
         value = {"parent": 3.0, "change": 2.0}[side] + WORKLOADS.index(workload)
         metrics = {name: {"value": value, "unit": "s"}
@@ -141,6 +142,7 @@ def fake_runs(monkeypatch):
         return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
 
     monkeypatch.setattr(bench_pairs, "export", lambda rev, into: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "snapshot", lambda into: None)
     monkeypatch.setattr(bench_pairs, "run_benchmark", run_benchmark)
     return calls
 
@@ -178,3 +180,45 @@ def test_an_unknown_workload_is_rejected_before_any_run(fake_runs, capsys):
         bench_pairs.main(["--rev", "HEAD", "--pairs", "1", "--workload", "no-such-workload"])
     assert exit_info.value.code == 2 and fake_runs == []
     assert "unknown workload no-such-workload" in capsys.readouterr().err
+
+
+def test_both_sides_run_from_copies_and_the_change_keeps_its_uncommitted_edits(
+        tmp_path, monkeypatch, capsys):
+    # A checkout with one commit, then an uncommitted edit, an untracked file
+    # and an ignored one; the runs are stubbed, the export and the copy are not.
+    root = tmp_path / "checkout"
+    (root / "src").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    (root / ".gitignore").write_text("*.log\n")
+    (root / "src" / "code.py").write_text("committed\n")
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (root / "src" / "code.py").write_text("edited\n")
+    (root / "src" / "new.py").write_text("untracked\n")
+    (root / "run.log").write_text("ignored\n")
+    seen = {}
+
+    def run_benchmark(checkout, workload, seed, seconds):
+        seen.setdefault(checkout.name, (checkout, sorted(
+            str(f.relative_to(checkout)) for f in checkout.rglob("*") if f.is_file()),
+            (checkout / "src" / "code.py").read_text()))
+        metrics = {name: {"value": 1.0, "unit": "s"}
+                   for name in ("setup_s", "wall_s", "peak_rss_mb")}
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    monkeypatch.setattr(bench_pairs, "run_benchmark", run_benchmark)
+    assert bench_pairs.main(["--rev", "HEAD", "--pairs", "1", "--workload", WORKLOADS[0]]) == 0
+    (parent, parent_files, parent_code), (change, change_files, change_code) = (
+        seen["parent"], seen["change"])
+    assert parent.parent == change.parent and root not in parent.parents
+    assert not parent.exists() and not change.exists()   # removed on exit
+    assert parent_code == "committed\n" and change_code == "edited\n"
+    assert parent_files == [".gitignore", "BENCHMARK.json", "src/code.py"]
+    assert change_files == [".gitignore", "BENCHMARK.json", "src/code.py", "src/new.py"]

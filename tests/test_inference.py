@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,58 @@ class TestRelax:
             assert all(np.array_equal(a, b) for a, b in zip(final.hidden, oracle_hidden))
             assert np.array_equal(trace.step_magnitudes, np.asarray(oracle_steps))
             assert any(((h < 0.0) | (h > 1.0)).any() for h in final.hidden)
+
+    @pytest.mark.parametrize("sizes", [(10, 8), (10, 8, 6), (12, 9, 7, 5)],
+                             ids=["L1", "L2", "L3"])
+    def test_direct_matches_the_sweep_oracle_from_states_outside_the_unit_interval(self, sizes):
+        # The direct scheme takes each clipped target as the layer's state and
+        # rate at once, while the oracle mixes 0 * s + 1 * T and clips afresh;
+        # a start outside [0, 1] is where a state and its rate differ.
+        rng = np.random.default_rng(33)
+        params = random_tied_params(rng, sizes, scale=1.5, with_offsets=True)
+        states = [random_state(rng, params, lo=-1.0, hi=2.0) for _ in range(3)]
+        cfg = RelaxationConfig(max_iters=25, tol=1e-300)
+        oracles = [sweep_oracle(params, state, 25) for state in states]
+
+        def assert_matches(hidden, steps, oracle):
+            oracle_hidden, oracle_steps = oracle
+            n = len(steps)   # a fixed point (step 0.0) stops the run early
+            assert all(np.array_equal(a, b) for a, b in zip(hidden, oracle_hidden))
+            assert np.array_equal(steps, oracle_steps[:n])
+            assert not any(oracle_steps[n:])
+
+        final, trace = relax(params, states[0], cfg)
+        assert_matches(final.hidden, trace.step_magnitudes, oracles[0])
+        assert any(((h < 0.0) | (h > 1.0)).any() for h in states[0].hidden)
+        one, one_trace = relax(params, block_of(states[:1]), cfg)
+        assert_matches([h[0] for h in one.hidden], row_of(one_trace, 0).step_magnitudes,
+                       oracles[0])
+        # Rows of a larger block differ from their own runs by gemm rounding only.
+        block, block_trace = relax(params, block_of(states), cfg)
+        for i, (oracle_hidden, oracle_steps) in enumerate(oracles):
+            steps = row_of(block_trace, i).step_magnitudes
+            assert len(steps) <= 25 and not any(oracle_steps[len(steps):])
+            np.testing.assert_allclose(steps, oracle_steps[:len(steps)], rtol=1e-12, atol=1e-13)
+            for h, o in zip(block.hidden, oracle_hidden):
+                np.testing.assert_allclose(h[i], o, rtol=0, atol=1e-12)
+
+    def test_leaky_at_tau_one_runs_as_the_direct_scheme(self):
+        # States, steps, convergence and iteration counts, for a vector and a
+        # block whose rows stop at different sweeps.
+        rng = np.random.default_rng(34)
+        params = random_tied_params(rng, (12, 9, 7, 5), scale=1.5, with_offsets=True)
+        states = [random_state(rng, params, lo=-1.0, hi=2.0) for _ in range(5)]
+        leaky = RelaxationConfig(scheme=Scheme.LEAKY, tau=1.0, max_iters=80, tol=1e-9)
+        direct = RelaxationConfig(max_iters=80, tol=1e-9)
+        for state in (states[0], block_of(states)):
+            a_state, a = relax(params, state, leaky)
+            b_state, b = relax(params, state, direct)
+            assert all(np.array_equal(x, y) for x, y in zip(a_state.hidden, b_state.hidden))
+            assert np.array_equal(a.step_magnitudes, b.step_magnitudes, equal_nan=True)
+            assert np.array_equal(a.converged, b.converged)
+            assert np.array_equal(a.iters_run, b.iters_run)
+            assert np.all(a.iters_run > 1)
+        assert len(set(a.iters_run.tolist())) > 1
 
     @pytest.mark.parametrize("sizes", [(12, 9), (12, 9, 7)], ids=["L1", "L2"])
     def test_langevin_matches_the_noisy_sweep_oracle(self, sizes):
@@ -335,6 +389,14 @@ class TestInferFromFeedforward:
         assert counted.log == ["matmul"]
         assert all(np.array_equal(a, b) for a, b in zip(counted_state.hidden, got_state.hidden))
 
+        # The residual reads the drive the relaxed state carries, and has the
+        # bits of a hand-built state's, which forms its own.
+        residual = mutual_prediction_residual(params, counted_state)
+        assert counted.log == ["matmul"]
+        by_hand = NetworkState(visible=counted_state.visible, hidden=counted_state.hidden)
+        assert mutual_prediction_residual(params, by_hand).tobytes() == residual.tobytes()
+        assert counted.log == ["matmul", "matmul"]
+
     @pytest.mark.parametrize("visible, error", [
         (np.zeros(3), DimensionError),
         (np.zeros((4, 3)), DimensionError),
@@ -433,6 +495,121 @@ class TestInferFromFeedforward:
                 infer_from_feedforward(self.overflowing_params(), np.ones(2),
                                        RelaxationConfig(max_iters=100))
         assert layers == [1, 2]
+
+
+class TestCarriedDrive:
+    """The bottom-up predictions a state carries from feedforward_init and relax."""
+
+    @staticmethod
+    def counting_layer(params, i=0):
+        """``params`` with ``ff_weights[i]`` logging the products it enters."""
+        counted = params.ff_weights[i].view(CountsProducts)
+        counted.log = []
+        weights = list(params.ff_weights)
+        weights[i] = counted
+        object.__setattr__(params, "ff_weights", tuple(weights))
+        return counted.log
+
+    def test_equal_valued_params_form_their_own_drive(self):
+        rng = np.random.default_rng(35)
+        a = random_tied_params(rng, (12, 9, 7), scale=1.5, with_offsets=True)
+        v = rng.uniform(0, 1, size=12)
+        cfg = RelaxationConfig(max_iters=30, tol=1e-300)
+        state, _ = infer_from_feedforward(a, v, cfg)
+        want, want_trace = relax(a, state, cfg)
+        b = dataclasses.replace(a)
+        assert b is not a and all(np.array_equal(x, y) for x, y in zip(a.ff_weights, b.ff_weights))
+        log = self.counting_layer(b)
+        got, got_trace = relax(b, state, cfg)
+        assert log == ["matmul"]
+        assert all(np.array_equal(x, y) for x, y in zip(got.hidden, want.hidden))
+        assert np.array_equal(got_trace.step_magnitudes, want_trace.step_magnitudes)
+        mutual_prediction_residual(b, got)   # carries b's drive now
+        assert log == ["matmul"]
+        mutual_prediction_residual(b, state)   # carries a's
+        assert log == ["matmul", "matmul"]
+
+    def test_other_params_never_read_a_stale_drive(self):
+        rng = np.random.default_rng(36)
+        a = random_tied_params(rng, (12, 9, 7), scale=1.5, with_offsets=True)
+        b = dataclasses.replace(a, ff_offsets=(a.ff_offsets[0] + 0.25, *a.ff_offsets[1:]))
+        v = rng.uniform(0, 1, size=(3, 12))
+        cfg = RelaxationConfig(scheme=Scheme.LEAKY, tau=2.0, max_iters=20, tol=1e-300)
+        state, _ = infer_from_feedforward(a, v, cfg)
+        by_hand = NetworkState(visible=state.visible, hidden=state.hidden)
+        got, got_trace = relax(b, state, cfg)
+        want, want_trace = relax(b, by_hand, cfg)
+        assert all(np.array_equal(x, y) for x, y in zip(got.hidden, want.hidden))
+        assert np.array_equal(got_trace.step_magnitudes, want_trace.step_magnitudes)
+        assert (mutual_prediction_residual(b, state).tobytes()
+                == mutual_prediction_residual(b, by_hand).tobytes())
+        assert not np.array_equal(mutual_prediction_residual(b, state),
+                                  mutual_prediction_residual(a, state))
+
+    @pytest.mark.parametrize("scheme", [
+        RelaxationConfig(max_iters=40, tol=1e-9),
+        RelaxationConfig(scheme=Scheme.LEAKY, tau=2.5, max_iters=40, tol=1e-9),
+        RelaxationConfig(scheme=Scheme.LANGEVIN, noise_scale=0.05, tau=2.0, max_iters=15, seed=3),
+    ], ids=["direct", "leaky", "langevin"])
+    @pytest.mark.parametrize("sizes", [(12, 9), (12, 9, 7)], ids=["L1", "L2"])
+    def test_the_carried_predictions_are_read_only_and_never_written(self, scheme, sizes):
+        rng = np.random.default_rng(37)
+        params = random_tied_params(rng, sizes, scale=1.5, with_offsets=True)
+        for v in (rng.uniform(0, 1, size=12), rng.uniform(0, 1, size=(4, 12))):
+            state = feedforward_init(params, v)
+            carrier, (drive,) = state._carried[0], state._carried[1].values()
+            assert carrier is params and not drive.flags.writeable
+            assert drive.shape == v.shape[:-1] + (sizes[1],)
+            kept = drive.copy()
+            relaxed, _ = relax(params, state, scheme)
+            carrier, carried = relaxed._carried
+            assert carrier is params and carried[1] is drive
+            kept_carried = {k: d.copy() for k, d in carried.items()}
+            mutual_prediction_residual(params, relaxed)
+            relax(params, relaxed, scheme)
+            assert drive.tobytes() == kept.tobytes()
+            for k, d in carried.items():
+                assert not d.flags.writeable and d.tobytes() == kept_carried[k].tobytes()
+                assert d.shape == v.shape[:-1] + (sizes[k],)
+
+    @pytest.mark.parametrize("sizes", [(12, 9, 7), (12, 9, 7, 5), (12, 9, 7, 5, 4)],
+                             ids=["L2", "L3", "L4"])
+    def test_the_residual_reads_the_last_sweeps_bottom_up_predictions(self, sizes):
+        # After a sweep, the bottom-up predictions into the even layers, which
+        # it updates last, are current. A block carries them only when no row
+        # stopped early: a gemm over fewer rows may round a row differently.
+        rng = np.random.default_rng(39)
+        params = random_tied_params(rng, sizes, scale=1.5, with_offsets=True)
+        items = rng.uniform(0, 1, size=(4, 12))
+        even = set(range(2, len(sizes), 2))
+        log = self.counting_layer(params, 1)   # the products into layer 2
+        for v, cfg, carried in ((items[0], RelaxationConfig(max_iters=60, tol=1e-9), {1} | even),
+                                (items, RelaxationConfig(max_iters=6, tol=1e-300), {1} | even),
+                                (items, RelaxationConfig(max_iters=60, tol=1e-9), {1})):
+            state, trace = infer_from_feedforward(params, v, cfg)
+            assert set(state._carried[1]) == carried
+            log.clear()
+            residual = mutual_prediction_residual(params, state)
+            assert log == ([] if 2 in carried else ["matmul"])
+            by_hand = NetworkState(visible=state.visible, hidden=state.hidden)
+            assert mutual_prediction_residual(params, by_hand).tobytes() == residual.tobytes()
+        assert len(set(trace.iters_run.tolist())) > 1   # the last block's rows stopped apart
+
+    def test_replace_carries_no_drive(self):
+        rng = np.random.default_rng(38)
+        params = random_tied_params(rng, (12, 9, 7), scale=1.5, with_offsets=True)
+        state, _ = infer_from_feedforward(params, rng.uniform(0, 1, size=12),
+                                          RelaxationConfig(max_iters=10))
+        assert state._carried is not None
+        assert dataclasses.replace(state)._carried is None
+        w = rng.uniform(0, 1, size=12)
+        moved = dataclasses.replace(state, visible=w)
+        assert moved._carried is None
+        by_hand = NetworkState(visible=w, hidden=state.hidden)
+        assert (mutual_prediction_residual(params, moved).tobytes()
+                == mutual_prediction_residual(params, by_hand).tobytes())
+        assert not np.array_equal(mutual_prediction_residual(params, moved),
+                                  mutual_prediction_residual(params, state))
 
 
 class CountsProducts(np.ndarray):

@@ -2,9 +2,12 @@
 
     python3 tools/bench_pairs.py --rev <parent> [--workload <name> ...] --pairs <n> [--seed 1]
 
-The parent's committed files are exported with ``git archive`` into a
-temporary directory, which is removed when the script exits; "change" is
-the checkout holding this script, uncommitted edits included.
+Both sides run from copies in sibling temporary directories, which are
+removed when the script exits: the parent's committed files, exported
+with ``git archive``, and the change, the checkout holding this script,
+copied file by file (its tracked and untracked files that git does not
+ignore, uncommitted edits included). So neither side runs where the
+other's runs leave build or cache files, and both start alike.
 ``--workload`` may be given more than once; without it, every workload
 of ``BENCHMARK.json`` runs. Pair ``i`` runs each workload in turn with
 ``perfbench/run.py --trace 0`` at seed ``--seed + i`` for
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -118,6 +122,17 @@ def export(rev: str, into: Path) -> str:
     return commit
 
 
+def snapshot(into: Path) -> None:
+    """Copy the checkout's tracked and untracked, non-ignored files into ``into``."""
+    names = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z", "-co", "--exclude-standard"],
+                           capture_output=True, check=True).stdout.split(b"\0")
+    for name in filter(None, names):
+        src, dst = ROOT / os.fsdecode(name), into / os.fsdecode(name)
+        if src.is_file():   # a tracked file deleted in the checkout is left out
+            dst.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dst)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", required=True, help="parent revision to compare against")
@@ -137,13 +152,17 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     runs = {w: ([], []) for w in workloads}   # workload -> (parent, change); a repeat runs once
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        commit = export(args.rev, Path(tmp))
-        print(f"parent {commit} vs {ROOT}; workloads {', '.join(runs)}, "
+        parent_dir, change_dir = Path(tmp, "parent"), Path(tmp, "change")
+        parent_dir.mkdir()
+        change_dir.mkdir()
+        commit = export(args.rev, parent_dir)
+        snapshot(change_dir)
+        print(f"parent {commit} vs a copy of {ROOT}; workloads {', '.join(runs)}, "
               f"{args.pairs} pairs from seed {args.seed}, {seconds:g} s", flush=True)
         for i in range(args.pairs):
             seed = args.seed + i
             for workload, (parent, change) in runs.items():
-                sides = [("parent", Path(tmp), parent), ("change", ROOT, change)]
+                sides = [("parent", parent_dir, parent), ("change", change_dir, change)]
                 for name, checkout, results in (sides if i % 2 == 0 else sides[::-1]):
                     results.append(run_benchmark(checkout, workload, seed, seconds))
                     values = ", ".join(f"{k} {v['value']:.4g}"
