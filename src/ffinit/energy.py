@@ -16,12 +16,18 @@ integrate a bottom-up and a top-down branch, and ``q = 1/2`` for the top
 layer, which has only a bottom-up branch (the clamped visible layer also
 uses ``1/2``; its terms are constant during inference).
 
-This weighting is what makes the energy a Lyapunov function of the
-direct relaxation scheme: every layer update of
-:func:`ffinit.inference.direct_update_layer` is the exact conditional
-minimizer of ``E`` given the neighboring layers, so a full sweep can
-never increase it. With a single hidden layer the expression reduces to
-the classical ``||s||^2 / 2`` form.
+This weighting makes the energy a Lyapunov function of the direct
+relaxation scheme: the layer update rule of :mod:`ffinit.network` moves
+a layer to the exact conditional minimizer of ``E`` given its neighbours,
+so a full sweep can never increase it. With a single hidden layer the
+expression reduces to the classical ``||s||^2 / 2`` form.
+
+:func:`energy` sums these terms over the rule's branch predictions. Each
+coupling pair ``(k - 1, k)`` has one member of even index (the visible
+layer is 0), whose tied predictions hold the pair. So an even layer adds
+``q_k ||s_k||^2 - rho(s_k) . (d_bu + d_td)``, an odd one the same with
+``b_k + c_k`` for ``d_bu + d_td`` (the clamped drive for ``b_1``, no ``c``
+at the top), and the visible layer ``||v||^2 / 2 - rho(v) . c_0``.
 """
 
 from __future__ import annotations
@@ -31,14 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NotAnEnergyModelError
-from .network import (
-    NetworkParams,
-    NetworkState,
-    _on_slope,
-    branch_predictions,
-    check_state,
-    layer_rates,
-)
+from .network import (NetworkParams, NetworkState, _on_slope, _read, apply_activation,
+                      branch_predictions)
 
 
 @dataclass(frozen=True)
@@ -91,20 +91,17 @@ def energy(model: EnergyModel, state: NetworkState) -> float | np.ndarray:
         A float, or for a block state one energy per row, shape ``(B,)``.
     """
     p = model.params
-    check_state(p, state)
-    e = 0.5 * _row_dot(state.visible, state.visible)
-    for k in range(1, p.n_layers + 1):
-        h = state.hidden[k - 1]
-        e = e + model.layer_quadratic_weight(k) * _row_dot(h, h)
-    rates = layer_rates(p, state)
-    for k in range(1, p.n_layers + 1):
-        e = e - _row_dot(rates[k], rates[k - 1] @ p.ff_weights[k - 1].T)
-    e = e - rates[0] @ p.fb_offsets[0]
-    for k in range(1, p.n_layers + 1):
-        offsets = p.ff_offsets[k - 1].copy()
-        if k < p.n_layers:
-            offsets += p.fb_offsets[k]
-        e = e - rates[k] @ offsets
+    rates, bottom_up = _read(p, state)
+    e = (0.5 * _row_dot(state.visible, state.visible)
+         - apply_activation(p.activation, state.visible) @ p.fb_offsets[0])
+    for k, h in enumerate(state.hidden, start=1):
+        if k % 2:   # an odd layer's couplings are counted at its even neighbours
+            u = bottom_up[1] if k == 1 else p.ff_offsets[k - 1]
+            u = u + p.fb_offsets[k] if k < p.n_layers else u
+        else:
+            d_bu, d_td = branch_predictions(p, rates, k, bottom_up.get(k))
+            u = d_bu if d_td is None else np.add(d_td, d_bu, out=d_td)
+        e = e + model.layer_quadratic_weight(k) * _row_dot(h, h) - _row_dot(rates[k], u)
     return float(e) if np.ndim(e) == 0 else e
 
 
@@ -124,12 +121,10 @@ def energy_gradient(model: EnergyModel, state: NetworkState) -> tuple[np.ndarray
         One gradient array per hidden layer.
     """
     p = model.params
-    check_state(p, state)
-    rates = layer_rates(p, state)
+    rates, bottom_up = _read(p, state)
     grads = []
     for k, h in enumerate(state.hidden, start=1):
-        d_bu, d_td = branch_predictions(p, rates, k)
+        d_bu, d_td = branch_predictions(p, rates, k, bottom_up.get(k))
         total_in = d_bu if d_td is None else d_bu + d_td
-        q = model.layer_quadratic_weight(k)
-        grads.append(2.0 * q * h - _on_slope(h) * total_in)
+        grads.append(2.0 * model.layer_quadratic_weight(k) * h - _on_slope(h) * total_in)
     return tuple(grads)

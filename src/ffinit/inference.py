@@ -23,7 +23,8 @@ one input's vector or a ``(B, n_0)`` block. The visible layer never
 changes, so the clamped drive into layer 1, ``b_1 + W_1 rho(v)``, is
 formed once per input and carried by the state, from the feedforward
 sweep (or :func:`relax`, for a state that carries none) to the residual.
-The block contract:
+Each energy snapshot also reads the last sweep's predictions into the
+even layers; at L = 2 only the first forms a product. The block contract:
 
 * A single input is a batch of one, and it is bit-identical to the
   per-item sweep (the straight-line oracle of the tests).
@@ -48,8 +49,8 @@ import numpy as np
 
 from .exceptions import (ConfigurationError, DimensionError, InvalidInputError, check_count,
                          check_member, check_real)
-from .network import (NetworkParams, NetworkState, _layer_target, apply_activation, check_state,
-                      feedforward_init, layer_rates)
+from .network import (NetworkParams, NetworkState, _layer_target, _read, apply_activation,
+                      check_state, feedforward_init)
 from .energy import EnergyModel, energy
 
 
@@ -127,12 +128,12 @@ def direct_update_layer(params: NetworkParams, state: NetworkState, k: int) -> n
 
     Interior layers combine the bottom-up and top-down branch
     predictions; the top layer has only its bottom-up branch. The state
-    is not modified.
+    is not modified; the bottom-up predictions it carries are used.
     """
-    check_state(params, state)
+    rates, bottom_up = _read(params, state)
     if not 1 <= k <= params.n_layers:
         raise DimensionError(f"layer index {k} out of range 1..{params.n_layers}")
-    return _layer_target(params, layer_rates(params, state), k)
+    return _layer_target(params, rates, k, bottom_up.get(k))
 
 
 def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.ndarray],
@@ -174,10 +175,11 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
     for sweep in range(cfg.max_iters + 1):   # sweeps done so far
         if energies is not None:
             vis = visible if len(rows) == n_rows else visible[rows]
-            for a in (vis, *work):
+            carried = {**bottom_up, 1: drive}   # current for the working rows
+            for a in (vis, *work, *carried.values()):
                 a.setflags(write=False)   # the state adopts them
-            energies = record(energies, sweep,
-                              energy(energy_model, NetworkState(visible=vis, hidden=tuple(work))))
+            snapshot = NetworkState(visible=vis, hidden=tuple(work))._carrying(params, carried)
+            energies = record(energies, sweep, energy(energy_model, snapshot))
         if rng is None and sweep and step.min() < cfg.tol:
             done = step < cfg.tol
             converged[rows] = done

@@ -18,9 +18,11 @@ soma's total input,
 and a state that every branch predicts exactly is a fixed point.
 :func:`branch_predictions` is the only place that computes ``(d_bu,
 d_td)`` from layer rates and ``_layer_target`` the only place that
-combines them into a target; every relaxation update goes through it,
-while :func:`ffinit.energy.energy_gradient` and
-:func:`mutual_prediction_residual` read the predictions alone.
+combines them into a target; every relaxation update goes through it.
+The readers of a state, :func:`ffinit.energy.energy`,
+:func:`ffinit.energy.energy_gradient`, :func:`mutual_prediction_residual`
+and :func:`ffinit.inference.direct_update_layer`, take its rates and the
+predictions it carries from ``_read``, so only ``_drive`` forms the drive.
 
 Inputs are checked once, where they enter: :class:`NetworkParams`
 (shapes, finite arrays), :class:`NetworkState` (shapes,
@@ -282,9 +284,12 @@ def check_state(params: NetworkParams, state: NetworkState) -> None:
                 f"hidden layer {k} has shape {h.shape}, expected {rows + (sizes[k],)}")
 
 
-def layer_rates(params: NetworkParams, state: NetworkState) -> list[np.ndarray]:
-    """Rates ``rho(s_j)`` of every layer ``j = 0..L`` of a state, visible first."""
-    return [apply_activation(params.activation, s) for s in (state.visible, *state.hidden)]
+def _read(params: NetworkParams, state: NetworkState) -> tuple[list, dict]:
+    """Check ``state``; return its rates, with ``rates[0]`` None (layer 1 reads
+    the clamped drive instead), and the predictions ``{k: d_bu}`` it carries."""
+    check_state(params, state)
+    return ([None] + [apply_activation(params.activation, h) for h in state.hidden],
+            state._bottom_up(params))
 
 
 def branch_predictions(params: NetworkParams, rates, k: int,
@@ -377,9 +382,7 @@ def mutual_prediction_residual(params: NetworkParams, state: NetworkState) -> np
         Array of length ``L`` with one residual per hidden layer, or of
         shape ``(B, L)`` for a block state.
     """
-    check_state(params, state)
-    bottom_up = state._bottom_up(params)
-    rates = [None] + [apply_activation(params.activation, h) for h in state.hidden]
+    rates, bottom_up = _read(params, state)
     out = np.empty(state.visible.shape[:-1] + (params.n_layers,))
     for k, h in enumerate(state.hidden, start=1):
         d_bu, d_td = branch_predictions(params, rates, k, bottom_up.get(k))

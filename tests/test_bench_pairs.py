@@ -71,6 +71,19 @@ def test_a_worse_median_is_a_negative_gain():
     assert rows["rate"]["gain"] == pytest.approx(-1.0) and rows["rate"]["wins"] == 0
 
 
+def test_the_per_pair_ratio_is_reported_with_its_quartiles():
+    # Ratios change/parent, pair by pair: 0.5, 0.5, 1.0 and 0.5 for wall_s; the
+    # medians' ratio would read 3.5 / 4.5 instead.
+    parent = results([(2.0, 1.0), (4.0, 1.0), (5.0, 2.0), (10.0, 4.0)])
+    change = results([(1.0, 1.0), (2.0, 3.0), (5.0, 2.0), (5.0, 2.0)])
+    rows = rows_by_metric(parent, change)
+    assert rows["wall_s"]["ratio"] == pytest.approx((0.5, 0.5, 0.625))
+    assert rows["rate"]["ratio"] == pytest.approx((0.875, 1.0, 1.5))
+    text = bench_pairs.format_rows(list(rows.values()), parent, change)
+    assert "  wall_s per-pair change/parent ratio: median 0.5 [0.5, 0.625]" in text.splitlines()
+    assert "  rate per-pair change/parent ratio: median 1 [0.875, 1.5]" in text.splitlines()
+
+
 def test_format_names_every_metric_and_the_failures():
     parent = results([(3.0, 1.0), (3.2, 1.0)])
     change = results([(2.0, 1.0), (2.1, 1.0)], failed=1)
@@ -158,11 +171,15 @@ def test_every_workload_runs_by_default_with_one_summary_each(fake_runs, capsys)
     assert bench_pairs.main(["--rev", "HEAD", "--pairs", "2", "--seed", "5"]) == 0
     assert fake_runs == [(5, w, side) for w in WORKLOADS for side in ("parent", "change")] + [
         (6, w, side) for w in WORKLOADS for side in ("change", "parent")]
-    found = summaries(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    found = summaries(out)
     assert list(found) == WORKLOADS
     for i, w in enumerate(WORKLOADS):
         assert found[w].startswith(f"wall_s (s, lower is better): parent {3 + i:g} ")
         assert f"-> change {2 + i:g} " in found[w] and "change won 2/2" in found[w]
+        ratio = f"{(2 + i) / (3 + i):.4g}"
+        detail = f"  wall_s per-pair change/parent ratio: median {ratio} [{ratio}, {ratio}]"
+        assert out.splitlines().index(detail) == out.splitlines().index(found[w]) + 1
 
 
 def test_workload_may_be_given_more_than_once(fake_runs, capsys):

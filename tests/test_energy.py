@@ -1,13 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
+
 
 from ffinit import (
     EnergyModel,
     NetworkState,
     NotAnEnergyModelError,
     RelaxationConfig,
+    Scheme,
     energy,
     energy_gradient,
+    feedforward_init,
     relax,
 )
 from helpers import (
@@ -55,6 +60,57 @@ class TestEnergyValue:
             got = energy(EnergyModel(params), state)
             want = dense_energy_oracle(params, state)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def hand_built(state):
+    """A copy of ``state``'s arrays as a state that carries no predictions."""
+    return NetworkState(visible=np.array(state.visible),
+                        hidden=tuple(np.array(h) for h in state.hidden))
+
+
+def rows_of(state):
+    """Every row of a block state as a single-input state, or the state itself."""
+    if state.visible.ndim == 1:
+        return [state]
+    return [NetworkState(visible=state.visible[i], hidden=tuple(h[i] for h in state.hidden))
+            for i in range(len(state.visible))]
+
+
+class TestEnergyOfCarriedPredictions:
+    """``energy`` reads the branch predictions a state carries, in the parity form."""
+
+    @pytest.mark.parametrize("scheme", [
+        RelaxationConfig(max_iters=40, tol=1e-3),
+        RelaxationConfig(scheme=Scheme.LEAKY, tau=2.5, max_iters=40, tol=1e-3),
+        RelaxationConfig(scheme=Scheme.LANGEVIN, noise_scale=0.05, tau=2.0, max_iters=8, seed=3),
+    ], ids=["direct", "leaky", "langevin"])
+    @pytest.mark.parametrize("sizes", [(12, 9), (12, 9, 7), (12, 9, 7, 5), (12, 9, 7, 5, 4)],
+                             ids=["L1", "L2", "L3", "L4"])
+    @pytest.mark.parametrize("block", [False, True], ids=["vector", "block"])
+    def test_matches_the_dense_oracle_and_every_recorded_energy(self, scheme, sizes, block):
+        rng = np.random.default_rng(40)
+        params = random_tied_params(rng, sizes, scale=1.5, with_offsets=True)
+        model = EnergyModel(params)
+        items = rng.uniform(0, 1, size=(5, 12))
+        start = feedforward_init(params, items if block else items[0])
+        final, trace = relax(params, start, scheme, model)
+        for state in (start, final):
+            got = energy(model, state)
+            assert np.shape(got) == state.visible.shape[:-1]
+            want = [dense_energy_oracle(params, row) for row in rows_of(state)]
+            assert np.atleast_1d(got) == pytest.approx(want, rel=1e-12)
+            assert got == pytest.approx(energy(model, hand_built(state)), rel=1e-12)
+        # Column j of the trace is the energy after j sweeps, of every row still relaxing.
+        energies = np.atleast_2d(trace.energies)
+        for j in range(energies.shape[1]):
+            state = start if j == 0 else relax(params, start,
+                                               dataclasses.replace(scheme, max_iters=j))[0]
+            live = ~np.isnan(energies[:, j])
+            assert live.any()
+            assert energies[live, j] == pytest.approx(
+                np.atleast_1d(energy(model, hand_built(state)))[live], rel=1e-12)
+        if block and len(sizes) > 2 and scheme.scheme is not Scheme.LANGEVIN:
+            assert len(set(trace.iters_run.tolist())) > 1   # rows left the block apart
 
 
 class TestEnergyGradient:

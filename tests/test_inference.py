@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ffinit import network
+from ffinit import inference, network
 from ffinit import (
     Activation,
     ConfigurationError,
@@ -20,6 +20,7 @@ from ffinit import (
     branch_predictions,
     direct_update_layer,
     energy,
+    energy_gradient,
     feedforward_init,
     infer_from_feedforward,
     init_random_tied,
@@ -594,6 +595,99 @@ class TestCarriedDrive:
             by_hand = NetworkState(visible=state.visible, hidden=state.hidden)
             assert mutual_prediction_residual(params, by_hand).tobytes() == residual.tobytes()
         assert len(set(trace.iters_run.tolist())) > 1   # the last block's rows stopped apart
+
+    @staticmethod
+    def counting_weights(params):
+        """``params`` with each weight matrix logging the products it enters; returns
+        the logs, ``{"ff0": ..., "fb0": ..., "ff1": ..., ...}``."""
+        logs = {}
+        for name in ("ff", "fb"):
+            weights = []
+            for i, w in enumerate(getattr(params, f"{name}_weights")):
+                counted = w.view(CountsProducts)
+                counted.log = logs[f"{name}{i}"] = []
+                weights.append(counted)
+            object.__setattr__(params, f"{name}_weights", tuple(weights))
+        return logs
+
+    @pytest.mark.parametrize("scheme", [
+        RelaxationConfig(max_iters=40, tol=1e-3),
+        RelaxationConfig(scheme=Scheme.LEAKY, tau=2.5, max_iters=40, tol=1e-3),
+        RelaxationConfig(scheme=Scheme.LANGEVIN, noise_scale=0.05, tau=2.0, max_iters=8, seed=3),
+    ], ids=["direct", "leaky", "langevin"])
+    @pytest.mark.parametrize("block", [False, True], ids=["vector", "block"])
+    def test_energy_snapshots_form_one_product_at_two_hidden_layers(self, scheme, block):
+        # At L = 2 the initial snapshot forms layer 2's bottom-up prediction;
+        # every later one reads the prediction the sweep just formed, and the
+        # drive. So do the readers of a relaxed state, and none of them forms
+        # a product with ff_weights[0].
+        rng = np.random.default_rng(41)
+        params = random_tied_params(rng, (12, 9, 7), scale=1.5, with_offsets=True)
+        model = EnergyModel(params)
+        items = rng.uniform(0, 1, size=(5, 12))
+        start = feedforward_init(params, items if block else items[0])
+        logs = self.counting_weights(params)
+        relax(params, start, scheme)
+        without = {name: len(log) for name, log in logs.items()}
+        for log in logs.values():
+            log.clear()
+        relaxed, trace = relax(params, start, scheme, model)
+        assert {name: len(log) for name, log in logs.items()} == {**without,
+                                                                   "ff1": without["ff1"] + 1}
+        if block and scheme.scheme is not Scheme.LANGEVIN:
+            assert len(set(trace.iters_run.tolist())) > 1   # rows left the block apart
+        for state in (start, relaxed):
+            for log in logs.values():
+                log.clear()
+            energy(model, state)
+            assert sum(map(len, logs.values())) == (0 if 2 in state._carried[1] else 1)
+            energy_gradient(model, state)
+            mutual_prediction_residual(params, state)
+            for k in (1, 2):
+                direct_update_layer(params, state, k)
+            assert logs["ff0"] == []
+
+    def test_energy_snapshots_carry_read_only_predictions_they_never_write(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        params = random_tied_params(rng, (12, 9, 7, 5, 4), scale=1.5, with_offsets=True)
+        model = EnergyModel(params)
+        snapshots = []
+
+        def recording(model, state):
+            owner, carried = state._carried
+            assert owner is params
+            snapshots.append({k: (d, d.copy()) for k, d in carried.items()})
+            return energy(model, state)
+
+        monkeypatch.setattr(inference, "energy", recording)
+        for v in (rng.uniform(0, 1, size=12), rng.uniform(0, 1, size=(4, 12))):
+            snapshots.clear()
+            _, trace = infer_from_feedforward(params, v, RelaxationConfig(max_iters=30), model)
+            assert len(snapshots) == np.max(trace.iters_run) + 1
+            assert [set(carried) for carried in snapshots] == (
+                [{1}] + [{1, 2, 4}] * (len(snapshots) - 1))
+            for carried in snapshots:
+                for d, kept in carried.values():
+                    assert not d.flags.writeable and d.tobytes() == kept.tobytes()
+
+    def test_equal_valued_params_form_their_own_energy_predictions(self):
+        rng = np.random.default_rng(43)
+        a = random_tied_params(rng, (12, 9, 7), scale=1.5, with_offsets=True)
+        b = dataclasses.replace(a)
+        v = rng.uniform(0, 1, size=(3, 12))
+        cfg = RelaxationConfig(scheme=Scheme.LEAKY, tau=2.0, max_iters=20, tol=1e-300)
+        state = feedforward_init(a, v)
+        relaxed, want = relax(a, state, cfg, EnergyModel(a))
+        model = EnergyModel(b)
+        logs = self.counting_weights(b)
+        assert energy(model, relaxed) == pytest.approx(energy(EnergyModel(a), relaxed),
+                                                       rel=1e-12)
+        assert len(logs["ff0"]) == len(logs["ff1"]) == 1
+        for log in logs.values():
+            log.clear()
+        _, got = relax(a, state, cfg, model)   # a's predictions, read under b
+        assert len(logs["ff0"]) == len(logs["ff1"]) == 21
+        assert got.energies == pytest.approx(want.energies, rel=1e-12)
 
     def test_replace_carries_no_drive(self):
         rng = np.random.default_rng(38)

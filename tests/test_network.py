@@ -277,7 +277,7 @@ class TestLayerTarget:
         rng = np.random.default_rng(7)
         params = random_tied_params(rng, sizes, scale=2.0, with_offsets=True)
         state = random_state(rng, params, lo=-1.0, hi=2.0)
-        rates = network.layer_rates(params, state)
+        rates = [apply_activation(params.activation, s) for s in (state.visible, *state.hidden)]
         for r in rates:
             r.setflags(write=False)
         drive = network._drive(params, state.visible)

@@ -18,6 +18,9 @@ workload, giving per end-to-end metric of ``BENCHMARK.json``:
 
 * each side's median and quartiles, and how many pairs the change won
   (ties count for neither side);
+* a detail line: the median and quartiles of the per-pair ratio
+  change/parent, which pairs out drift that both sides of a pair share.
+  It is a report only, and decides neither rule;
 * the gain rule: whether the medians differ, in the change's favour, by
   more than the distance between the parent's quartiles (its IQR);
 * the no-regression rule, against the metric's relative ``bound``: a
@@ -72,6 +75,7 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> li
             "metric": name, "unit": parent[0]["metrics"][name]["unit"], "better": direction,
             "parent": pq, "change": cq,
             "wins": sum(sign * (a - b) > 0 for a, b in zip(p, c)), "pairs": len(p),
+            "ratio": quartiles([b / a for a, b in zip(p, c)]),
             "gain": gain, "gain_frac": gain_frac,
             "parent_iqr": pq[2] - pq[0], "beyond_iqr": gain > pq[2] - pq[0],
             "bound": bound, "regression": gain_frac < -bound, "parent_spread": spread,
@@ -83,7 +87,7 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> li
 def format_rows(rows: list[dict], parent: list[dict], change: list[dict]) -> str:
     lines = []
     for row in rows:
-        (p1, p2, p3), (c1, c2, c3) = row["parent"], row["change"]
+        (p1, p2, p3), (c1, c2, c3), (r1, r2, r3) = row["parent"], row["change"], row["ratio"]
         lines.append(
             f"{row['metric']} ({row['unit']}, {row['better']} is better): "
             f"parent {p2:.4g} [{p1:.4g}, {p3:.4g}] -> change {c2:.4g} [{c1:.4g}, {c3:.4g}]; "
@@ -94,6 +98,8 @@ def format_rows(rows: list[dict], parent: list[dict], change: list[dict]) -> str
             f"{row['bound']:.0%}"
             + (f"; UNRESOLVED: parent IQR/median {row['parent_spread']:.1%} exceeds bound"
                if row["unresolved"] else ""))
+        lines.append(f"  {row['metric']} per-pair change/parent ratio: median {r2:.4g} "
+                     f"[{r1:.4g}, {r3:.4g}]")
     lines.append(f"failed/attempted: parent {sum(r['failed'] for r in parent)}/"
                  f"{sum(r['attempted'] for r in parent)}, change "
                  f"{sum(r['failed'] for r in change)}/{sum(r['attempted'] for r in change)}")
