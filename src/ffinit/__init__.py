@@ -31,7 +31,6 @@ from .network import (
     NetworkParams,
     NetworkState,
     apply_activation,
-    branch_predictions,
     feedforward_init,
     mutual_prediction_residual,
 )
@@ -57,7 +56,6 @@ from .learning import (
     TrainConfig,
     TrainRule,
     init_random_tied,
-    local_branch_update,
     norm_matched_random,
     reconstruction_error,
     train_stacked_ae,
@@ -76,13 +74,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Activation", "LayerSpec", "NetworkParams", "NetworkState",
-    "apply_activation", "branch_predictions", "feedforward_init",
-    "mutual_prediction_residual",
+    "apply_activation", "feedforward_init", "mutual_prediction_residual",
     "EnergyModel", "energy", "energy_gradient", "energy_model_or_none",
     "Scheme", "RelaxationConfig", "ConvergenceTrace",
     "direct_update_layer", "relax", "infer_from_feedforward",
     "TrainConfig", "TrainRule", "init_random_tied", "norm_matched_random",
-    "train_stacked_ae", "local_branch_update", "reconstruction_error",
+    "train_stacked_ae", "reconstruction_error",
     "DataSource", "DatasetHandle", "load_idx_images", "synth_blobs",
     "synth_autoencodable", "save_params", "load_params",
     "DatasetSpec", "ExperimentSpec", "ExperimentReport", "RegimeResult",

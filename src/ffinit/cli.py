@@ -86,6 +86,9 @@ def _cmd_train(args) -> int:
 def _cmd_infer(args) -> int:
     spec = _load_config(args)
     params = load_params(args.model)
+    if spec.sizes != params.spec:
+        raise ConfigurationError(f"config sizes {list(spec.sizes.sizes)} differ from the "
+                                 f"checkpoint's {list(params.spec.sizes)}")
     data = build_dataset(spec.dataset, params.spec, spec.seed)
     if not 0 <= args.index < len(data):
         raise InvalidInputError(

@@ -28,6 +28,10 @@ layer is 0), whose tied predictions hold the pair. So an even layer adds
 ``q_k ||s_k||^2 - rho(s_k) . (d_bu + d_td)``, an odd one the same with
 ``b_k + c_k`` for ``d_bu + d_td`` (the clamped drive for ``b_1``, no ``c``
 at the top), and the visible layer ``||v||^2 / 2 - rho(v) . c_0``.
+
+Public functions check what enters them (tied weights, the state's
+shapes); the unchecked private kernel ``network._branch_predictions``
+forms the predictions.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NotAnEnergyModelError
-from .network import (NetworkParams, NetworkState, _on_slope, _read, apply_activation,
-                      branch_predictions)
+from .network import (NetworkParams, NetworkState, _branch_predictions, _on_slope, _read,
+                      apply_activation)
 
 
 @dataclass(frozen=True)
@@ -59,10 +63,6 @@ class EnergyModel:
             raise NotAnEnergyModelError(
                 "energy requires feedback weights exactly equal to transposed "
                 "feedforward weights; these parameters are untied")
-
-    def layer_quadratic_weight(self, k: int) -> float:
-        """Quadratic weight of hidden layer ``k`` (1-based)."""
-        return 1.0 if k < self.params.n_layers else 0.5
 
 
 def energy_model_or_none(params: NetworkParams) -> EnergyModel | None:
@@ -99,9 +99,9 @@ def energy(model: EnergyModel, state: NetworkState) -> float | np.ndarray:
             u = bottom_up[1] if k == 1 else p.ff_offsets[k - 1]
             u = u + p.fb_offsets[k] if k < p.n_layers else u
         else:
-            d_bu, d_td = branch_predictions(p, rates, k, bottom_up.get(k))
+            d_bu, d_td = _branch_predictions(p, rates, k, bottom_up.get(k))
             u = d_bu if d_td is None else np.add(d_td, d_bu, out=d_td)
-        e = e + model.layer_quadratic_weight(k) * _row_dot(h, h) - _row_dot(rates[k], u)
+        e = e + (1.0 if k < p.n_layers else 0.5) * _row_dot(h, h) - _row_dot(rates[k], u)
     return float(e) if np.ndim(e) == 0 else e
 
 
@@ -124,7 +124,7 @@ def energy_gradient(model: EnergyModel, state: NetworkState) -> tuple[np.ndarray
     rates, bottom_up = _read(p, state)
     grads = []
     for k, h in enumerate(state.hidden, start=1):
-        d_bu, d_td = branch_predictions(p, rates, k, bottom_up.get(k))
+        d_bu, d_td = _branch_predictions(p, rates, k, bottom_up.get(k))
         total_in = d_bu if d_td is None else d_bu + d_td
-        grads.append(2.0 * model.layer_quadratic_weight(k) * h - _on_slope(h) * total_in)
+        grads.append(2.0 * (1.0 if k < p.n_layers else 0.5) * h - _on_slope(h) * total_in)
     return tuple(grads)

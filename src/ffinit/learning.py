@@ -6,11 +6,12 @@ reconstruction loss, backpropagating through the pair's decoder into its
 encoder (and no further: training is local to the pair). ``local-branch``
 freezes the encoders at their random-tied initialization and fits only
 the top-down branch of each pair with the error-correcting delta rule
-(:func:`local_branch_update`), i.e. a linear regression of the branch's
+(``_local_branch_step``), i.e. a linear regression of the branch's
 voltage-scale prediction onto the feedforward activation it should
 predict. Because its encoders stay frozen, ``local-branch`` encodes each
-pair's input codes once, in one gemm, and that encoding feeds every
-batch, every epoch error and the next pair's codes.
+pair's input codes once, in one gemm, and that encoding gives the
+saturated-unit count and feeds every batch, every epoch error and the
+next pair's codes.
 
 Both rules apply the learning rate to a batch-sized factor, the output
 error, before the weight steps are formed from it, so no weight-sized
@@ -19,6 +20,9 @@ array is ever scaled.
 The epoch errors and :func:`reconstruction_error` run in row blocks
 (:func:`_row_blocks`), holding one block of each layer at a time; a
 whole encoding is built only where it is read again.
+
+Public functions check what enters them; ``_local_branch_step``, which
+every local-branch batch calls, is an unchecked private kernel.
 """
 
 from __future__ import annotations
@@ -144,42 +148,20 @@ def norm_matched_random(target: NetworkParams, init_scale: float = 1.0,
     return _hand_over(target.spec, ws, vs, bs, cs)
 
 
-def local_branch_update(weights: np.ndarray, offsets: np.ndarray, soma: np.ndarray,
-                        presyn_rates: np.ndarray, lr: float) -> None:
+def _local_branch_step(weights, offsets, soma, rates, lr) -> None:
     """One error-correcting step for a layer of dendritic branches over a batch.
 
     Branch ``i`` predicts its somatic value from presynaptic rates ``r``
     as ``d_i = offsets[i] + weights[i] @ r``. For a batch of ``B`` rows
-    (``soma`` is ``(B, n_out)``, ``presyn_rates`` is ``(B, n_in)``) the
-    update moves the weights and offsets along the batch mean of
+    (``soma`` is ``(B, n_out)``, ``rates`` is ``(B, n_in)``) the update
+    moves the weights and offsets along the batch mean of
     ``lr * (soma - d) r^T`` and ``lr * (soma - d)``, which is exactly the
     negative gradient step on the mean half squared prediction error
     ``|soma - d|^2 / 2``. Repeated application to a fixed batch of one
     contracts ``|soma - d|`` monotonically whenever
-    ``lr < 2 / (1 + ||r||^2)``.
-
-    ``lr / B`` scales the ``(B, n_out)`` prediction error before the
-    weight step is formed from it, so no ``(n_out, n_in)`` array is ever
-    scaled.
-
-    ``weights`` (``(n_out, n_in)``) and ``offsets`` (``(n_out,)``) are
-    float arrays updated in place, as training updates its decoder.
+    ``lr < 2 / (1 + ||r||^2)``. ``weights`` (``(n_out, n_in)``) and
+    ``offsets`` (``(n_out,)``) are updated in place; nothing is checked.
     """
-    soma = np.asarray(soma, dtype=float)
-    presyn_rates = np.asarray(presyn_rates, dtype=float)
-    if (weights.ndim != 2 or offsets.shape != weights.shape[:1]
-            or presyn_rates.ndim != 2 or presyn_rates.shape[1] != weights.shape[1]
-            or soma.shape != (len(presyn_rates), len(weights))):
-        raise InvalidInputError(
-            f"weights {weights.shape}, offsets {offsets.shape}, soma {soma.shape} and "
-            f"presynaptic rates {presyn_rates.shape} do not fit together")
-    if not np.all((presyn_rates >= 0.0) & (presyn_rates <= 1.0)):
-        raise InvalidInputError("presynaptic rates must lie in [0, 1]")
-    _local_branch_step(weights, offsets, soma, presyn_rates, lr)
-
-
-def _local_branch_step(weights, offsets, soma, rates, lr) -> None:
-    """:func:`local_branch_update` without its checks."""
     err = rates @ weights.T
     err += offsets
     np.subtract(soma, err, out=err)
@@ -270,12 +252,6 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
     ``dec(h) = rho(V_k h + c_k)``. The rule is taken from
     ``cfg.rule``; see the module docstring. Fully deterministic under
     ``cfg.seed``.
-
-    The local-branch rule never moves an encoder, so it encodes each
-    pair's codes once, in one gemm over all codes, instead of once per
-    batch and epoch. That one encoding gives the saturated-unit count
-    and feeds every branch update, every epoch error and the next pair's
-    codes.
 
     Besides the dataset and the parameters, training holds one pair's
     codes, one batch's temporaries and one row block of the epoch

@@ -16,22 +16,22 @@ soma's total input,
     s_k <- rho((d_bu + d_td) / 2),    s_L <- rho(d_bu),
 
 and a state that every branch predicts exactly is a fixed point.
-:func:`branch_predictions` is the only place that computes ``(d_bu,
-d_td)`` from layer rates and ``_layer_target`` the only place that
-combines them into a target; every relaxation update goes through it.
-The readers of a state, :func:`ffinit.energy.energy`,
-:func:`ffinit.energy.energy_gradient`, :func:`mutual_prediction_residual`
-and :func:`ffinit.inference.direct_update_layer`, take its rates and the
+``_branch_predictions`` is the only place that computes ``(d_bu, d_td)``
+from layer rates and ``_layer_target`` the only place that combines them
+into a target; every relaxation update goes through it. The readers of a
+state, :func:`ffinit.energy.energy`, :func:`ffinit.energy.energy_gradient`,
+:func:`mutual_prediction_residual` and
+:func:`ffinit.inference.direct_update_layer`, take its rates and the
 predictions it carries from ``_read``, so only ``_drive`` forms the drive.
 
-Inputs are checked once, where they enter: :class:`NetworkParams`
-(shapes, finite arrays), :class:`NetworkState` (shapes,
-finite entries) and :class:`ffinit.data.DatasetHandle` (finite items in
-``[0, 1]``). Every state an operation takes or returns is a
+Public functions check what enters them, once: :class:`NetworkParams`
+(shapes, finite arrays), :class:`NetworkState` (shapes, finite entries),
+:func:`check_state` and :class:`ffinit.data.DatasetHandle` (finite items
+in ``[0, 1]``). Every state an operation takes or returns is a
 :class:`NetworkState`, so a run that overflows to a non-finite value
 fails with :class:`~ffinit.exceptions.InvalidInputError` instead of
-returning it. :func:`apply_activation`, :func:`branch_predictions` and
-``_layer_target`` run unchecked.
+returning it. The private kernels ``_branch_predictions`` and
+``_layer_target``, which relaxation calls every sweep, run unchecked.
 """
 
 from __future__ import annotations
@@ -292,9 +292,9 @@ def _read(params: NetworkParams, state: NetworkState) -> tuple[list, dict]:
             state._bottom_up(params))
 
 
-def branch_predictions(params: NetworkParams, rates, k: int,
-                       d_bu: np.ndarray | None = None
-                       ) -> tuple[np.ndarray, np.ndarray | None]:
+def _branch_predictions(params: NetworkParams, rates, k: int,
+                        d_bu: np.ndarray | None = None
+                        ) -> tuple[np.ndarray, np.ndarray | None]:
     """Bottom-up and top-down branch predictions into hidden layer ``k``.
 
     ``rates[j]`` is the rate ``rho(s_j)`` of layer ``j`` (``j = 0`` is the
@@ -318,12 +318,12 @@ def branch_predictions(params: NetworkParams, rates, k: int,
 def _layer_target(params: NetworkParams, rates, k: int, d_bu: np.ndarray | None = None,
                   keep: dict | None = None) -> np.ndarray:
     """The update target ``rho((d_bu + d_td) / 2)`` of hidden layer ``k``, or
-    ``rho(d_bu)`` at the top; ``rates`` and ``d_bu`` as for :func:`branch_predictions`.
+    ``rho(d_bu)`` at the top; ``rates`` and ``d_bu`` as for :func:`_branch_predictions`.
 
     Works in place on the fresh top-down prediction and never writes ``d_bu``,
     which it stores as ``keep[k]`` when given ``keep``; the result is a fresh array.
     """
-    d_bu, d_td = branch_predictions(params, rates, k, d_bu)
+    d_bu, d_td = _branch_predictions(params, rates, k, d_bu)
     if keep is not None:
         keep[k] = d_bu
     if d_td is None:
@@ -385,7 +385,7 @@ def mutual_prediction_residual(params: NetworkParams, state: NetworkState) -> np
     rates, bottom_up = _read(params, state)
     out = np.empty(state.visible.shape[:-1] + (params.n_layers,))
     for k, h in enumerate(state.hidden, start=1):
-        d_bu, d_td = branch_predictions(params, rates, k, bottom_up.get(k))
+        d_bu, d_td = _branch_predictions(params, rates, k, bottom_up.get(k))
         err = np.abs(d_bu - h).max(axis=-1)
         if d_td is not None:
             err = np.maximum(err, np.abs(d_td - h).max(axis=-1))

@@ -16,8 +16,7 @@ import tracemalloc
 import numpy as np
 import numpy.random  # noqa: F401  imported here, so traced_peak does not count its import
 
-from ffinit import (Activation, LayerSpec, NetworkParams, NetworkState,
-                    local_branch_update)
+from ffinit import Activation, LayerSpec, NetworkParams, NetworkState
 
 
 def make_params(sizes, ff_weights, fb_weights=None, ff_offsets=None, fb_offsets=None,
@@ -286,8 +285,8 @@ def local_branch_oracle(items, sizes, cfg):
     Draws the same random-tied initialization and permutations from
     ``cfg.seed`` as ``train_stacked_ae``. Each pair's codes are encoded
     through the frozen encoder once, in one gemm; every shuffled batch of
-    that encoding is stepped with ``local_branch_update``, and the
-    encoding becomes the next pair's codes. Returns the trained
+    that encoding takes the delta-rule step on the decoder, written out,
+    and the encoding becomes the next pair's codes. Returns the trained
     ``(ws, vs, bs, cs)`` lists, the full-data reconstruction error after
     every epoch, and per epoch the number of encoder units saturated on
     every item.
@@ -304,7 +303,10 @@ def local_branch_oracle(items, sizes, cfg):
             perm = rng.permutation(len(codes))
             for start in range(0, len(codes), cfg.batch_size):
                 batch = perm[start:start + cfg.batch_size]
-                local_branch_update(v, c, codes[batch], hid[batch], cfg.learning_rate)
+                hid_b = hid[batch]
+                err = (codes[batch] - (hid_b @ v.T + c)) * (cfg.learning_rate / len(batch))
+                v += err.T @ hid_b
+                c += err.sum(axis=0)
             dead.append(n_dead)
             rec = _rho(hid @ v.T + c)
             errors.append(float(np.mean(np.sum((codes - rec) ** 2, axis=1))))

@@ -194,6 +194,14 @@ class TestErrors:
         assert_usage_error(capsys, "experiment", "--config", config, "--seed", -1,
                            "--out", tmp_path / "o")
 
+    def test_config_sizes_differing_from_the_checkpoint(self, tmp_path, capsys, model):
+        (tmp_path / "other").mkdir()
+        config = write_config(tmp_path / "other", sizes=[16, 8, 6])
+        assert run("infer", "--config", config, "--model", model) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "[16, 8, 6]" in err and "[16, 8, 4]" in err
+
     def test_logistic_checkpoint_rejected(self, tmp_path, capsys, config, model):
         rewrite_checkpoint(model, meta={"activation": "logistic-sigmoid"})
         with pytest.raises(CheckpointError):

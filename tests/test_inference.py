@@ -17,7 +17,6 @@ from ffinit import (
     RelaxationConfig,
     Scheme,
     apply_activation,
-    branch_predictions,
     direct_update_layer,
     energy,
     energy_gradient,
@@ -87,6 +86,14 @@ class TestDirectUpdateLayer:
         before = [h.copy() for h in state.hidden]
         direct_update_layer(params, state, 1)
         assert all(np.array_equal(a, b) for a, b in zip(before, state.hidden))
+
+    @pytest.mark.parametrize("k", [0, -1, 4])
+    def test_layer_index_out_of_range(self, k):
+        # At 6-4-4-4 a negative index would wrap onto a layer of the same size.
+        rng = np.random.default_rng(3)
+        params = random_tied_params(rng, sizes=(6, 4, 4, 4), with_offsets=True)
+        with pytest.raises(DimensionError, match="out of range 1..3"):
+            direct_update_layer(params, random_state(rng, params), k)
 
 
 class TestRelax:
@@ -485,12 +492,13 @@ class TestInferFromFeedforward:
         # A NaN step is never below tol; the engine must stop at it instead
         # of sweeping on to max_iters.
         layers = []
+        predictions = network._branch_predictions
 
         def counting(params, rates, k, d_bu=None):
             layers.append(k)
-            return branch_predictions(params, rates, k, d_bu)
+            return predictions(params, rates, k, d_bu)
 
-        monkeypatch.setattr(network, "branch_predictions", counting)
+        monkeypatch.setattr(network, "_branch_predictions", counting)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(InvalidInputError, match="sweep 1$"):
                 infer_from_feedforward(self.overflowing_params(), np.ones(2),

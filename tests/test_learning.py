@@ -16,7 +16,6 @@ from ffinit import (
     TrainRule,
     feedforward_init,
     init_random_tied,
-    local_branch_update,
     mutual_prediction_residual,
     norm_matched_random,
     reconstruction_error,
@@ -94,21 +93,23 @@ class TestNormMatchedRandom:
 
 
 def update_one(row, off, soma, r, lr):
-    """local_branch_update of one branch on a batch of one; returns the
+    """The local-branch kernel on one branch and a batch of one; returns the
     updated ``(row, offset)`` and leaves the arguments alone."""
     w, c = np.array([row], dtype=float), np.array([off], dtype=float)
-    local_branch_update(w, c, np.array([[soma]]), np.atleast_2d(r), lr)
+    learning._local_branch_step(w, c, np.array([[soma]]), np.atleast_2d(r), lr)
     return w[0], float(c[0])
 
 
 def updated(weights, offsets, soma, r, lr):
-    """Copies of ``weights`` and ``offsets`` after one local_branch_update."""
+    """Copies of ``weights`` and ``offsets`` after one local-branch step."""
     w, c = weights.copy(), offsets.copy()
-    local_branch_update(w, c, soma, r, lr)
+    learning._local_branch_step(w, c, soma, r, lr)
     return w, c
 
 
 class TestLocalBranchUpdate:
+    """``learning._local_branch_step``, the delta rule of local-branch training."""
+
     def test_perfect_prediction_no_update(self):
         row, off = update_one(np.array([0.5, -0.5]), 0.2,
                               soma=0.2 + 0.5 * 0.4 - 0.5 * 0.6,
@@ -175,28 +176,11 @@ class TestLocalBranchUpdate:
     def test_updates_in_place_and_leaves_the_batch_alone(self):
         weights, offsets = np.ones((2, 3)), np.zeros(2)
         soma, r = np.ones((1, 2)), np.full((1, 3), 0.5)
-        local_branch_update(weights, offsets, soma, r, 0.1)
+        learning._local_branch_step(weights, offsets, soma, r, 0.1)
         # d = 1.5 for both branches, so each moves by 0.1 * (1 - 1.5) * r
         assert np.allclose(weights, 1.0 - 0.025, rtol=0, atol=1e-15)
         assert np.allclose(offsets, -0.05, rtol=0, atol=1e-15)
         assert np.array_equal(soma, np.ones((1, 2))) and np.array_equal(r, np.full((1, 3), 0.5))
-
-    def test_presyn_outside_rate_range_rejected(self):
-        for bad in (1.5, -0.5, np.nan):
-            weights, offsets = np.zeros((2, 3)), np.zeros(2)
-            with pytest.raises(InvalidInputError):
-                local_branch_update(weights, offsets, np.zeros((1, 2)), [[bad, 0.5, 0.5]], 0.1)
-            assert not weights.any() and not offsets.any()
-
-    def test_shape_mismatch_rejected(self):
-        for weights, offsets, soma, r in (
-                (np.ones((1, 2)), np.zeros(1), np.ones((1, 1)), np.ones((1, 1))),
-                (np.ones((1, 2)), np.zeros(2), np.ones((1, 1)), np.ones((1, 2))),
-                (np.ones((1, 2)), np.zeros(1), np.ones((2, 1)), np.ones((1, 2))),
-                (np.ones(2), np.zeros(1), np.ones((1, 1)), np.ones((1, 2))),
-                (np.ones((1, 2)), np.zeros(1), np.ones(1), np.ones(2))):
-            with pytest.raises(InvalidInputError):
-                local_branch_update(weights, offsets, soma, r, 0.1)
 
 
 class TestTrainStackedAe:
@@ -477,6 +461,12 @@ class TestReconstructionError:
         params = init_random_tied(SPEC_432, Activation.HARD_SIGMOID, 1.0, seed=0)
         with pytest.raises(InvalidInputError):
             reconstruction_error(params, data, 2)
+
+    def test_negative_pair_index_rejected_at_equal_adjacent_sizes(self):
+        # At 6-4-4-4, pair -1 would read pair 2's decoder without the check.
+        params = init_random_tied(LayerSpec((6, 4, 4, 4)), Activation.HARD_SIGMOID, seed=0)
+        with pytest.raises(InvalidInputError):
+            reconstruction_error(params, blob_data(d=6), -1)
 
 
 class TestFullDataPassesInBlocks:

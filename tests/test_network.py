@@ -12,7 +12,6 @@ from ffinit import (
     NetworkParams,
     NetworkState,
     apply_activation,
-    branch_predictions,
     feedforward_init,
     init_random_tied,
     mutual_prediction_residual,
@@ -162,16 +161,16 @@ class TestNetworkState:
 
 
 class TestBottomUp:
-    """The bottom-up branch of ``branch_predictions``: ``b_k + W_k rho(s_{k-1})``."""
+    """The bottom-up branch of ``network._branch_predictions``: ``b_k + W_k rho(s_{k-1})``."""
 
     def test_zero_weights_expose_offset(self):
         params = make_params((2, 1), [np.zeros((1, 2))], ff_offsets=[[0.3]])
-        d_bu, d_td = branch_predictions(params, [np.array([0.9, 0.1])], 1)
+        d_bu, d_td = network._branch_predictions(params, [np.array([0.9, 0.1])], 1)
         assert np.array_equal(d_bu, [0.3]) and d_td is None
 
     def test_identity_weight_interior(self):
         params = make_params((1, 1), [[[1.0]]])
-        assert np.array_equal(branch_predictions(params, [np.array([0.5])], 1)[0], [0.5])
+        assert np.array_equal(network._branch_predictions(params, [np.array([0.5])], 1)[0], [0.5])
 
     def test_matches_elementwise_affine_oracle(self):
         rng = np.random.default_rng(3)
@@ -179,28 +178,28 @@ class TestBottomUp:
         b = rng.normal(size=2)
         params = make_params((3, 2), [w], ff_offsets=[b])
         rho_h = np.clip(rng.uniform(-0.5, 1.5, size=3), 0.0, 1.0)
-        got = branch_predictions(params, [rho_h], 1)[0]
+        got = network._branch_predictions(params, [rho_h], 1)[0]
         want = [b[i] + sum(w[i, j] * rho_h[j] for j in range(3)) for i in range(2)]
         assert np.allclose(got, want, atol=1e-14)
 
     def test_result_is_not_rate_coded(self):
         params = make_params((1, 1), [[[4.0]]])
-        assert branch_predictions(params, [np.array([1.0])], 1)[0][0] == 4.0
+        assert network._branch_predictions(params, [np.array([1.0])], 1)[0][0] == 4.0
 
 
 class TestTopDown:
-    """The top-down branch of ``branch_predictions``: ``c_k + V_{k+1} rho(s_{k+1})``."""
+    """The top-down branch of ``network._branch_predictions``: ``c_k + V_{k+1} rho(s_{k+1})``."""
 
     def test_zero_weights_expose_offset(self):
         params = make_params((1, 1, 2), [np.zeros((1, 1)), np.zeros((2, 1))],
                              fb_offsets=[[0.0], [0.7]])
         rates = [np.array([0.4]), np.array([0.6]), np.array([0.2, 0.9])]
-        assert np.array_equal(branch_predictions(params, rates, 1)[1], [0.7])
+        assert np.array_equal(network._branch_predictions(params, rates, 1)[1], [0.7])
 
     def test_hand_evaluated_case(self):
         params = make_params((1, 1, 1), [[[0.0]], [[0.0]]], fb_weights=[[[0.0]], [[2.0]]])
         rates = [np.array([0.5]), np.array([0.5]), np.array([0.25])]
-        assert np.array_equal(branch_predictions(params, rates, 1)[1], [0.5])
+        assert np.array_equal(network._branch_predictions(params, rates, 1)[1], [0.5])
 
     def test_transpose_tied_matches_explicit_transpose(self):
         rng = np.random.default_rng(4)
@@ -208,7 +207,7 @@ class TestTopDown:
         c = rng.normal(size=3)
         params = make_params((2, 3, 4), [np.zeros((3, 2)), w], fb_offsets=[np.zeros(2), c])
         x = rng.uniform(0, 1, size=4)
-        got = branch_predictions(params, [np.zeros(2), np.zeros(3), x], 1)[1]
+        got = network._branch_predictions(params, [np.zeros(2), np.zeros(3), x], 1)[1]
         want = c + w.T @ x
         assert np.allclose(got, want, atol=1e-14)
 
@@ -237,7 +236,7 @@ class TestLayerTarget:
         for _ in range(50):
             params = self.interior(np.zeros((6, 1)), rng.normal(size=6))
             d_bu = rng.normal(size=6)
-            d_td = network.branch_predictions(params, rates, 1, d_bu)[1]
+            d_td = network._branch_predictions(params, rates, 1, d_bu)[1]
             out = network._layer_target(params, rates, 1, d_bu)
             lo = np.clip(np.minimum(d_bu, d_td), 0.0, 1.0) - 1e-12
             hi = np.clip(np.maximum(d_bu, d_td), 0.0, 1.0) + 1e-12
@@ -265,7 +264,7 @@ class TestLayerTarget:
             top = make_params((3, d_bu.shape[1]), [np.zeros((d_bu.shape[1], 3))])
             rates = [None, None, rate]
             with np.errstate(over="ignore"):
-                d_td = network.branch_predictions(interior, rates, 1, d_bu)[1]
+                d_td = network._branch_predictions(interior, rates, 1, d_bu)[1]
                 want = np.clip((d_bu + d_td) / 2, 0, 1)
                 got = network._layer_target(interior, rates, 1, d_bu)
             assert got.tobytes() == want.tobytes()
@@ -388,7 +387,7 @@ def test_shape_closure_property():
         assert [h.shape[0] for h in ff.hidden] == list(sizes[1:])
         rates = [np.clip(s, 0, 1) for s in (state.visible, *state.hidden)]
         for k in range(1, params.n_layers + 1):
-            d_bu, d_td = branch_predictions(params, rates, k)
+            d_bu, d_td = network._branch_predictions(params, rates, k)
             assert d_bu.shape == (sizes[k],)
             assert d_td is None if k == params.n_layers else d_td.shape == (sizes[k],)
         assert mutual_prediction_residual(params, state).shape == (params.n_layers,)
