@@ -43,6 +43,7 @@ even layers; at L = 2 only the first forms a product. The block contract:
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,8 +132,9 @@ def direct_update_layer(params: NetworkParams, state: NetworkState, k: int) -> n
     is not modified; the bottom-up predictions it carries are used.
     """
     rates, bottom_up = _read(params, state)
-    if not 1 <= k <= params.n_layers:
-        raise DimensionError(f"layer index {k} out of range 1..{params.n_layers}")
+    if (isinstance(k, bool) or not isinstance(k, numbers.Integral)
+            or not 1 <= k <= params.n_layers):
+        raise DimensionError(f"layer index {k!r} out of range 1..{params.n_layers}")
     return _layer_target(params, rates, k, bottom_up.get(k))
 
 

@@ -15,7 +15,12 @@ next pair's codes.
 
 Both rules apply the learning rate to a batch-sized factor, the output
 error, before the weight steps are formed from it, so no weight-sized
-array is ever scaled.
+array is ever scaled. Each untied weight step then accumulates inside its
+gemm (:func:`_add_outer`, ``beta = 1`` into the weights), so no
+weight-sized temporary is formed either. The gemm is ``cblas_dgemm`` of
+the scipy-openblas that numpy's wheel bundles and has already loaded,
+and it keeps the bits of numpy's ``w -= err.T @ x``; where numpy uses
+another BLAS (Accelerate, MKL), the step falls back to that expression.
 
 The epoch errors and :func:`reconstruction_error` run in row blocks
 (:func:`_row_blocks`), holding one block of each layer at a time; a
@@ -23,13 +28,18 @@ whole encoding is built only where it is read again.
 
 Public functions check what enters them; ``_local_branch_step``, which
 every local-branch batch calls, is an unchecked private kernel.
+``_add_outer`` checks its arrays, as it hands their pointers to BLAS.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import logging
+import numbers
+import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -51,6 +61,75 @@ logger = logging.getLogger(__name__)
 ProgressFn = Callable[[int, int, float], None]
 
 _BLOCK_ROWS = 256   # rows per block of a full-data pass; see _row_blocks
+
+
+def _bind_dgemm():
+    """``scipy_cblas_dgemm64_`` of the scipy-openblas numpy has loaded, or None.
+
+    None unless numpy names its BLAS ``scipy-openblas`` and the library,
+    in the wheel's ``numpy.libs/`` (Linux, Windows) or ``numpy/.dylibs/``
+    (macOS) or in the build's library directory, is already loaded
+    (``RTLD_NOLOAD``): a second copy of OpenBLAS is never loaded, and the
+    gemm runs numpy's own kernels under numpy's thread cap.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas.get("name") != "scipy-openblas":
+        return None
+    root = Path(np.__file__).parent
+    folders = [root.parent / "numpy.libs", root / ".dylibs"]
+    if blas.get("lib directory"):
+        folders.append(Path(blas["lib directory"]))
+    for folder in folders:
+        for path in sorted(folder.glob("libscipy_openblas64_*")):
+            try:
+                gemm = ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0)
+                                   ).scipy_cblas_dgemm64_
+            except (OSError, AttributeError):
+                continue
+            gemm.restype = None
+            # order, transa, transb are C enums; the sizes are 64-bit (ILP64).
+            gemm.argtypes = ([ctypes.c_int] * 3 + [ctypes.c_int64] * 3
+                             + [ctypes.c_double, ctypes.c_void_p, ctypes.c_int64,
+                                ctypes.c_void_p, ctypes.c_int64,
+                                ctypes.c_double, ctypes.c_void_p, ctypes.c_int64])
+            return gemm
+    return None
+
+
+_DGEMM = _bind_dgemm()
+_ROW_MAJOR, _NO_TRANS, _TRANS = 101, 111, 112   # the CBLAS enum values
+
+
+def _add_outer(c: np.ndarray, a: np.ndarray, b: np.ndarray, alpha: float) -> None:
+    """``c += alpha * a.T @ b`` in place, ``alpha`` being 1.0 or -1.0.
+
+    ``a`` is ``(B, m)``, ``b`` ``(B, n)`` and ``c`` ``(m, n)``, all aligned
+    float64 C arrays, and ``c`` shares no memory with ``a`` or ``b``. One dgemm
+    with ``beta = 1`` accumulates into ``c``: no product array is formed
+    and ``c`` is passed over once. Because ``alpha`` is ±1, ``c + alpha *
+    acc`` rounds as ``c ± acc`` does, so the bits are those of
+    ``c += a.T @ b`` (or ``-=``), which runs instead when :data:`_DGEMM`
+    is None. Raises InvalidInputError, with ``c`` unwritten, on any other
+    input.
+    """
+    if not (alpha in (1.0, -1.0)
+            and all(isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64
+                    and x.flags.c_contiguous and x.flags.aligned for x in (c, a, b))
+            and c.flags.writeable and len(a) == len(b) and c.shape == (a.shape[1], b.shape[1])
+            and not np.may_share_memory(c, a) and not np.may_share_memory(c, b)):
+        raise InvalidInputError(
+            "_add_outer needs alpha = ±1 and aligned float64 C arrays c (m, n), a (B, m) "
+            "and b (B, n), c writable and sharing no memory with a or b")
+    if _DGEMM is None:
+        if alpha > 0:
+            c += a.T @ b
+        else:
+            c -= a.T @ b
+        return
+    k, (m, n) = len(a), c.shape
+    if k and m and n:
+        _DGEMM(_ROW_MAJOR, _TRANS, _NO_TRANS, m, n, k, alpha, a.ctypes.data, m,
+               b.ctypes.data, n, 1.0, c.ctypes.data, n)
 
 
 class TrainRule(enum.Enum):
@@ -160,13 +239,17 @@ def _local_branch_step(weights, offsets, soma, rates, lr) -> None:
     ``|soma - d|^2 / 2``. Repeated application to a fixed batch of one
     contracts ``|soma - d|`` monotonically whenever
     ``lr < 2 / (1 + ||r||^2)``. ``weights`` (``(n_out, n_in)``) and
-    ``offsets`` (``(n_out,)``) are updated in place; nothing is checked.
+    ``offsets`` (``(n_out,)``) are updated in place. The weight step
+    accumulates inside its gemm (:func:`_add_outer`), so no weight-sized
+    temporary is formed; where numpy's BLAS is not scipy-openblas it falls
+    back to ``weights += err.T @ rates``, which has the same bits. Only
+    ``_add_outer`` checks its arrays; nothing else is checked.
     """
     err = rates @ weights.T
     err += offsets
     np.subtract(soma, err, out=err)
     err *= lr / len(rates)
-    weights += err.T @ rates
+    _add_outer(weights, err, rates, 1.0)
     offsets += err.sum(axis=0)
 
 
@@ -209,6 +292,9 @@ def _ae_gradient_epoch(codes: np.ndarray, perm: np.ndarray, w, v, b, c,
 
     The learning rate scales the batch-sized reconstruction error, so every
     gradient comes out as its step and no weight-sized array is scaled.
+    Untied, each weight step accumulates inside its gemm
+    (:func:`_add_outer`); ``d_hid`` is formed through ``v`` before ``v``
+    steps. Tied, the two gradients are formed and summed in numpy.
     """
     gradient_seen = np.zeros(w.shape[0], dtype=bool)
     for start in range(0, len(perm), cfg.batch_size):
@@ -225,17 +311,16 @@ def _ae_gradient_epoch(codes: np.ndarray, perm: np.ndarray, w, v, b, c,
         d_rec -= xb
         d_rec *= 2.0 * cfg.learning_rate / len(xb)
         d_rec *= in_y
-        g_v = d_rec.T @ hid
         d_hid = d_rec @ v
         d_hid *= in_h
-        g_w = d_hid.T @ xb
         if cfg.tie_decoder:
-            g_w += g_v.T
+            g_w = d_hid.T @ xb
+            g_w += (d_rec.T @ hid).T
             w -= g_w
             v[...] = w.T
         else:
-            w -= g_w
-            v -= g_v
+            _add_outer(w, d_hid, xb, -1.0)
+            _add_outer(v, d_rec, hid, -1.0)
         b -= d_hid.sum(axis=0)
         c -= d_rec.sum(axis=0)
     return int(np.count_nonzero(~gradient_seen))
@@ -345,9 +430,10 @@ def reconstruction_error(params: NetworkParams, data: DatasetHandle, k: int) -> 
     and decoder, and returns the mean over items of the squared error
     norm. Zero exactly when the pair reconstructs every code perfectly.
     """
-    if not 0 <= k <= params.n_layers - 1:
+    if (isinstance(k, bool) or not isinstance(k, numbers.Integral)
+            or not 0 <= k <= params.n_layers - 1):
         raise InvalidInputError(
-            f"pair index {k} out of range 0..{params.n_layers - 1}")
+            f"pair index {k!r} out of range 0..{params.n_layers - 1}")
     codes = data.items
     if len(codes) == 0:
         raise DatasetError("cannot evaluate reconstruction on an empty dataset")

@@ -87,9 +87,10 @@ class TestDirectUpdateLayer:
         direct_update_layer(params, state, 1)
         assert all(np.array_equal(a, b) for a, b in zip(before, state.hidden))
 
-    @pytest.mark.parametrize("k", [0, -1, 4])
+    @pytest.mark.parametrize("k", [0, -1, 4, 1.0, 1.5, True])
     def test_layer_index_out_of_range(self, k):
-        # At 6-4-4-4 a negative index would wrap onto a layer of the same size.
+        # At 6-4-4-4 a negative index would wrap onto a layer of the same size;
+        # True would read layer 1 and a float would fail in list indexing.
         rng = np.random.default_rng(3)
         params = random_tied_params(rng, sizes=(6, 4, 4, 4), with_offsets=True)
         with pytest.raises(DimensionError, match="out of range 1..3"):

@@ -183,6 +183,76 @@ class TestLocalBranchUpdate:
         assert np.array_equal(soma, np.ones((1, 2))) and np.array_equal(r, np.full((1, 3), 0.5))
 
 
+class TestAddOuter:
+    """``learning._add_outer``, the in-place gemm of every untied weight step,
+    at the paper's weight shapes and batch sizes: 32 rows, 16 (the last
+    batch of 2000 items) and 1. Each case runs bound to numpy's
+    scipy-openblas and on the numpy fallback."""
+
+    @pytest.fixture(params=["bound", "fallback"])
+    def blas(self, request, monkeypatch):
+        if request.param == "fallback":
+            monkeypatch.setattr(learning, "_DGEMM", None)
+        return request.param
+
+    @pytest.mark.parametrize("shape", [(784, 500), (500, 784), (500, 500)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    @pytest.mark.parametrize("rows", [32, 16, 1])
+    @pytest.mark.parametrize("alpha", [1.0, -1.0])
+    def test_keeps_the_bits_of_the_numpy_expression(self, blas, shape, rows, alpha):
+        rng = np.random.default_rng(rows)
+        c = rng.normal(size=shape)
+        a, b = rng.normal(size=(rows, shape[0])), rng.uniform(0.0, 1.0, size=(rows, shape[1]))
+        want = c + a.T @ b if alpha > 0 else c - a.T @ b
+        learning._add_outer(c, a, b, alpha)
+        assert np.array_equal(c, want)
+
+    def test_bad_operands_raise_and_leave_c_unwritten(self, blas):
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(4, 3)), rng.normal(size=(4, 5))
+        buffer = rng.normal(size=40)
+        cases = [
+            # not C-contiguous: c, a, b
+            (rng.normal(size=(5, 3)).T, a, b, -1.0),
+            (rng.normal(size=(3, 5)), np.asfortranarray(a), b, -1.0),
+            (rng.normal(size=(3, 5)), a, b[:, ::-1], 1.0),
+            # c overlapping a, b
+            (buffer[:15].reshape(3, 5), buffer[10:22].reshape(4, 3), b, -1.0),
+            (buffer[:15].reshape(3, 5), a, buffer[:20].reshape(4, 5), 1.0),
+            # float32, mismatched shapes, an alpha other than ±1
+            (rng.normal(size=(3, 5)), a.astype(np.float32), b, -1.0),
+            (rng.normal(size=(3, 4)), a, b, -1.0),
+            (rng.normal(size=(3, 5)), a, b[:3], -1.0),
+            (rng.normal(size=(3, 5)), a, b, 0.5),
+        ]
+        for c, a_, b_, alpha in cases:
+            before = c.copy()
+            with pytest.raises(InvalidInputError):
+                learning._add_outer(c, a_, b_, alpha)
+            assert np.array_equal(c, before)
+        frozen = rng.normal(size=(3, 5))
+        frozen.setflags(write=False)
+        with pytest.raises(InvalidInputError):
+            learning._add_outer(frozen, a, b, 1.0)
+
+    @pytest.mark.parametrize("rule", list(TrainRule), ids=lambda rule: rule.value)
+    def test_training_keeps_its_bits_on_the_fallback(self, rule, monkeypatch):
+        data = blob_data(n=70, d=64)
+        cfg = TrainConfig(epochs=2, batch_size=16, rule=rule, seed=3)
+        bound = train_stacked_ae(data, TestAeGradientStep.SPEC, cfg)
+        monkeypatch.setattr(learning, "_DGEMM", None)
+        fallback = train_stacked_ae(data, TestAeGradientStep.SPEC, cfg)
+        for group in ("ff_weights", "fb_weights", "ff_offsets", "fb_offsets"):
+            assert all(np.array_equal(x, y) for x, y in zip(getattr(bound, group),
+                                                            getattr(fallback, group)))
+
+    def test_binds_when_numpy_uses_its_bundled_scipy_openblas(self):
+        # A wheel that bundles scipy-openblas must not train on the fallback
+        # unnoticed; any other BLAS must not be bound.
+        name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        assert (learning._DGEMM is not None) == (name == "scipy-openblas"), name
+
+
 class TestTrainStackedAe:
     def test_single_vector_pair_reaches_tiny_error(self):
         data = DatasetHandle(items=np.array([[0.6]]))
@@ -467,6 +537,12 @@ class TestReconstructionError:
         params = init_random_tied(LayerSpec((6, 4, 4, 4)), Activation.HARD_SIGMOID, seed=0)
         with pytest.raises(InvalidInputError):
             reconstruction_error(params, blob_data(d=6), -1)
+
+    @pytest.mark.parametrize("k", [1.0, 1.5, True], ids=repr)
+    def test_non_integer_pair_index_rejected(self, k):
+        params = init_random_tied(LayerSpec((6, 4, 4, 4)), Activation.HARD_SIGMOID, seed=0)
+        with pytest.raises(InvalidInputError, match="out of range 0..2"):
+            reconstruction_error(params, blob_data(d=6), k)
 
 
 class TestFullDataPassesInBlocks:
