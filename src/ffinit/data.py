@@ -9,9 +9,9 @@ entry holding a JSON string (``format``, ``format_version``, ``sizes``,
 
 Every array built here reaches its read-only container
 (:class:`DatasetHandle` or :class:`~ffinit.network.NetworkParams`)
-already read-only, so the container adopts it instead of copying it. A
-container copies any array that is writable or whose memory a writable
-array can reach; handing it a read-only array hands over ownership.
+already read-only, with no writable view made of it, so the container
+adopts it instead of copying it (the ownership rule of
+:func:`ffinit.network._frozen`).
 """
 
 from __future__ import annotations
@@ -60,9 +60,8 @@ class DataSource(enum.Enum):
 class DatasetHandle:
     """Immutable collection of vectors with entries in ``[0, 1]``.
 
-    ``items`` is held read-only in C order. A read-only float64 C array
-    that owns its memory is adopted without a copy, and handing it over
-    hands over ownership; any other array is copied.
+    ``items`` is held read-only in C order, adopted or copied by the
+    ownership rule of :func:`ffinit.network._frozen`.
     """
 
     items: np.ndarray
@@ -259,15 +258,17 @@ def load_params(path: str | Path) -> NetworkParams:
     The archive is read with ``allow_pickle=False``, so no entry is ever
     unpickled. It must hold the ``meta`` entry, whose ``branch_gains``
     must be ``[1.0, 1.0]`` because the branches are combined by their
-    plain mean, and exactly the array entries its ``sizes`` call for;
-    the arrays then go through :class:`~ffinit.network.NetworkParams`,
-    which checks every shape and every value for finiteness.
+    plain mean, and exactly the array entries its ``sizes`` call for,
+    each float64 of either byte order; the arrays then go through
+    :class:`~ffinit.network.NetworkParams`, which checks every shape and
+    every value for finiteness.
 
     Raises:
         CheckpointError: The file is not a format 2 archive (a format 1
             JSON checkpoint among them), is truncated or corrupt, holds
-            an object entry, misses an entry or has an extra one, or its
-            metadata or arrays are invalid.
+            an object entry, misses an entry or has an extra one, holds
+            an array entry that is not float64, or its metadata or arrays
+            are invalid.
         OSError: The file cannot be opened.
     """
     path = Path(path)
@@ -313,6 +314,11 @@ def load_params(path: str | Path) -> NetworkParams:
         raise CheckpointError(
             f"{path}: entries do not match sizes {list(spec.sizes)}: missing "
             f"{sorted(expected - set(entries))}, unexpected {sorted(set(entries) - expected)}")
+    for name in sorted(entries):
+        dtype = entries[name].dtype
+        if dtype.newbyteorder("=") != np.float64:   # float64 of either byte order
+            raise CheckpointError(
+                f"{path}: entry {name} has dtype {dtype}; format 2 stores float64 only")
     try:
         return NetworkParams(
             spec=spec,

@@ -15,12 +15,11 @@ next pair's codes.
 
 Both rules apply the learning rate to a batch-sized factor, the output
 error, before the weight steps are formed from it, so no weight-sized
-array is ever scaled. Each untied weight step then accumulates inside its
-gemm (:func:`_add_outer`, ``beta = 1`` into the weights), so no
-weight-sized temporary is formed either. The gemm is ``cblas_dgemm`` of
-the scipy-openblas that numpy's wheel bundles and has already loaded,
-and it keeps the bits of numpy's ``w -= err.T @ x``; where numpy uses
-another BLAS (Accelerate, MKL), the step falls back to that expression.
+array is ever scaled. Every weight step, the tied decoder's included, is
+then one dgemm into the weights (:func:`_sub_outer`), so no weight-sized
+temporary is formed either: ``cblas_dgemm`` of the scipy-openblas that
+numpy's wheel bundles and has already loaded, with the bits of numpy's
+``w -= err.T @ x``, which runs instead under another BLAS (Accelerate, MKL).
 
 The epoch errors and :func:`reconstruction_error` run in row blocks
 (:func:`_row_blocks`), holding one block of each layer at a time; a
@@ -28,7 +27,7 @@ whole encoding is built only where it is read again.
 
 Public functions check what enters them; ``_local_branch_step``, which
 every local-branch batch calls, is an unchecked private kernel.
-``_add_outer`` checks its arrays, as it hands their pointers to BLAS.
+``_sub_outer`` checks its arrays, as it hands their pointers to BLAS.
 """
 
 from __future__ import annotations
@@ -100,35 +99,29 @@ _DGEMM = _bind_dgemm()
 _ROW_MAJOR, _NO_TRANS, _TRANS = 101, 111, 112   # the CBLAS enum values
 
 
-def _add_outer(c: np.ndarray, a: np.ndarray, b: np.ndarray, alpha: float) -> None:
-    """``c += alpha * a.T @ b`` in place, ``alpha`` being 1.0 or -1.0.
+def _sub_outer(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """``c -= a.T @ b`` in place.
 
     ``a`` is ``(B, m)``, ``b`` ``(B, n)`` and ``c`` ``(m, n)``, all aligned
     float64 C arrays, and ``c`` shares no memory with ``a`` or ``b``. One dgemm
-    with ``beta = 1`` accumulates into ``c``: no product array is formed
-    and ``c`` is passed over once. Because ``alpha`` is ±1, ``c + alpha *
-    acc`` rounds as ``c ± acc`` does, so the bits are those of
-    ``c += a.T @ b`` (or ``-=``), which runs instead when :data:`_DGEMM`
-    is None. Raises InvalidInputError, with ``c`` unwritten, on any other
-    input.
+    with ``alpha = -1``, ``beta = 1`` accumulates into ``c``, forming no
+    product array; ``c + (-1) * acc`` rounds as ``c - acc``, so the bits are
+    those of ``c -= a.T @ b``, which runs instead when :data:`_DGEMM` is None.
+    Raises InvalidInputError, with ``c`` unwritten, on any other input.
     """
-    if not (alpha in (1.0, -1.0)
-            and all(isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64
-                    and x.flags.c_contiguous and x.flags.aligned for x in (c, a, b))
+    if not (all(isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64
+                and x.flags.c_contiguous and x.flags.aligned for x in (c, a, b))
             and c.flags.writeable and len(a) == len(b) and c.shape == (a.shape[1], b.shape[1])
             and not np.may_share_memory(c, a) and not np.may_share_memory(c, b)):
         raise InvalidInputError(
-            "_add_outer needs alpha = ±1 and aligned float64 C arrays c (m, n), a (B, m) "
-            "and b (B, n), c writable and sharing no memory with a or b")
+            "_sub_outer needs aligned float64 C arrays c (m, n), a (B, m) and b (B, n), "
+            "c writable and sharing no memory with a or b")
     if _DGEMM is None:
-        if alpha > 0:
-            c += a.T @ b
-        else:
-            c -= a.T @ b
+        c -= a.T @ b
         return
     k, (m, n) = len(a), c.shape
     if k and m and n:
-        _DGEMM(_ROW_MAJOR, _TRANS, _NO_TRANS, m, n, k, alpha, a.ctypes.data, m,
+        _DGEMM(_ROW_MAJOR, _TRANS, _NO_TRANS, m, n, k, -1.0, a.ctypes.data, m,
                b.ctypes.data, n, 1.0, c.ctypes.data, n)
 
 
@@ -239,18 +232,18 @@ def _local_branch_step(weights, offsets, soma, rates, lr) -> None:
     ``|soma - d|^2 / 2``. Repeated application to a fixed batch of one
     contracts ``|soma - d|`` monotonically whenever
     ``lr < 2 / (1 + ||r||^2)``. ``weights`` (``(n_out, n_in)``) and
-    ``offsets`` (``(n_out,)``) are updated in place. The weight step
-    accumulates inside its gemm (:func:`_add_outer`), so no weight-sized
-    temporary is formed; where numpy's BLAS is not scipy-openblas it falls
-    back to ``weights += err.T @ rates``, which has the same bits. Only
-    ``_add_outer`` checks its arrays; nothing else is checked.
+    ``offsets`` (``(n_out,)``) are updated in place. The error is stored
+    as ``d - soma`` and subtracted, which has the bits of adding its
+    exact negation; the weight step is one dgemm into ``weights``
+    (:func:`_sub_outer`), so no weight-sized temporary is formed. Only
+    ``_sub_outer`` checks its arrays; nothing else is checked.
     """
     err = rates @ weights.T
     err += offsets
-    np.subtract(soma, err, out=err)
+    err -= soma
     err *= lr / len(rates)
-    _add_outer(weights, err, rates, 1.0)
-    offsets += err.sum(axis=0)
+    _sub_outer(weights, err, rates)
+    offsets -= err.sum(axis=0)
 
 
 def _row_blocks(n: int) -> list[slice]:
@@ -292,9 +285,10 @@ def _ae_gradient_epoch(codes: np.ndarray, perm: np.ndarray, w, v, b, c,
 
     The learning rate scales the batch-sized reconstruction error, so every
     gradient comes out as its step and no weight-sized array is scaled.
-    Untied, each weight step accumulates inside its gemm
-    (:func:`_add_outer`); ``d_hid`` is formed through ``v`` before ``v``
-    steps. Tied, the two gradients are formed and summed in numpy.
+    Every weight step is one dgemm into the weights (:func:`_sub_outer`);
+    ``d_hid`` is formed through ``v`` before ``v`` steps. Tied, the
+    decoder's term is a second dgemm into ``w``, and ``v`` is then copied
+    from ``w``.
     """
     gradient_seen = np.zeros(w.shape[0], dtype=bool)
     for start in range(0, len(perm), cfg.batch_size):
@@ -313,14 +307,12 @@ def _ae_gradient_epoch(codes: np.ndarray, perm: np.ndarray, w, v, b, c,
         d_rec *= in_y
         d_hid = d_rec @ v
         d_hid *= in_h
+        _sub_outer(w, d_hid, xb)
         if cfg.tie_decoder:
-            g_w = d_hid.T @ xb
-            g_w += (d_rec.T @ hid).T
-            w -= g_w
+            _sub_outer(w, hid, d_rec)   # the decoder's term, (d_rec.T @ hid).T
             v[...] = w.T
         else:
-            _add_outer(w, d_hid, xb, -1.0)
-            _add_outer(v, d_rec, hid, -1.0)
+            _sub_outer(v, d_rec, hid)
         b -= d_hid.sum(axis=0)
         c -= d_rec.sum(axis=0)
     return int(np.count_nonzero(~gradient_seen))

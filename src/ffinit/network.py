@@ -88,14 +88,16 @@ def _frozen(x) -> np.ndarray:
     This is the ownership rule of every read-only container
     (:class:`NetworkParams`, :class:`NetworkState` and
     :class:`ffinit.data.DatasetHandle`). An array is adopted without a
-    copy when it is float64, C-contiguous and read-only, and no writable
-    array can reach its memory: it owns its data, or it is a same-size
-    view of a read-only array that does (``np.load``'s reshape view is
-    one). Anything else is copied and the copy marked read-only, so a
-    caller's writable array, or a read-only view of writable memory, is
-    never shared. Handing a container a read-only array therefore hands
-    over that array: numpy lets its owner set it writeable again, and the
-    read-only flag only guards against accidental writes.
+    copy when it is float64, C-contiguous and read-only, and so is the
+    memory it views: it owns its data, or it is a same-size view of a
+    read-only array that does (``np.load``'s reshape view is one).
+    Anything else is copied and the copy marked read-only, so a caller's
+    writable array, or a read-only view of writable memory, is never
+    shared. Adoption trusts the caller's read-only flag: handing a
+    container a read-only array hands over that array, since numpy lets
+    its owner set it writeable again and cannot see a writable view made
+    before it was marked read-only, which still writes into it. The flag
+    only guards against accidental writes.
     """
     if (type(x) is np.ndarray and x.dtype == np.float64 and x.flags.c_contiguous
             and not x.flags.writeable
@@ -167,10 +169,8 @@ class NetworkParams:
         activation: Rate non-linearity shared by all layers, or its value string.
 
     Every array is held read-only in C order, so one instance can safely
-    be shared across concurrent inference runs. A read-only float64 C
-    array that owns its memory is adopted without a copy, and handing it
-    over hands over ownership; any other array is copied (see
-    :func:`_frozen`).
+    be shared across concurrent inference runs. Arrays are adopted or
+    copied by the ownership rule of :func:`_frozen`.
     """
 
     spec: LayerSpec
@@ -231,13 +231,12 @@ class NetworkState:
     is a ``(B, n_0)`` array and hidden layer ``k`` a ``(B, n_k)`` array,
     row ``i`` of each belonging to input ``i``. The visible layer is
     clamped: no inference operation ever modifies it, and the backing
-    arrays are read-only to enforce that. Each layer is held in C order;
-    a read-only float64 C array that owns its memory is adopted without a
-    copy, and handing it over hands over ownership; any other array is
-    copied (see :func:`_frozen`). A state from :func:`feedforward_init` or
-    ``relax`` privately carries the bottom-up predictions formed for it (layer
-    1's, the clamped drive, always), read-only and keyed by the identity of the
-    params that formed them; a state built by hand or by ``replace`` carries none.
+    arrays are read-only to enforce that. Each layer is held in C order,
+    adopted or copied by the ownership rule of :func:`_frozen`. A state
+    from :func:`feedforward_init` or ``relax`` privately carries the
+    bottom-up predictions formed for it (layer 1's, the clamped drive,
+    always), read-only and keyed by the identity of the params that formed
+    them; a state built by hand or by ``replace`` carries none.
 
     Raises:
         DimensionError: If a layer is not a vector or a 2-d block.

@@ -344,7 +344,8 @@ def ae_gradient_oracle(items, sizes, cfg):
                 d_hid = (d_rec @ v) * _on_slope(pre_h)
                 g_w, g_v = d_hid.T @ xb, d_rec.T @ hid
                 if cfg.tie_decoder:
-                    w -= g_w + g_v.T
+                    w -= g_w
+                    w -= hid.T @ d_rec
                     v[...] = w.T
                 else:
                     w -= g_w

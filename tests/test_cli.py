@@ -133,6 +133,12 @@ DAMAGE = {
                  r"branch_gains must be \[1.0, 1.0\]"),
     "meta-nested-100000-deep": (lambda path: rewrite_checkpoint(path, meta="[" * 100000),
                                 "no valid meta entry"),
+    "complex-entry": (lambda path: rewrite_checkpoint(path, ff_weights_0=np.full((8, 16), 1j)),
+                      "entry ff_weights_0 has dtype complex128"),
+    "float32-entry": (lambda path: rewrite_checkpoint(path, fb_offsets_1=np.zeros(8, np.float32)),
+                      "entry fb_offsets_1 has dtype float32"),
+    "string-entry": (lambda path: rewrite_checkpoint(path, ff_offsets_0=np.full(8, "0.5")),
+                     "entry ff_offsets_0 has dtype <U3"),
 }
 
 

@@ -327,6 +327,15 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError, match=r"branch_gains must be \[1.0, 1.0\]"):
             load_params(path)
 
+    def test_big_endian_entries_load_bit_for_bit(self, tmp_path):
+        path, params = saved_checkpoint(tmp_path, sizes=(5, 4, 3))
+        rewrite_checkpoint(path, **{f"{group}_{k}": a.astype(">f8")
+                                    for group in GROUPS
+                                    for k, a in enumerate(getattr(params, group))})
+        with np.load(path, allow_pickle=False) as archive:
+            assert archive["ff_weights_0"].dtype == np.dtype(">f8")
+        assert_bit_identical(params, load_params(path))
+
     def test_missing_key_rejected(self, tmp_path):
         path, _ = saved_checkpoint(tmp_path)
         rewrite_checkpoint(path, drop=("ff_weights_0",))
