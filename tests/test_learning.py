@@ -189,6 +189,16 @@ class TestSubOuter:
     of 2000 items) and 1. Each case runs bound to numpy's scipy-openblas
     and on the numpy fallback."""
 
+    # The operands' sign pattern at each call site: a signed error against
+    # rates or data in [0, 1] (every untied step), and rates against a
+    # signed error (the tied decoder's term into w).
+    OPERANDS = {
+        "error-rates": lambda rng, rows, m, n: (rng.normal(size=(rows, m)),
+                                                rng.uniform(0.0, 1.0, size=(rows, n))),
+        "rates-error": lambda rng, rows, m, n: (rng.uniform(0.0, 1.0, size=(rows, m)),
+                                                rng.normal(size=(rows, n))),
+    }
+
     @pytest.fixture(params=["bound", "fallback"])
     def blas(self, request, monkeypatch):
         if request.param == "fallback":
@@ -198,10 +208,11 @@ class TestSubOuter:
     @pytest.mark.parametrize("shape", [(784, 500), (500, 784), (500, 500)],
                              ids=lambda shape: "x".join(map(str, shape)))
     @pytest.mark.parametrize("rows", [32, 16, 1])
-    def test_keeps_the_bits_of_the_numpy_expression(self, blas, shape, rows):
+    @pytest.mark.parametrize("operands", list(OPERANDS))
+    def test_keeps_the_bits_of_the_numpy_expression(self, blas, shape, rows, operands):
         rng = np.random.default_rng(rows)
         c = rng.normal(size=shape)
-        a, b = rng.normal(size=(rows, shape[0])), rng.uniform(0.0, 1.0, size=(rows, shape[1]))
+        a, b = self.OPERANDS[operands](rng, rows, *shape)
         want = c - a.T @ b
         learning._sub_outer(c, a, b)
         assert np.array_equal(c, want)
