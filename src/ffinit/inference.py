@@ -33,7 +33,8 @@ even layers; at L = 2 only the first forms a product. The block contract:
   1e-14; iteration counts and convergence flags agree.
 * Rows stop independently: a row whose step drops below ``tol`` is
   frozen and leaves the block, and its row of the block's one trace is
-  NaN after its last sweep (a non-finite step raises, so a recorded one is finite).
+  NaN after its last sweep (a non-finite state, or a step beyond the float
+  range, raises, so a recorded one is finite).
 * Langevin noise is shared across rows: each layer update draws one
   noise vector from the ``cfg.seed`` stream and adds it to every row,
   so every row sees the noise its own single-input run would see.
@@ -138,6 +139,34 @@ def direct_update_layer(params: NetworkParams, state: NetworkState, k: int) -> n
     return _layer_target(params, rates, k, bottom_up.get(k))
 
 
+@np.errstate(over="ignore")   # every overflow is handled here
+def _step_norms(diff: np.ndarray, work: list[np.ndarray], sweep: int) -> np.ndarray:
+    """The L2 norm of every row of ``diff``, the step of sweep ``sweep`` to ``work``.
+
+    Row by row, with the bits of np.linalg.norm of one input's vector,
+    sqrt(d @ d); a norm over axis 1 rounds differently. A row whose d @ d
+    overflows is scaled by its largest magnitude first. Raises
+    InvalidInputError when a state of ``work`` is non-finite or a step
+    exceeds the float range; a NaN step never drops below tol, so the
+    engine stops at the first one.
+    """
+    step = np.sqrt(np.vecdot(diff, diff))
+    if step.max() < np.inf:
+        return step
+    over = ~(step < np.inf)
+    if not all(np.isfinite(h[over]).all() for h in work):
+        raise InvalidInputError(
+            f"relaxation overflowed to a non-finite state in sweep {sweep}")
+    d = diff[over]
+    scale = np.abs(d).max(axis=1)
+    d /= scale[:, None]
+    step[over] = scale * np.sqrt(np.vecdot(d, d))
+    if not step.max() < np.inf:
+        raise InvalidInputError(
+            f"relaxation step exceeded the float range in sweep {sweep}")
+    return step
+
+
 def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.ndarray],
                  drive: np.ndarray, cfg: RelaxationConfig, energy_model: EnergyModel | None):
     """The relaxation engine: relax ``B`` clamped inputs as one block.
@@ -149,11 +178,19 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
     working block. Returns the final hidden blocks, the bottom-up
     predictions the last sweep formed last (none if rows had stopped) and
     the trace ``(steps, converged, energies)``, NaN for stopped rows.
+
+    No block outlives its last read. An energy snapshot is dropped once its
+    energy is recorded. A sweep forms its step's difference layer by layer
+    into one block as each layer is replaced, so the old layer goes at once
+    and no concatenation of the states is formed; the difference goes with
+    the sweep. Stopped rows leave one layer at a time. The result blocks are
+    allocated only when rows first stop apart; otherwise the working blocks
+    are the result.
     """
     act = params.activation
     L = params.n_layers
     n_rows = len(visible)
-    result = [np.empty_like(h) for h in hidden]
+    result = None   # the blocks stopped rows are written to, once rows stop apart
     work = list(hidden)   # a sweep replaces a layer's array, never writes into it
     # rates[0] is never read: layer 1 takes the clamped drive.
     rates = [None] + [apply_activation(act, h) for h in work]
@@ -161,6 +198,8 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
     rng = np.random.default_rng(cfg.seed) if cfg.noise_scale > 0.0 else None
     jump = rng is None and cfg.tau == 1.0   # a clipped target is the new state and its rate
     bottom_up = {}   # the predictions into the layers a sweep updates last, all current after it
+    ends = np.cumsum([0, *params.spec.sizes[1:]])
+    cols = [None] + [slice(a, b) for a, b in zip(ends, ends[1:])]   # layer k's in a step
     # One column per sweep (energies: plus the initial state's), NaN for stopped
     # rows; the columns double when full, as an array per sweep fragments the heap.
     steps = np.full((n_rows, 8), np.nan)
@@ -173,28 +212,36 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
         into[rows, j] = values
         return into
 
-    before = np.concatenate(work, axis=1)
+    def snapshot_energy():
+        # The snapshot, its gathered visible rows and its carried dict die on return.
+        vis = visible if len(rows) == n_rows else visible[rows]
+        carried = {**bottom_up, 1: drive}   # current for the working rows
+        for a in (vis, *work, *carried.values()):
+            a.setflags(write=False)   # the state adopts them
+        return energy(energy_model,
+                      NetworkState(visible=vis, hidden=tuple(work))._carrying(params, carried))
+
     for sweep in range(cfg.max_iters + 1):   # sweeps done so far
         if energies is not None:
-            vis = visible if len(rows) == n_rows else visible[rows]
-            carried = {**bottom_up, 1: drive}   # current for the working rows
-            for a in (vis, *work, *carried.values()):
-                a.setflags(write=False)   # the state adopts them
-            snapshot = NetworkState(visible=vis, hidden=tuple(work))._carrying(params, carried)
-            energies = record(energies, sweep, energy(energy_model, snapshot))
+            energies = record(energies, sweep, snapshot_energy())
         if rng is None and sweep and step.min() < cfg.tol:
             done = step < cfg.tol
             converged[rows] = done
             if done.all():
                 break
-            for out, h in zip(result, work):
-                out[rows[done]] = h[done]
+            if result is None:
+                result = [np.empty((n_rows, h.shape[1])) for h in work]
             keep = ~done
-            rows, drive, before = rows[keep], drive[keep], before[keep]
-            work = [h[keep] for h in work]
-            rates = [None] + (work if jump else [r[keep] for r in rates[1:]])
+            for k in range(1, L + 1):
+                # One layer at a time: no list still holds the old block.
+                result[k - 1][rows[done]] = work[k - 1][done]
+                work[k - 1] = work[k - 1][keep]
+                rates[k] = work[k - 1] if jump else rates[k][keep]
+            rows, drive = rows[keep], drive[keep]
         if sweep == cfg.max_iters or not n_rows:
             break
+        bottom_up = {}   # the last sweep's predictions are read by its snapshot only
+        diff = np.empty((len(rows), ends[-1]))   # the step, formed as each layer is replaced
         for first in (1, 2):
             # Targets read only the other parity's rates, so a rate is replaced at once.
             for k in range(first, L + 1, 2):
@@ -206,21 +253,17 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
                         h += rng.normal(0.0, cfg.noise_scale, size=h.shape[1])
                     h *= 1.0 / cfg.tau
                     h += (1.0 - 1.0 / cfg.tau) * work[k - 1]
+                np.subtract(h, work[k - 1], out=diff[:, cols[k]])
                 work[k - 1] = h
                 rates[k] = h if jump else apply_activation(act, h)
-        # Row by row, with the bits of np.linalg.norm of one input's vector,
-        # sqrt(d @ d); a norm over axis 1 rounds differently.
-        after = np.concatenate(work, axis=1)
-        diff = after - before
-        step = np.sqrt(np.vecdot(diff, diff))
-        if not step.max() < np.inf:
-            # A NaN step never drops below tol, so stop at the first one.
-            raise InvalidInputError(
-                f"relaxation overflowed to a non-finite state in sweep {sweep + 1}")
+        step = _step_norms(diff, work, sweep + 1)
         steps = record(steps, sweep, step)
-        before = after
-    for out, h in zip(result, work):
-        out[rows] = h
+        del h, diff   # so neither pins a block into the next snapshot or regather
+    if result is None:
+        result = work
+    else:
+        for out, h in zip(result, work):
+            out[rows] = h
     # The predictions cover the working rows only: keep none once rows have stopped.
     bottom_up = bottom_up if len(rows) == n_rows else {}
     for a in (*result, *bottom_up.values()):
@@ -255,8 +298,9 @@ def relax(params: NetworkParams, state: NetworkState, cfg: RelaxationConfig,
         a leading row axis (see :class:`ConvergenceTrace`).
 
     Raises:
-        InvalidInputError: If the run overflows to a non-finite state;
-            raised in the sweep where that happens.
+        InvalidInputError: If the run overflows to a non-finite state or
+            takes a step beyond the float range; raised in the sweep where
+            that happens, and the message says which.
     """
     check_state(params, state)
     drive = state._bottom_up(params)[1]

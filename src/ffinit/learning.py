@@ -264,7 +264,11 @@ def _pair_error(x: np.ndarray, encoders, v: np.ndarray, c: np.ndarray,
                 hid: np.ndarray | None = None) -> float:
     """Mean squared error of decoding, through ``v, c``, the rates ``x`` encoded
     through every ``(w, b)`` of ``encoders``, the last encoding given whole
-    as ``hid`` if computed; one row block at a time."""
+    as ``hid`` if computed; one row block at a time.
+
+    A block's arrays are released before the next block is formed, so the
+    pass holds one row block's arrays at a time.
+    """
     sums = np.empty(len(x))
     for rows in _row_blocks(len(x)):
         codes = x[rows]
@@ -274,6 +278,7 @@ def _pair_error(x: np.ndarray, encoders, v: np.ndarray, c: np.ndarray,
         rec -= codes
         np.square(rec, out=rec)
         rec.sum(axis=1, out=sums[rows])
+        del codes, rec
     return float(np.mean(sums))
 
 

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from ffinit import (
     NotAnEnergyModelError,
     RelaxationConfig,
     Scheme,
+    TrainConfig,
+    TrainRule,
     apply_activation,
     direct_update_layer,
     energy,
@@ -27,6 +31,8 @@ from ffinit import (
     norm_matched_random,
     relax,
     synth_autoencodable,
+    synth_blobs,
+    train_stacked_ae,
 )
 from helpers import (
     dense_energy_oracle,
@@ -35,6 +41,7 @@ from helpers import (
     random_state,
     random_tied_params,
     sweep_oracle,
+    traced_peak,
 )
 
 
@@ -507,6 +514,86 @@ class TestInferFromFeedforward:
         assert layers == [1, 2]
 
 
+class TestStepOverflow:
+    """A finite state whose step's ``d @ d`` overflows relaxes: such a row's
+    step is scaled by its largest magnitude, and every other step keeps the
+    bits of ``sqrt(d @ d)``."""
+
+    PARAMS = init_random_tied(LayerSpec((16, 8, 4)), Activation.HARD_SIGMOID)
+    SCHEMES = {"direct": RelaxationConfig(max_iters=30, tol=1e-9),
+               "leaky": RelaxationConfig(scheme=Scheme.LEAKY, tau=2.0, max_iters=30,
+                                         tol=1e-300)}
+
+    def start(self, big, seed=0):
+        """A feedforward state with every unit of hidden layer 1 at ``big``."""
+        v = np.random.default_rng(seed).uniform(0, 1, 16)
+        top = feedforward_init(self.PARAMS, v).hidden[1]
+        return NetworkState(visible=v, hidden=(np.full(8, big), top))
+
+    def relax_quietly(self, state, cfg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no RuntimeWarning may escape
+            return relax(self.PARAMS, state, cfg)
+
+    def expected_steps(self, state, cfg, n_iters):
+        """The oracle's steps, one sweep at a time: ``sqrt(d @ d)`` where it is
+        finite, else the overflow-free ``math.hypot`` of the sweep's change."""
+        steps = []
+        for _ in range(n_iters):
+            with np.errstate(over="ignore"):
+                hidden, (step,) = sweep_oracle(self.PARAMS, state, 1, tau=cfg.tau)
+            change = np.concatenate(hidden) - np.concatenate(state.hidden)
+            steps.append((step, math.hypot(*change)))
+            state = NetworkState(visible=state.visible, hidden=tuple(hidden))
+        return state, steps
+
+    @pytest.mark.parametrize("big", [1e155, 1e160])
+    @pytest.mark.parametrize("scheme", ["direct", "leaky"])
+    def test_vector_matches_the_oracle(self, big, scheme):
+        cfg = self.SCHEMES[scheme]
+        final, trace = self.relax_quietly(self.start(big), cfg)
+        oracle, expected = self.expected_steps(self.start(big), cfg, trace.iters_run)
+        assert all(np.array_equal(h, g) for h, g in zip(final.hidden, oracle.hidden))
+        assert np.isfinite(trace.step_magnitudes).all()
+        assert expected[0][0] == np.inf   # the first sweep's d @ d overflows
+        for got, (step, hypot) in zip(trace.step_magnitudes, expected, strict=True):
+            if step < np.inf:
+                assert got == step
+            else:
+                assert got == pytest.approx(hypot, rel=1e-14)
+
+    @pytest.mark.parametrize("big", [1e155, 1e160])
+    @pytest.mark.parametrize("scheme", ["direct", "leaky"])
+    def test_block_rows_match_their_vector_runs(self, big, scheme):
+        cfg = self.SCHEMES[scheme]
+        states = [self.start(big, 0), self.start(0.5, 1), self.start(-big, 2)]
+        block, trace = self.relax_quietly(block_of(states), cfg)
+        for i, state in enumerate(states):
+            _, alone_trace = self.relax_quietly(state, cfg)
+            row = row_of(trace, i)
+            assert row.iters_run == alone_trace.iters_run
+            assert np.allclose(row.step_magnitudes, alone_trace.step_magnitudes,
+                               rtol=1e-12, atol=1e-12)
+        # A batch of one keeps the vector's bits, and a row whose d @ d stays
+        # finite keeps its bits beside rows whose d @ d overflows.
+        _, one_trace = self.relax_quietly(block_of(states[:1]), cfg)
+        assert np.array_equal(one_trace.step_magnitudes[0],
+                              self.relax_quietly(states[0], cfg)[1].step_magnitudes)
+        _, calm = self.relax_quietly(block_of([self.start(0.5, i) for i in range(3)]), cfg)
+        assert np.array_equal(trace.step_magnitudes[1], calm.step_magnitudes[1], equal_nan=True)
+
+    def test_a_step_beyond_the_float_range_raises(self):
+        # Every state is finite, but the first step is 1e308 * sqrt(8).
+        with pytest.raises(InvalidInputError, match="step exceeded the float range in sweep 1$"):
+            self.relax_quietly(self.start(1e308), self.SCHEMES["direct"])
+
+    def test_a_non_finite_state_is_named(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInputError, match="non-finite state in sweep 1$"):
+                infer_from_feedforward(TestInferFromFeedforward.overflowing_params(),
+                                       np.ones(2), RelaxationConfig(max_iters=5))
+
+
 class TestCarriedDrive:
     """The bottom-up predictions a state carries from feedforward_init and relax."""
 
@@ -920,3 +1007,44 @@ class TestBlockRelaxation:
         state = NetworkState(visible=np.zeros((2, 4)), hidden=(np.zeros((3, 3)),))
         with pytest.raises(DimensionError):
             relax(params, state, RelaxationConfig())
+
+
+class TestMemory:
+    """The engine holds no block past its last read, on a 200-row block at the
+    benchmark's shapes (784-500-500), the block ``run_experiment`` relaxes.
+    A block of 200 x 1000 doubles, every hidden layer's, is 1.6 MB; the
+    traced peak counts the feedforward state the run starts from (1.5
+    blocks) and the state it returns."""
+
+    SPEC = LayerSpec(sizes=(784, 500, 500))
+    BLOCK = 200 * 1000 * 8
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return synth_blobs(2000, 784, 8, 0.02, 0)
+
+    @pytest.fixture(scope="class")
+    def items(self, data):
+        items = data.items[:200].copy()
+        items.setflags(write=False)   # adopted, as run_experiment's are
+        return items
+
+    # Traced peaks 15.26 -> 8.37 MB (9.5 -> 5.2 blocks): the energy snapshot,
+    # the step's two concatenations and its difference, the pre-sized result
+    # and the old row blocks had outlived their last reads. The bound of 6.5
+    # blocks leaves a block and more either side.
+    def test_tied_block_with_energy(self, items):
+        params = init_random_tied(self.SPEC, Activation.HARD_SIGMOID)
+        (_, trace), peak = traced_peak(infer_from_feedforward, params, items,
+                                       RelaxationConfig(), EnergyModel(params))
+        assert trace.iters_run.min() < trace.iters_run.max()   # rows stop apart
+        assert peak <= 6.5 * self.BLOCK
+
+    # Traced peaks 13.16 -> 9.03 MB (8.2 -> 5.6 blocks); the bound is 7 blocks.
+    def test_untied_block(self, data, items):
+        params = train_stacked_ae(data, self.SPEC,
+                                  TrainConfig(epochs=1, rule=TrainRule.LOCAL_BRANCH))
+        (_, trace), peak = traced_peak(infer_from_feedforward, params, items,
+                                       RelaxationConfig())
+        assert trace.iters_run.min() < trace.iters_run.max()
+        assert peak <= 7 * self.BLOCK
