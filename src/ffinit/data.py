@@ -82,6 +82,16 @@ class DatasetHandle:
     def dim(self) -> int:
         return self.items.shape[1]
 
+    def _items_for(self, spec: LayerSpec) -> np.ndarray:
+        """The items; DatasetError unless there is at least one and its
+        width is the visible size of ``spec``, the network it is to feed."""
+        if not len(self):
+            raise DatasetError("the dataset is empty")
+        if self.dim != spec.visible_size:
+            raise DatasetError(
+                f"dataset dimension {self.dim} does not match visible size {spec.visible_size}")
+        return self.items
+
 
 def load_idx_images(path: str | Path) -> DatasetHandle:
     """Load an IDX image file (unsigned bytes), scaled into ``[0, 1]``.
@@ -137,8 +147,8 @@ def default_mnist_images_path() -> Path:
         "standard MNIST IDX files into that directory")
 
 
-def synth_blobs(n_items: int, d: int, n_clusters: int = 8, spread: float = 0.05,
-                seed: int = 0) -> DatasetHandle:
+def synth_blobs(n_items: int, d: int, n_clusters: int, spread: float,
+                seed: int) -> DatasetHandle:
     """Gaussian clusters clipped to the unit cube.
 
     Cluster centers are uniform in ``[0.1, 0.9]^d``; each item is its

@@ -41,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NotAnEnergyModelError
-from .network import (NetworkParams, NetworkState, _branch_predictions, _on_slope, _read,
-                      apply_activation)
+from .network import NetworkParams, NetworkState, _branch_predictions, _on_slope, _read
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,7 @@ def energy(model: EnergyModel, state: NetworkState) -> float | np.ndarray:
     p = model.params
     rates, bottom_up = _read(p, state)
     e = (0.5 * _row_dot(state.visible, state.visible)
-         - apply_activation(p.activation, state.visible) @ p.fb_offsets[0])
+         - state.visible.clip(0.0, 1.0) @ p.fb_offsets[0])
     for k, h in enumerate(state.hidden, start=1):
         if k % 2:   # an odd layer's couplings are counted at its even neighbours
             u = bottom_up[1] if k == 1 else p.ff_offsets[k - 1]

@@ -142,7 +142,8 @@ class ExperimentReport:
 
 
 def build_dataset(dspec: DatasetSpec, sizes: LayerSpec, seed: int) -> DatasetHandle:
-    """Load or generate the dataset a spec names, sized for ``sizes``."""
+    """Load or generate the dataset a spec names, sized for ``sizes``; an IDX
+    file must exist and hold at least one image of the visible size."""
     if dspec.source is DataSource.IDX_FILE:
         path = Path(dspec.path) if dspec.path else default_mnist_images_path()
         try:
@@ -151,10 +152,7 @@ def build_dataset(dspec: DatasetSpec, sizes: LayerSpec, seed: int) -> DatasetHan
             raise DatasetError(
                 f"dataset file {path} does not exist; point dataset.path (or "
                 f"FFINIT_MNIST_DIR) at the MNIST IDX files") from exc
-        if data.dim != sizes.visible_size:
-            raise DatasetError(
-                f"dataset dimension {data.dim} does not match visible size "
-                f"{sizes.visible_size}")
+        data._items_for(sizes)
         if 0 < dspec.n_items < len(data):
             data = DatasetHandle(data.items[:dspec.n_items])
         return data
@@ -225,7 +223,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         params_by_regime[REGIME_RANDOM_TIED] = (
             init_random_tied(spec.sizes, Activation.HARD_SIGMOID, spec.train.init_scale,
                              spec.train.seed) if trained is None
-            else norm_matched_random(trained, spec.train.init_scale, spec.train.seed))
+            else norm_matched_random(trained, spec.train.seed))
 
     results = tuple(
         _evaluate_regime(regime, params_by_regime[regime], items, spec.relaxation)

@@ -51,8 +51,8 @@ import numpy as np
 
 from .exceptions import (ConfigurationError, DimensionError, InvalidInputError, check_count,
                          check_member, check_real)
-from .network import (NetworkParams, NetworkState, _layer_target, _read, apply_activation,
-                      check_state, feedforward_init)
+from .network import (NetworkParams, NetworkState, _layer_target, _read, check_state,
+                      feedforward_init)
 from .energy import EnergyModel, energy
 
 
@@ -187,13 +187,12 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
     allocated only when rows first stop apart; otherwise the working blocks
     are the result.
     """
-    act = params.activation
     L = params.n_layers
     n_rows = len(visible)
     result = None   # the blocks stopped rows are written to, once rows stop apart
     work = list(hidden)   # a sweep replaces a layer's array, never writes into it
     # rates[0] is never read: layer 1 takes the clamped drive.
-    rates = [None] + [apply_activation(act, h) for h in work]
+    rates = [None] + [h.clip(0.0, 1.0) for h in work]
     rows = np.arange(n_rows)   # block row of every working row
     rng = np.random.default_rng(cfg.seed) if cfg.noise_scale > 0.0 else None
     jump = rng is None and cfg.tau == 1.0   # a clipped target is the new state and its rate
@@ -255,7 +254,7 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
                     h += (1.0 - 1.0 / cfg.tau) * work[k - 1]
                 np.subtract(h, work[k - 1], out=diff[:, cols[k]])
                 work[k - 1] = h
-                rates[k] = h if jump else apply_activation(act, h)
+                rates[k] = h if jump else h.clip(0.0, 1.0)
         step = _step_norms(diff, work, sweep + 1)
         steps = record(steps, sweep, step)
         del h, diff   # so neither pins a block into the next snapshot or regather
@@ -291,18 +290,27 @@ def relax(params: NetworkParams, state: NetworkState, cfg: RelaxationConfig,
         energy_model: When given, the trace records the energy of the
             initial state and after every iteration. Construct it via
             :class:`ffinit.energy.EnergyModel`, which rejects untied
-            parameters.
+            parameters, from ``params`` or parameters equal to them.
 
     Returns:
         The relaxed state and its convergence trace; a block's trace has
         a leading row axis (see :class:`ConvergenceTrace`).
 
     Raises:
+        ConfigurationError: If ``energy_model`` holds other parameters
+            than ``params``, whose energies would not be this run's.
         InvalidInputError: If the run overflows to a non-finite state or
             takes a step beyond the float range; raised in the sweep where
             that happens, and the message says which.
     """
     check_state(params, state)
+    model = params if energy_model is None else energy_model.params
+    if model is not params and not (model.spec == params.spec and all(
+            np.array_equal(a, b) for group in ("ff_weights", "fb_weights", "ff_offsets",
+                                               "fb_offsets")
+            for a, b in zip(getattr(model, group), getattr(params, group)))):
+        raise ConfigurationError(
+            "energy_model must be built from the params being relaxed or equal ones")
     drive = state._bottom_up(params)[1]
     visible, block_drive, *hidden = np.atleast_2d(state.visible, drive, *state.hidden)
     hidden, bottom_up, steps, converged, energies = _relax_block(

@@ -46,7 +46,6 @@ import numpy as np
 from .data import DatasetHandle
 from .exceptions import (
     ConfigurationError,
-    DatasetError,
     DivergenceError,
     InvalidInputError,
     check_count,
@@ -174,9 +173,8 @@ def _random_tied_arrays(spec: LayerSpec, init_scale: float, rng: np.random.Gener
     return ws, vs, bs, cs
 
 
-def _hand_over(spec: LayerSpec, ws, vs, bs, cs,
-               activation: Activation = Activation.HARD_SIGMOID) -> NetworkParams:
-    """:class:`NetworkParams` holding the given arrays themselves.
+def _hand_over(spec: LayerSpec, ws, vs, bs, cs) -> NetworkParams:
+    """:class:`NetworkParams`, with the hard sigmoid, holding the given arrays themselves.
 
     The arrays must be fresh float64 C arrays that nothing else writes:
     each is marked read-only first, so the container adopts it without a
@@ -185,7 +183,7 @@ def _hand_over(spec: LayerSpec, ws, vs, bs, cs,
     for a in (*ws, *vs, *bs, *cs):
         a.setflags(write=False)
     return NetworkParams(spec=spec, ff_weights=tuple(ws), fb_weights=tuple(vs),
-                         ff_offsets=tuple(bs), fb_offsets=tuple(cs), activation=activation)
+                         ff_offsets=tuple(bs), fb_offsets=tuple(cs))
 
 
 def init_random_tied(spec: LayerSpec, activation: Activation,
@@ -195,28 +193,29 @@ def init_random_tied(spec: LayerSpec, activation: Activation,
     Feedforward entries are i.i.d. uniform on
     ``[-init_scale / sqrt(n_in), +init_scale / sqrt(n_in)]`` per layer,
     feedback matrices are element-exact transposes, and all offsets are
-    zero. Deterministic under ``seed``.
+    zero. Deterministic under ``seed``. ``activation`` must be the hard
+    sigmoid, the one :class:`Activation`, or its value string.
     """
     check_real("init_scale", init_scale, 0.0)
+    check_member("activation", activation, Activation)
     ws, vs, bs, cs = _random_tied_arrays(spec, init_scale, np.random.default_rng(seed))
-    return _hand_over(spec, ws, vs, bs, cs, activation)
+    return _hand_over(spec, ws, vs, bs, cs)
 
 
-def norm_matched_random(target: NetworkParams, init_scale: float = 1.0,
-                        seed: int = 0) -> NetworkParams:
+def norm_matched_random(target: NetworkParams, seed: int = 0) -> NetworkParams:
     """Random tied parameters with each layer rescaled to the target's norm.
 
-    Draws the weights of ``init_random_tied(target.spec, ...)`` and scales
-    each in place to the Frobenius norm of the target's matrix, so a
-    comparison against ``target`` is not confounded by weight scale.
-    Feedback stays the exact transpose and offsets stay zero.
+    Draws the weights of ``init_random_tied(target.spec, ..., 1.0, seed)``
+    and scales each in place to the Frobenius norm of the target's matrix,
+    so a comparison against ``target`` is not confounded by weight scale.
+    Any other draw scale would give the same weights up to rounding, so
+    there is none to choose. Feedback stays the exact transpose and
+    offsets stay zero.
     """
-    ws, vs, bs, cs = _random_tied_arrays(target.spec, init_scale, np.random.default_rng(seed))
+    ws, vs, bs, cs = _random_tied_arrays(target.spec, 1.0, np.random.default_rng(seed))
     for w, v, w_target in zip(ws, vs, target.ff_weights):
-        norm = np.linalg.norm(w)
-        if norm > 0:
-            w *= np.linalg.norm(w_target) / norm
-            v[...] = w.T
+        w *= np.linalg.norm(w_target) / np.linalg.norm(w)
+        v[...] = w.T
     return _hand_over(target.spec, ws, vs, bs, cs)
 
 
@@ -359,14 +358,8 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
         DivergenceError: A non-finite loss or parameter appeared; the
             exception reports the pair and epoch.
     """
-    codes = data.items   # read-only rates; each pair's codes are a new array
+    codes = data._items_for(spec)   # read-only rates; each pair's codes are a new array
     n = len(codes)
-    if n == 0:
-        raise DatasetError("cannot train on an empty dataset")
-    if codes.shape[1] != spec.visible_size:
-        raise DatasetError(
-            f"dataset dimension {codes.shape[1]} does not match visible size "
-            f"{spec.visible_size}")
     if cfg.batch_size > n:
         raise ConfigurationError(
             f"batch_size {cfg.batch_size} exceeds dataset size {n}")
@@ -431,12 +424,6 @@ def reconstruction_error(params: NetworkParams, data: DatasetHandle, k: int) -> 
             or not 0 <= k <= params.n_layers - 1):
         raise InvalidInputError(
             f"pair index {k!r} out of range 0..{params.n_layers - 1}")
-    codes = data.items
-    if len(codes) == 0:
-        raise DatasetError("cannot evaluate reconstruction on an empty dataset")
-    if codes.shape[1] != params.spec.visible_size:
-        raise DatasetError(
-            f"dataset dimension {codes.shape[1]} does not match visible size "
-            f"{params.spec.visible_size}")
-    return _pair_error(codes, list(zip(params.ff_weights[:k + 1], params.ff_offsets[:k + 1])),
+    return _pair_error(data._items_for(params.spec),
+                       list(zip(params.ff_weights[:k + 1], params.ff_offsets[:k + 1])),
                        params.fb_weights[k], params.fb_offsets[k])

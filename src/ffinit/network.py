@@ -60,7 +60,8 @@ def apply_activation(activation: Activation, x: np.ndarray) -> np.ndarray:
     it is exactly the identity on ``[0, 1]`` and saturates outside.
 
     Args:
-        activation: The non-linearity; the hard sigmoid is the only one.
+        activation: The non-linearity; the hard sigmoid is the only one,
+            so it is not read.
         x: Voltage array.
 
     Returns:
@@ -287,7 +288,7 @@ def _read(params: NetworkParams, state: NetworkState) -> tuple[list, dict]:
     """Check ``state``; return its rates, with ``rates[0]`` None (layer 1 reads
     the clamped drive instead), and the predictions ``{k: d_bu}`` it carries."""
     check_state(params, state)
-    return ([None] + [apply_activation(params.activation, h) for h in state.hidden],
+    return ([None] + [h.clip(0.0, 1.0) for h in state.hidden],
             state._bottom_up(params))
 
 
@@ -334,7 +335,7 @@ def _layer_target(params: NetworkParams, rates, k: int, d_bu: np.ndarray | None 
 
 def _drive(params: NetworkParams, visible: np.ndarray) -> np.ndarray:
     """The clamped drive ``b_1 + W_1 rho(v)`` into layer 1, a fresh read-only array; unchecked."""
-    drive = apply_activation(params.activation, visible) @ params.ff_weights[0].T
+    drive = visible.clip(0.0, 1.0) @ params.ff_weights[0].T
     drive += params.ff_offsets[0]
     drive.setflags(write=False)
     return drive
@@ -359,7 +360,7 @@ def feedforward_init(params: NetworkParams, visible: np.ndarray) -> NetworkState
         raise DimensionError(
             f"visible must have length {params.spec.visible_size}, got {visible.shape}")
     drive = _drive(params, visible)
-    hidden = [apply_activation(params.activation, drive)]
+    hidden = [drive.clip(0.0, 1.0)]
     for w, b in zip(params.ff_weights[1:], params.ff_offsets[1:]):
         # A hidden state is already a rate, so it feeds the next layer as is.
         hidden.append(_encode(hidden[-1], w, b))

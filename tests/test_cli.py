@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -238,3 +240,22 @@ class TestErrors:
              "--index", "5000"], capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
+
+
+class TestReadmeExample:
+    README = Path(__file__).parents[1] / "README.md"
+
+    def test_the_readme_commands_run(self, tmp_path, monkeypatch):
+        text = self.README.read_text()
+        config = re.search(r"```json\n(.*?)```", text, re.S).group(1)
+        commands = [shlex.split(line)[3:] for line in text.splitlines()
+                    if line.startswith("python -m ffinit ")]
+        assert [c[0] for c in commands] == ["experiment", "train", "infer"]
+        (tmp_path / "config.json").write_text(config)
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert main(argv) == 0, argv
+        assert set(read_dir(tmp_path / "out")) == REGIME_FILES
+        load_params(tmp_path / "model.npz")
+        assert (tmp_path / "curve.csv").read_text().startswith("epoch,pair_index,")
+        assert (tmp_path / "trace.csv").read_text().startswith("iter,step_magnitude")

@@ -125,12 +125,12 @@ class TestSynthBlobs:
 
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(DatasetError):
-            synth_blobs(10, 0)
+            synth_blobs(10, 0, 8, 0.05, 0)
 
     @pytest.mark.parametrize("spread", [np.nan, -0.5, np.inf])
     def test_invalid_spread_rejected(self, spread):
         with pytest.raises(DatasetError, match="spread"):
-            synth_blobs(10, 3, spread=spread)
+            synth_blobs(10, 3, 8, spread, 0)
 
     @pytest.mark.parametrize("spread", [0.3, 0.0])
     def test_matches_straight_line_generator(self, spread):
@@ -216,7 +216,7 @@ class TestDatasetHandle:
         assert np.shares_memory(items, x) and not items.flags.writeable
 
     def test_items_read_only(self):
-        data = synth_blobs(5, 3, seed=0)
+        data = synth_blobs(5, 3, 8, 0.05, 0)
         with pytest.raises(ValueError):
             data.items[0, 0] = 0.5
 

@@ -79,7 +79,7 @@ def test_iteration_means_average_over_the_inputs_still_relaxing(tmp_path, relaxa
     data = build_dataset(s.dataset, s.sizes, s.seed)
     trained = train_stacked_ae(data, s.sizes, s.train)
     regimes = {"trained-ae": trained,
-               "random-tied": norm_matched_random(trained, train.init_scale, train.seed)}
+               "random-tied": norm_matched_random(trained, train.seed)}
     for regime, params in regimes.items():
         model = energy_model_or_none(params)
         traces = [infer_from_feedforward(params, x, relaxation, energy_model=model)[1]
@@ -119,6 +119,13 @@ class TestBuildDataset:
         with pytest.raises(DatasetError, match="does not match visible size 5"):
             build_dataset(DatasetSpec(source="idx-file", path=str(idx_path)),
                           LayerSpec(sizes=(5, 3)), 0)
+
+    def test_empty_idx_file(self, tmp_path):
+        path = tmp_path / "empty.idx"
+        write_idx(path, [], 2, 2)
+        with pytest.raises(DatasetError, match="empty"):
+            build_dataset(DatasetSpec(source="idx-file", path=str(path)),
+                          LayerSpec(sizes=(4, 3)), 0)
 
     def test_missing_idx_file(self, tmp_path):
         with pytest.raises(DatasetError, match="does not exist"):

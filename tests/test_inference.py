@@ -292,6 +292,23 @@ class TestRelax:
         with pytest.raises(NotAnEnergyModelError):
             EnergyModel(params)
 
+    @pytest.mark.parametrize("rows", [(), (3,)], ids=["vector", "block"])
+    def test_energy_model_of_other_params_rejected(self, rows):
+        # Relaxing a's state under b's model would record b's energies along
+        # a's trajectory (2.926 where a's own final energy is 2.873).
+        spec = LayerSpec(sizes=(16, 8, 6))
+        a = init_random_tied(spec, Activation.HARD_SIGMOID, seed=1)
+        others = (init_random_tied(spec, Activation.HARD_SIGMOID, seed=2),
+                  dataclasses.replace(a, fb_offsets=(a.fb_offsets[0] + 0.25, a.fb_offsets[1])),
+                  init_random_tied(LayerSpec(sizes=(16, 8)), Activation.HARD_SIGMOID, seed=1))
+        x = np.random.default_rng(0).uniform(size=rows + (16,))
+        cfg = RelaxationConfig(max_iters=50, tol=1e-10)
+        for other in others:
+            with pytest.raises(ConfigurationError, match="energy_model"):
+                infer_from_feedforward(a, x, cfg, energy_model=EnergyModel(other))
+            with pytest.raises(ConfigurationError, match="energy_model"):
+                relax(a, feedforward_init(a, x), cfg, EnergyModel(other))
+
     def test_clamping_across_schemes(self):
         rng = np.random.default_rng(9)
         params = random_tied_params(rng, sizes=(6, 4, 3))
@@ -477,7 +494,7 @@ class TestInferFromFeedforward:
         data, exact = synth_autoencodable(50, LayerSpec(sizes=(12, 10, 8, 6)), seed=0)
         cfg = RelaxationConfig()
         _, exact_trace = infer_from_feedforward(exact, data.items, cfg)
-        _, random_trace = infer_from_feedforward(norm_matched_random(exact, 1.0, 0),
+        _, random_trace = infer_from_feedforward(norm_matched_random(exact, 0),
                                                  data.items, cfg)
         assert exact_trace.converged.all() and (exact_trace.iters_run == 1).all()
         assert (random_trace.iters_run > 1).all()

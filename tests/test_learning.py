@@ -78,8 +78,8 @@ class TestNormMatchedRandom:
     def test_scaled_random_tied_weights(self):
         spec = LayerSpec(sizes=(64, 32, 16))
         target = random_untied_params(np.random.default_rng(0), spec.sizes, scale=2.0)
-        got = norm_matched_random(target, 0.7, seed=3)
-        base = init_random_tied(spec, Activation.HARD_SIGMOID, 0.7, seed=3)
+        got = norm_matched_random(target, seed=3)
+        base = init_random_tied(spec, Activation.HARD_SIGMOID, 1.0, seed=3)
         for w, v, w_base, w_target in zip(got.ff_weights, got.fb_weights, base.ff_weights,
                                           target.ff_weights):
             assert np.array_equal(w, w_base * (np.linalg.norm(w_target) / np.linalg.norm(w_base)))
@@ -304,7 +304,7 @@ class TestTrainStackedAe:
         cfg = TrainConfig(learning_rate=0.02, epochs=300, batch_size=16,
                           init_scale=0.3, seed=3)
         trained = train_stacked_ae(data, spec, cfg)
-        matched = norm_matched_random(trained, 0.3, seed=3)
+        matched = norm_matched_random(trained, seed=3)
         r_trained = np.mean([mutual_prediction_residual(
             trained, feedforward_init(trained, x)).mean() for x in data.items[:40]])
         r_random = np.mean([mutual_prediction_residual(
@@ -320,7 +320,7 @@ class TestTrainStackedAe:
         cfg = TrainConfig(learning_rate=0.02, epochs=300, batch_size=16,
                           init_scale=0.3, seed=3)
         trained = train_stacked_ae(data, spec, cfg)
-        matched = norm_matched_random(trained, 0.3, seed=3)
+        matched = norm_matched_random(trained, seed=3)
         r_trained = np.mean([mutual_prediction_residual(
             trained, feedforward_init(trained, x)).mean() for x in data.items[:40]])
         r_random = np.mean([mutual_prediction_residual(
