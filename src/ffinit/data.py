@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import json
-import os
 import struct
 import zipfile
 from dataclasses import dataclass
@@ -36,17 +35,16 @@ from .exceptions import (
 from .network import (
     LayerSpec,
     NetworkParams,
+    _ARRAY_GROUPS,
     _frozen,
     feedforward_init,
     mutual_prediction_residual,
 )
 
 IDX_IMAGE_MAGIC = 0x00000803
-MNIST_DIR_ENV = "FFINIT_MNIST_DIR"
 MODEL_FORMAT = "ffinit-model"
 MODEL_FORMAT_VERSION = 2
 _LATENT_RADIUS = 0.35
-_ARRAY_GROUPS = ("ff_weights", "fb_weights", "ff_offsets", "fb_offsets")
 _BLOB_CHUNK_BYTES = 1 << 20   # the gather temporary of synth_blobs
 
 
@@ -56,12 +54,13 @@ class DataSource(enum.Enum):
     SYNTHETIC_AUTOENCODABLE = "synthetic-autoencodable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatasetHandle:
     """Immutable collection of vectors with entries in ``[0, 1]``.
 
     ``items`` is held read-only in C order, adopted or copied by the
-    ownership rule of :func:`ffinit.network._frozen`.
+    ownership rule of :func:`ffinit.network._frozen`. A handle compares
+    and hashes by identity.
     """
 
     items: np.ndarray
@@ -124,27 +123,6 @@ def load_idx_images(path: str | Path) -> DatasetHandle:
     items /= 255.0
     items.setflags(write=False)
     return DatasetHandle(items)
-
-
-def default_mnist_images_path() -> Path:
-    """Resolve an MNIST IDX file from the ``FFINIT_MNIST_DIR`` directory.
-
-    This package never downloads data; point the environment variable at
-    a directory holding the standard IDX files (or pass an explicit path
-    where one is accepted).
-    """
-    directory = os.environ.get(MNIST_DIR_ENV)
-    if not directory:
-        raise DatasetError(
-            f"no dataset path given and {MNIST_DIR_ENV} is not set; set it to a "
-            "directory containing the MNIST IDX files or configure an explicit path")
-    for candidate in ("train-images-idx3-ubyte", "train-images.idx3-ubyte"):
-        path = Path(directory) / candidate
-        if path.exists():
-            return path
-    raise DatasetError(
-        f"{MNIST_DIR_ENV}={directory} does not contain train-images-idx3-ubyte; download the "
-        "standard MNIST IDX files into that directory")
 
 
 def synth_blobs(n_items: int, d: int, n_clusters: int, spread: float,

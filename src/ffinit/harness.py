@@ -19,7 +19,6 @@ import numpy as np
 from .data import (
     DataSource,
     DatasetHandle,
-    default_mnist_images_path,
     load_idx_images,
     synth_autoencodable,
     synth_blobs,
@@ -52,11 +51,11 @@ class DatasetSpec:
     """Where the experiment's data comes from.
 
     ``source`` is a :class:`DataSource` or its value string. ``path``, a
-    string, only applies to ``idx-file`` (when omitted the loader falls
-    back to the ``FFINIT_MNIST_DIR`` directory); the remaining fields
-    parameterize the synthetic generators. ``n_items`` truncates a
-    loaded IDX dataset or sizes a synthetic one. The item dimension is
-    always the network's visible size.
+    string naming the IDX file, is required for ``idx-file`` and refused
+    for the other sources; the remaining fields parameterize the
+    synthetic generators. ``n_items`` truncates a loaded IDX dataset or
+    sizes a synthetic one. The item dimension is always the network's
+    visible size.
     """
 
     source: DataSource = DataSource.SYNTHETIC_BLOBS
@@ -70,6 +69,10 @@ class DatasetSpec:
                            check_member("dataset source", self.source, DataSource))
         if self.path is not None and not isinstance(self.path, str):
             raise ConfigurationError(f"dataset path must be a string, got {self.path!r}")
+        if (self.path is None) is (self.source is DataSource.IDX_FILE):
+            raise ConfigurationError(
+                "dataset source idx-file needs a path" if self.path is None
+                else f"dataset path is read by source idx-file only, not {self.source.value}")
         check_count("dataset n_items", self.n_items, 0, sys.maxsize)
         check_count("dataset n_clusters", self.n_clusters, 1, sys.maxsize)
         check_real("dataset spread", self.spread, 0.0)
@@ -145,13 +148,12 @@ def build_dataset(dspec: DatasetSpec, sizes: LayerSpec, seed: int) -> DatasetHan
     """Load or generate the dataset a spec names, sized for ``sizes``; an IDX
     file must exist and hold at least one image of the visible size."""
     if dspec.source is DataSource.IDX_FILE:
-        path = Path(dspec.path) if dspec.path else default_mnist_images_path()
         try:
-            data = load_idx_images(path)
+            data = load_idx_images(dspec.path)
         except FileNotFoundError as exc:
             raise DatasetError(
-                f"dataset file {path} does not exist; point dataset.path (or "
-                f"FFINIT_MNIST_DIR) at the MNIST IDX files") from exc
+                f"dataset file {dspec.path} does not exist; point dataset.path at an IDX "
+                "image file") from exc
         data._items_for(sizes)
         if 0 < dspec.n_items < len(data):
             data = DatasetHandle(data.items[:dspec.n_items])

@@ -304,11 +304,7 @@ def relax(params: NetworkParams, state: NetworkState, cfg: RelaxationConfig,
             that happens, and the message says which.
     """
     check_state(params, state)
-    model = params if energy_model is None else energy_model.params
-    if model is not params and not (model.spec == params.spec and all(
-            np.array_equal(a, b) for group in ("ff_weights", "fb_weights", "ff_offsets",
-                                               "fb_offsets")
-            for a, b in zip(getattr(model, group), getattr(params, group)))):
+    if energy_model is not None and energy_model.params != params:
         raise ConfigurationError(
             "energy_model must be built from the params being relaxed or equal ones")
     drive = state._bottom_up(params)[1]

@@ -46,6 +46,8 @@ import numpy as np
 from .exceptions import (ConfigurationError, DimensionError, InvalidInputError,
                          check_count, check_member)
 
+_ARRAY_GROUPS = ("ff_weights", "fb_weights", "ff_offsets", "fb_offsets")
+
 
 class Activation(enum.Enum):
     """Element-wise rate non-linearity applied to unit voltages."""
@@ -150,7 +152,7 @@ class LayerSpec:
         return self.sizes[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkParams:
     """Immutable parameters of a layered two-branch network.
 
@@ -171,7 +173,9 @@ class NetworkParams:
 
     Every array is held read-only in C order, so one instance can safely
     be shared across concurrent inference runs. Arrays are adopted or
-    copied by the ownership rule of :func:`_frozen`.
+    copied by the ownership rule of :func:`_frozen`. Two instances are
+    equal when their specs and all their arrays are; an instance is not
+    hashable.
     """
 
     spec: LayerSpec
@@ -213,6 +217,13 @@ class NetworkParams:
         object.__setattr__(self, "activation",
                            check_member("activation", self.activation, Activation))
 
+    def __eq__(self, other):
+        if not isinstance(other, NetworkParams):
+            return NotImplemented
+        return self is other or (self.spec == other.spec and all(
+            np.array_equal(a, b) for group in _ARRAY_GROUPS
+            for a, b in zip(getattr(self, group), getattr(other, group))))
+
     @cached_property   # read every layer update; cached in the instance dict
     def n_layers(self) -> int:
         """Number of hidden layers ``L``."""
@@ -224,7 +235,7 @@ class NetworkParams:
         return all(np.array_equal(v, w.T) for w, v in zip(self.ff_weights, self.fb_weights))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkState:
     """A clamped visible vector plus one activation vector per hidden layer.
 
@@ -237,7 +248,8 @@ class NetworkState:
     from :func:`feedforward_init` or ``relax`` privately carries the
     bottom-up predictions formed for it (layer 1's, the clamped drive,
     always), read-only and keyed by the identity of the params that formed
-    them; a state built by hand or by ``replace`` carries none.
+    them; a state built by hand or by ``replace`` carries none. A state
+    compares and hashes by identity.
 
     Raises:
         DimensionError: If a layer is not a vector or a 2-d block.

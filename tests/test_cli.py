@@ -133,6 +133,8 @@ DAMAGE = {
                     r"ff_weights\[0\] must have shape \(8, 16\)"),
     "one-gain": (lambda path: rewrite_checkpoint(path, meta={"branch_gains": [1.0]}),
                  r"branch_gains must be \[1.0, 1.0\]"),
+    "sizes-not-a-list-of-sizes": (lambda path: rewrite_checkpoint(path, meta={"sizes": 16}),
+                                  "malformed checkpoint metadata"),
     "meta-nested-100000-deep": (lambda path: rewrite_checkpoint(path, meta="[" * 100000),
                                 "no valid meta entry"),
     "complex-entry": (lambda path: rewrite_checkpoint(path, ff_weights_0=np.full((8, 16), 1j)),
@@ -169,6 +171,14 @@ class TestErrors:
         {"dataset": {"d": 16}},
         {"train": {"tie_decoder": "false"}},
         {"dataset": {"path": 7}},
+        {"dataset": {"source": "idx-file"}},
+        {"dataset": {"path": "x.idx"}},
+        {"dataset": {"source": "synthetic-autoencodable", "path": "x.idx"}},
+        {"regimes": []},
+        {"regimes": ["nope"]},
+        {"regimes": ["random-tied", "random-tied"]},
+        {"output_dir": 7},
+        {"n_inputs_evaluated": 65},
         {"relaxation": {"scheme": "nope"}},
         {"train": {"rule": 5}},
         {"dataset": [1]},

@@ -154,9 +154,10 @@ class TestDatasetSpec:
     @over_member_like
     def test_source(self, source):
         member = member_of(DataSource, source)
-        assert accepts(DatasetSpec, source=source) is (member is not None)
+        path = "images.idx" if member is DataSource.IDX_FILE else None
+        assert accepts(DatasetSpec, source=source, path=path) is (member is not None)
         if member is not None:
-            assert DatasetSpec(source=source).source is member
+            assert DatasetSpec(source=source, path=path).source is member
 
     @over(ANY_VALUE, EDGE_CASES + (sys.maxsize, sys.maxsize + 1, 10**30))
     def test_n_items(self, n):
@@ -168,7 +169,9 @@ class TestDatasetSpec:
 
     @over_any_value
     def test_path(self, path):
-        assert accepts(DatasetSpec, path=path) is (path is None or isinstance(path, str))
+        for source in DataSource:
+            ok = isinstance(path, str) if source is DataSource.IDX_FILE else path is None
+            assert accepts(DatasetSpec, source=source, path=path) is ok
 
 
 SECTIONS = {"dataset": DatasetSpec, "relaxation": RelaxationConfig, "train": TrainConfig}
@@ -248,6 +251,8 @@ class TestConfigSchema:
         for key, sources in sized.items():
             for count in (largest, largest + 1):
                 doc = {**REQUIRED, "dataset": {"source": source.value, key: count}}
+                if source is DataSource.IDX_FILE:
+                    doc["dataset"]["path"] = "images.idx"
                 if source not in sources or count == largest:
                     assert getattr(experiment_spec_from_config(doc).dataset, key) == count
                 else:

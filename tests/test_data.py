@@ -25,7 +25,6 @@ from ffinit import (
     synth_autoencodable,
     synth_blobs,
 )
-from ffinit.data import default_mnist_images_path
 from helpers import (ADOPTED_CASES, COPIED_CASES, param_bytes, random_untied_params,
                      rewrite_checkpoint, traced_peak, write_idx)
 
@@ -84,26 +83,10 @@ class TestIdxLoader:
 @pytest.mark.skipif(not os.environ.get("FFINIT_MNIST_DIR"),
                     reason="FFINIT_MNIST_DIR not set")
 def test_real_mnist_train_file_shape():
-    data = load_idx_images(default_mnist_images_path())
+    data = load_idx_images(os.path.join(os.environ["FFINIT_MNIST_DIR"],
+                                        "train-images-idx3-ubyte"))
     assert len(data) == 60000
     assert data.dim == 784
-
-
-class TestMnistPathResolution:
-    def test_unset_env_gives_remediation_hint(self, monkeypatch):
-        monkeypatch.delenv("FFINIT_MNIST_DIR", raising=False)
-        with pytest.raises(DatasetError, match="FFINIT_MNIST_DIR"):
-            default_mnist_images_path()
-
-    def test_missing_file_reported(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("FFINIT_MNIST_DIR", str(tmp_path))
-        with pytest.raises(DatasetError, match="does not contain"):
-            default_mnist_images_path()
-
-    def test_alternate_dotted_name_found(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("FFINIT_MNIST_DIR", str(tmp_path))
-        (tmp_path / "train-images.idx3-ubyte").write_bytes(b"")
-        assert default_mnist_images_path().name == "train-images.idx3-ubyte"
 
 
 class TestSynthBlobs:
@@ -182,6 +165,10 @@ class TestSynthAutoencodable:
             for x in data.items)
         assert worst > 1e-9
 
+    def test_no_items_rejected(self):
+        with pytest.raises(DatasetError, match="n_items must be >= 1"):
+            synth_autoencodable(0, LayerSpec(sizes=(5, 4)))
+
     def test_determinism(self):
         a_data, a_params = synth_autoencodable(10, LayerSpec(sizes=(5, 4)), seed=9)
         b_data, b_params = synth_autoencodable(10, LayerSpec(sizes=(5, 4)), seed=9)
@@ -190,6 +177,10 @@ class TestSynthAutoencodable:
 
 
 class TestDatasetHandle:
+    def test_one_dimensional_items_rejected(self):
+        with pytest.raises(DatasetError, match=r"2-d array, got shape \(3,\)"):
+            DatasetHandle(items=np.zeros(3))
+
     def test_out_of_range_values_rejected(self):
         with pytest.raises(DatasetError):
             DatasetHandle(items=np.array([[0.5, 1.5]]))

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from ffinit import harness
-from ffinit import (DataSource, DatasetError, LayerSpec, RelaxationConfig, Scheme,
+from ffinit import (Activation, DataSource, DatasetError, LayerSpec, RelaxationConfig, Scheme,
                     TrainConfig, energy_model_or_none, infer_from_feedforward,
-                    load_idx_images, norm_matched_random, synth_autoencodable,
-                    train_stacked_ae)
+                    init_random_tied, load_idx_images, norm_matched_random,
+                    synth_autoencodable, train_stacked_ae)
 from ffinit.harness import DatasetSpec, ExperimentSpec, build_dataset, run_experiment
 from helpers import write_idx
 
@@ -60,6 +60,28 @@ def test_n_active_counts_the_inputs_still_relaxing(tmp_path):
         assert n_active == [int(np.sum(rr.iters_to_tol > i)) for i in range(len(rows))]
         assert n_active[0] == N_INPUTS and n_active[-1] >= 1
         assert all(a >= b for a, b in zip(n_active, n_active[1:]))
+
+
+def test_random_tied_alone_is_drawn_at_the_train_scale_and_seed(tmp_path):
+    s = replace(spec(tmp_path), regimes=("random-tied",),
+                train=TrainConfig(init_scale=0.5, seed=7))
+    report = run_experiment(s)
+    assert report.training_curve is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "random-tied.csv", "random-tied_log10.csv", "summary.csv"]
+    params = init_random_tied(s.sizes, Activation.HARD_SIGMOID, 0.5, 7)
+    items = build_dataset(s.dataset, s.sizes, s.seed).items[:N_INPUTS]
+    _, trace = infer_from_feedforward(params, items, s.relaxation,
+                                      energy_model=energy_model_or_none(params))
+    (rr,) = report.regimes
+    assert np.array_equal(rr.initial_steps, trace.step_magnitudes[:, 0])
+    assert np.array_equal(rr.iters_to_tol, trace.iters_run)
+
+
+def test_no_evaluated_inputs_leaves_the_summary_its_header(tmp_path):
+    report = run_experiment(replace(spec(tmp_path), n_inputs_evaluated=0))
+    assert [len(rr.iters_to_tol) for rr in report.regimes] == [0, 0]
+    assert (tmp_path / "summary.csv").read_text() == "regime,metric,value\n"
 
 
 @pytest.mark.parametrize("relaxation, train", [

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from ffinit import (
     Activation,
     ConfigurationError,
+    DatasetHandle,
     DimensionError,
     InvalidInputError,
     LayerSpec,
@@ -18,7 +20,7 @@ from ffinit import (
 )
 from ffinit import network
 from helpers import (ADOPTED_CASES, COPIED_CASES, make_params, random_sizes, random_state,
-                     random_tied_params)
+                     random_tied_params, random_untied_params)
 
 
 class TestActivation:
@@ -77,6 +79,20 @@ class TestSpecAndParams:
     def test_shape_validation(self):
         with pytest.raises(DimensionError):
             make_params((2, 3), [np.zeros((2, 3))])  # transposed shape
+        with pytest.raises(DimensionError, match="fb_offsets must have 1 entries, got 2"):
+            make_params((2, 3), [np.zeros((3, 2))], fb_offsets=[np.zeros(2), np.zeros(2)])
+
+    def test_params_compare_by_value(self):
+        params = random_untied_params(np.random.default_rng(4), sizes=(4, 3, 2))
+        copy = replace(params)
+        assert copy is not params and copy == params and not copy != params
+        w = params.fb_weights[1].copy()
+        w[0, 0] = np.nextafter(w[0, 0], np.inf)   # one ulp away
+        assert replace(params, fb_weights=(params.fb_weights[0], w)) != params
+        assert make_params((4, 3), [params.ff_weights[0]]) != params
+        assert params != params.ff_weights
+        with pytest.raises(TypeError):
+            hash(params)
 
     def test_non_finite_weights_rejected(self):
         w = np.zeros((3, 2))
@@ -151,6 +167,27 @@ class TestOwnership:
 
 
 class TestNetworkState:
+    def test_three_dimensional_layer_rejected(self):
+        with pytest.raises(DimensionError, match=r"visible must be a 1-d vector or a 2-d "
+                                                 r"block, got shape \(1, 1, 2\)"):
+            NetworkState(visible=np.zeros((1, 1, 2)), hidden=(np.zeros(3),))
+
+    @pytest.mark.parametrize("visible, hidden, message", [
+        (np.zeros(3), (np.zeros(3),), "visible has length 3, expected 2"),
+        (np.zeros(2), (np.zeros(3), np.zeros(3)), "state has 2 hidden layers, expected 1"),
+    ], ids=["visible-length", "hidden-layer-count"])
+    def test_check_state_rejects_a_state_of_another_network(self, visible, hidden, message):
+        params = make_params((2, 3), [np.zeros((3, 2))])
+        with pytest.raises(DimensionError, match=message):
+            network.check_state(params, NetworkState(visible=visible, hidden=hidden))
+
+    def test_states_and_datasets_compare_and_hash_by_identity(self):
+        params = random_tied_params(np.random.default_rng(5), sizes=(4, 3))
+        a, b = (feedforward_init(params, np.full(4, 0.5)) for _ in range(2))
+        assert a == a and a != b and len({a, b, a}) == 2
+        data = DatasetHandle(np.zeros((2, 4)))
+        assert data == data and data != DatasetHandle(data.items) and len({data, data}) == 1
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(InvalidInputError):
