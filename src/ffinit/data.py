@@ -144,14 +144,11 @@ def synth_blobs(n_items: int, d: int, n_clusters: int, spread: float,
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.1, 0.9, size=(n_clusters, d))
     assignment = rng.integers(0, n_clusters, size=n_items)
-    if spread > 0.0:
-        items = rng.standard_normal((n_items, d))
-        items *= spread
-        chunk = max(1, _BLOB_CHUNK_BYTES // (8 * d))
-        for start in range(0, n_items, chunk):
-            items[start:start + chunk] += centers[assignment[start:start + chunk]]
-    else:
-        items = centers[assignment]
+    items = rng.standard_normal((n_items, d))
+    items *= spread   # at spread 0 the noise is +-0.0, which leaves a center's bits
+    chunk = max(1, _BLOB_CHUNK_BYTES // (8 * d))
+    for start in range(0, n_items, chunk):
+        items[start:start + chunk] += centers[assignment[start:start + chunk]]
     np.clip(items, 0.0, 1.0, out=items)
     items.setflags(write=False)
     return DatasetHandle(items)

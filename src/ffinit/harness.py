@@ -46,36 +46,55 @@ REGIME_TRAINED_AE = "trained-ae"
 KNOWN_REGIMES = (REGIME_RANDOM_TIED, REGIME_TRAINED_AE)
 
 
+# The one source that reads each of these fields, and the value the field
+# takes there when omitted (None: that source needs it). Every other source
+# refuses the field.
+_READ_BY = {
+    "path": (DataSource.IDX_FILE, None),
+    "n_clusters": (DataSource.SYNTHETIC_BLOBS, 8),
+    "spread": (DataSource.SYNTHETIC_BLOBS, 0.02),
+}
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     """Where the experiment's data comes from.
 
     ``source`` is a :class:`DataSource` or its value string. ``path``, a
-    string naming the IDX file, is required for ``idx-file`` and refused
-    for the other sources; the remaining fields parameterize the
-    synthetic generators. ``n_items`` truncates a loaded IDX dataset or
-    sizes a synthetic one. The item dimension is always the network's
-    visible size.
+    non-empty string naming the IDX file, is read by ``idx-file`` alone,
+    which needs it; ``n_clusters`` (default 8) and ``spread`` (default
+    0.02) are read by ``synthetic-blobs`` alone. A source refuses a field
+    it does not read, and an omitted field, like one given as None, takes
+    its source's default. ``n_items``, at least 1, is the most items the
+    dataset holds: it truncates a loaded IDX file and sizes a synthetic
+    dataset. The item dimension is always the network's visible size.
     """
 
     source: DataSource = DataSource.SYNTHETIC_BLOBS
     path: str | None = None
     n_items: int = 2000
-    n_clusters: int = 8
-    spread: float = 0.02
+    n_clusters: int | None = None
+    spread: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "source",
                            check_member("dataset source", self.source, DataSource))
-        if self.path is not None and not isinstance(self.path, str):
-            raise ConfigurationError(f"dataset path must be a string, got {self.path!r}")
-        if (self.path is None) is (self.source is DataSource.IDX_FILE):
-            raise ConfigurationError(
-                "dataset source idx-file needs a path" if self.path is None
-                else f"dataset path is read by source idx-file only, not {self.source.value}")
-        check_count("dataset n_items", self.n_items, 0, sys.maxsize)
-        check_count("dataset n_clusters", self.n_clusters, 1, sys.maxsize)
-        check_real("dataset spread", self.spread, 0.0)
+        for key, (reader, default) in _READ_BY.items():
+            if reader is not self.source:
+                if getattr(self, key) is not None:
+                    raise ConfigurationError(f"dataset {key} is read by source "
+                                             f"{reader.value} only, not {self.source.value}")
+            elif getattr(self, key) is None:
+                if default is None:
+                    raise ConfigurationError(f"dataset source {reader.value} needs a {key}")
+                object.__setattr__(self, key, default)
+        check_count("dataset n_items", self.n_items, 1, sys.maxsize)
+        if self.path is not None and not (isinstance(self.path, str) and self.path):
+            raise ConfigurationError(f"dataset path must be a non-empty string, got {self.path!r}")
+        if self.n_clusters is not None:
+            check_count("dataset n_clusters", self.n_clusters, 1, sys.maxsize)
+        if self.spread is not None:
+            check_real("dataset spread", self.spread, 0.0)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -107,17 +126,16 @@ class ExperimentSpec:
         # A synthetic dataset is an (n_items, visible) float64 array and the
         # blobs' centers an (n_clusters, visible) one, whose entries numpy can
         # address only up to sys.maxsize // 8; an IDX file's n_items only
-        # truncates the file.
-        counts = {DataSource.SYNTHETIC_BLOBS: ("n_items", "n_clusters"),
-                  DataSource.SYNTHETIC_AUTOENCODABLE: ("n_items",)}
-        for key in counts.get(self.dataset.source, ()):
-            count = getattr(self.dataset, key)
-            n_entries = int(count) * self.sizes.visible_size
-            if n_entries > sys.maxsize // 8:
-                raise ConfigurationError(
-                    f"dataset {key} {count} at visible size {self.sizes.visible_size} "
-                    f"needs {n_entries} entries, more than the {sys.maxsize // 8} a "
-                    "float64 array can hold")
+        # truncates the file, and n_clusters is None where no source reads it.
+        if self.dataset.source is not DataSource.IDX_FILE:
+            for key in ("n_items", "n_clusters"):
+                count = getattr(self.dataset, key)
+                n_entries = 0 if count is None else int(count) * self.sizes.visible_size
+                if n_entries > sys.maxsize // 8:
+                    raise ConfigurationError(
+                        f"dataset {key} {count} at visible size {self.sizes.visible_size} "
+                        f"needs {n_entries} entries, more than the {sys.maxsize // 8} a "
+                        "float64 array can hold")
         check_count("n_inputs_evaluated", self.n_inputs_evaluated, 0)
         if not isinstance(self.output_dir, str):
             raise ConfigurationError(f"output_dir must be a string, got {self.output_dir!r}")
@@ -150,12 +168,12 @@ def build_dataset(dspec: DatasetSpec, sizes: LayerSpec, seed: int) -> DatasetHan
     if dspec.source is DataSource.IDX_FILE:
         try:
             data = load_idx_images(dspec.path)
-        except FileNotFoundError as exc:
+        except (FileNotFoundError, IsADirectoryError) as exc:
             raise DatasetError(
-                f"dataset file {dspec.path} does not exist; point dataset.path at an IDX "
-                "image file") from exc
+                f"dataset file {dspec.path} does not exist or is a directory; point "
+                "dataset.path at an IDX image file") from exc
         data._items_for(sizes)
-        if 0 < dspec.n_items < len(data):
+        if dspec.n_items < len(data):
             data = DatasetHandle(data.items[:dspec.n_items])
         return data
     if dspec.source is DataSource.SYNTHETIC_BLOBS:
@@ -198,7 +216,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
     When both regimes are requested, the random-tied weights are rescaled
     per layer to match the Frobenius norm of the trained weights so that
-    the comparison is not confounded by weight scale.
+    the comparison is not confounded by weight scale. Requested alone,
+    random-tied is drawn at ``train.init_scale`` and not norm-matched.
+    The trained-ae weights are untied unless ``train.tie_decoder``, while
+    random-tied is always tied, so the two regimes also differ in tying.
 
     The dataset is held through training only; evaluation holds a copy
     of the evaluated rows and the parameters of every regime.
@@ -272,7 +293,8 @@ def emit_csv(report: ExperimentReport, out_dir: str | Path) -> None:
     non-NaN entries of its column of the block trace, and ``step_mag_*``
     and ``energy_mean`` average over those inputs only, in input order. The
     energy column is populated only for regimes whose parameters admit
-    an energy, i.e. tied weights. ``summary.csv`` holds one
+    an energy, i.e. tied weights: always ``random-tied``, and
+    ``trained-ae`` only under ``train.tie_decoder``. ``summary.csv`` holds one
     ``regime,metric,value`` row per summary statistic, and
     ``training_curve.csv`` the per-epoch reconstruction errors when
     training took place. Floats use shortest round-trip decimals, so

@@ -67,10 +67,10 @@ class RelaxationConfig:
     """Settings for one relaxation run.
 
     Attributes:
-        scheme: Update rule, a :class:`Scheme` or its value string;
-            ``direct-alternating`` always performs full jumps, so
-            construction sets its ``tau`` to 1.
-        tau: Time constant of the leaky/Langevin mixing, ``>= 1``.
+        scheme: Update rule, a :class:`Scheme` or its value string.
+        tau: Time constant of the leaky/Langevin mixing, ``>= 1``;
+            ``direct-alternating`` always performs full jumps, so it
+            must be 1 there.
         noise_scale: Standard deviation of the per-unit Gaussian noise;
             must be positive for ``langevin`` and zero for the
             deterministic schemes.
@@ -96,11 +96,12 @@ class RelaxationConfig:
         if self.scheme is not Scheme.LANGEVIN and self.noise_scale != 0.0:
             raise ConfigurationError(
                 f"scheme {self.scheme.value} is deterministic; noise_scale must be 0")
+        if self.scheme is Scheme.DIRECT_ALTERNATING and self.tau != 1.0:
+            raise ConfigurationError(
+                "scheme direct-alternating jumps to the target; tau must be 1")
         check_count("max_iters", self.max_iters, 1)
         check_real("tol", self.tol, 0.0, strict=True)
         check_count("seed", self.seed, 0)
-        if self.scheme is Scheme.DIRECT_ALTERNATING:
-            object.__setattr__(self, "tau", 1.0)
 
 
 @dataclass(frozen=True)

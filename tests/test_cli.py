@@ -146,6 +146,11 @@ DAMAGE = {
 }
 
 
+def case(changes, *named):
+    """An invalid config change, and the words its one error line must hold."""
+    return pytest.param(changes, named, id=json.dumps(changes).replace(" ", ""))
+
+
 def assert_usage_error(capsys, *argv):
     assert run(*argv) == 2
     err = capsys.readouterr().err
@@ -158,38 +163,61 @@ class TestErrors:
         assert_usage_error(capsys, "infer", "--config", config, "--model", model,
                            "--index", index)
 
-    @pytest.mark.parametrize("changes", [
-        {"n_inputs_evaluated": "x"},
-        {"seed": "x"},
-        {"sizes": "ab"},
-        {"sizes": 5},
-        {"n_inputs_evaluated": 2.5},
-        {"relaxation": {"max_iters": 2.5}},
-        {"relaxation": {"tol": float("nan")}},
-        {"train": {"epochs": 2.5}},
-        {"dataset": {"n_items": "x"}},
-        {"dataset": {"d": 16}},
-        {"train": {"tie_decoder": "false"}},
-        {"dataset": {"path": 7}},
-        {"dataset": {"source": "idx-file"}},
-        {"dataset": {"path": "x.idx"}},
-        {"dataset": {"source": "synthetic-autoencodable", "path": "x.idx"}},
-        {"regimes": []},
-        {"regimes": ["nope"]},
-        {"regimes": ["random-tied", "random-tied"]},
-        {"output_dir": 7},
-        {"n_inputs_evaluated": 65},
-        {"relaxation": {"scheme": "nope"}},
-        {"train": {"rule": 5}},
-        {"dataset": [1]},
-        {"sizes": [10**30, 2]},
-        {"sizes": [16, 4611686018427387904]},
-        {"sizes": [4, 3], "dataset": {"n_items": 2305843009213693952}},
-        {"sizes": [784, 5], "dataset": {"n_clusters": 1152921504606846976}},
-    ], ids=lambda changes: json.dumps(changes).replace(" ", ""))
-    def test_invalid_config_value(self, tmp_path, capsys, changes):
+    @pytest.mark.parametrize("changes, named", [
+        case({"n_inputs_evaluated": "x"}),
+        case({"seed": "x"}),
+        case({"sizes": "ab"}),
+        case({"sizes": 5}),
+        case({"n_inputs_evaluated": 2.5}),
+        case({"relaxation": {"max_iters": 2.5}}),
+        case({"relaxation": {"tol": float("nan")}}),
+        case({"train": {"epochs": 2.5}}),
+        case({"dataset": {"n_items": "x"}}),
+        case({"dataset": {"d": 16}}),
+        case({"train": {"tie_decoder": "false"}}),
+        case({"dataset": {"path": 7}}),
+        case({"dataset": {"source": "idx-file"}}),
+        case({"dataset": {"path": "x.idx"}}, "path", "synthetic-blobs"),
+        case({"dataset": {"source": "synthetic-autoencodable", "path": "x.idx"}},
+             "path", "synthetic-autoencodable"),
+        case({"regimes": []}),
+        case({"regimes": ["nope"]}),
+        case({"regimes": ["random-tied", "random-tied"]}),
+        case({"output_dir": 7}),
+        case({"n_inputs_evaluated": 65}),
+        case({"relaxation": {"scheme": "nope"}}),
+        case({"train": {"rule": 5}}),
+        case({"dataset": [1]}),
+        case({"sizes": [10**30, 2]}),
+        case({"sizes": [16, 4611686018427387904]}),
+        case({"sizes": [4, 3], "dataset": {"n_items": 2305843009213693952}}),
+        case({"sizes": [784, 5], "dataset": {"n_clusters": 1152921504606846976}}),
+        # A value no run reads: refused under the source or scheme that does
+        # not read it, with the key and that source or scheme named.
+        case({"dataset": {"source": "idx-file", "path": "x.idx", "n_clusters": 4}},
+             "n_clusters", "idx-file"),
+        case({"dataset": {"source": "idx-file", "path": "x.idx", "spread": 0.05}},
+             "spread", "idx-file"),
+        case({"dataset": {"source": "synthetic-autoencodable", "n_clusters": 4}},
+             "n_clusters", "synthetic-autoencodable"),
+        case({"dataset": {"source": "synthetic-autoencodable", "spread": 0.05}},
+             "spread", "synthetic-autoencodable"),
+        case({"relaxation": {"scheme": "direct-alternating", "tau": 2}},
+             "tau", "direct-alternating"),
+        # n_items is the most items for every source, and at least 1
+        case({"dataset": {"n_items": 0}}, "n_items"),
+        case({"dataset": {"source": "synthetic-autoencodable", "n_items": 0}}, "n_items"),
+        case({"dataset": {"source": "idx-file", "path": "x.idx", "n_items": 0}}, "n_items"),
+        case({"dataset": {"source": "idx-file", "path": ""}}, "path"),
+        case({"dataset": {"source": "idx-file", "path": "."}},
+             "dataset file . does not exist or is a directory"),
+    ])
+    def test_invalid_config_value(self, tmp_path, capsys, changes, named):
         config = write_config(tmp_path, **changes)
-        assert_usage_error(capsys, "experiment", "--config", config, "--out", tmp_path / "o")
+        assert run("experiment", "--config", config, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(word in err for word in named), err
 
     @pytest.mark.parametrize("text", [
         b'{"sizes": [16, 8, 4],',

@@ -86,9 +86,9 @@ class TestRelaxationConfig:
     def test_tau(self, tau):
         ok = is_real(tau) and tau >= 1.0
         assert accepts(RelaxationConfig, scheme=Scheme.LEAKY, tau=tau) is ok
+        assert accepts(RelaxationConfig, tau=tau) is (ok and tau == 1.0)
         if ok:
             assert RelaxationConfig(scheme=Scheme.LEAKY, tau=tau).tau == tau
-            assert RelaxationConfig(tau=tau).tau == 1.0
 
     @over_any_value
     def test_tol(self, tol):
@@ -150,6 +150,13 @@ class TestTrainConfig:
         assert accepts(TrainConfig, tie_decoder=tie) is isinstance(tie, bool)
 
 
+def dataset_spec(source: DataSource, **kwargs) -> DatasetSpec:
+    """A DatasetSpec of ``source``, with the path ``idx-file`` needs."""
+    if source is DataSource.IDX_FILE:
+        kwargs = {"path": "images.idx", **kwargs}
+    return DatasetSpec(source=source, **kwargs)
+
+
 class TestDatasetSpec:
     @over_member_like
     def test_source(self, source):
@@ -161,34 +168,54 @@ class TestDatasetSpec:
 
     @over(ANY_VALUE, EDGE_CASES + (sys.maxsize, sys.maxsize + 1, 10**30))
     def test_n_items(self, n):
-        assert accepts(DatasetSpec, n_items=n) is (is_count(n, 0) and n <= sys.maxsize)
+        for source in DataSource:
+            assert accepts(dataset_spec, source=source, n_items=n) is (
+                is_count(n, 1) and n <= sys.maxsize)
 
     @over(ANY_VALUE, EDGE_CASES + (sys.maxsize, sys.maxsize + 1, 10**30))
     def test_n_clusters(self, n):
-        assert accepts(DatasetSpec, n_clusters=n) is (is_count(n, 1) and n <= sys.maxsize)
+        ok = n is None or is_count(n, 1) and n <= sys.maxsize
+        for source in DataSource:
+            blobs = source is DataSource.SYNTHETIC_BLOBS
+            assert accepts(dataset_spec, source=source, n_clusters=n) is (
+                ok if blobs else n is None)
+        if ok:
+            assert DatasetSpec(n_clusters=n).n_clusters == (8 if n is None else n)
 
     @over_any_value
+    def test_spread(self, spread):
+        ok = spread is None or is_real(spread) and spread >= 0.0
+        for source in DataSource:
+            blobs = source is DataSource.SYNTHETIC_BLOBS
+            assert accepts(dataset_spec, source=source, spread=spread) is (
+                ok if blobs else spread is None)
+        if ok:
+            assert DatasetSpec(spread=spread).spread == (0.02 if spread is None else spread)
+
+    @over(ANY_VALUE, EDGE_CASES + ("",))
     def test_path(self, path):
         for source in DataSource:
-            ok = isinstance(path, str) if source is DataSource.IDX_FILE else path is None
+            ok = (isinstance(path, str) and path != "" if source is DataSource.IDX_FILE
+                  else path is None)
             assert accepts(DatasetSpec, source=source, path=path) is ok
 
 
 SECTIONS = {"dataset": DatasetSpec, "relaxation": RelaxationConfig, "train": TrainConfig}
 REQUIRED = {"sizes": [5, 4], "regimes": ["random-tied"]}
 # Between them these configs give every field of every section a valid value
-# other than its default (tie_decoder excludes the local-branch rule).
+# other than its default, under a variant that reads it: path under idx-file,
+# n_clusters and spread under synthetic-blobs, and tie_decoder under the
+# ae-gradient rule.
 NON_DEFAULT = (
     {"sizes": [6, 5, 4], "regimes": ["trained-ae", "random-tied"],
      "n_inputs_evaluated": 3, "output_dir": "elsewhere", "seed": 2,
-     "dataset": {"source": "idx-file", "path": "images.idx", "n_items": 7, "n_clusters": 3,
-                 "spread": 0.5},
+     "dataset": {"source": "idx-file", "path": "images.idx", "n_items": 7},
      "relaxation": {"scheme": "langevin", "tau": 2.5, "noise_scale": 0.1, "max_iters": 9,
                     "tol": 1e-3, "seed": 4},
      "train": {"learning_rate": 0.1, "epochs": 3, "batch_size": 4, "rule": "local-branch",
                "init_scale": 0.5, "seed": 6}},
-    {**REQUIRED, "relaxation": {"scheme": "leaky", "tau": 3.0},
-     "train": {"tie_decoder": True}},
+    {**REQUIRED, "dataset": {"n_clusters": 3, "spread": 0.5},
+     "relaxation": {"scheme": "leaky", "tau": 3.0}, "train": {"tie_decoder": True}},
 )
 
 
@@ -244,16 +271,16 @@ class TestConfigSchema:
     @pytest.mark.parametrize("source", list(DataSource), ids=lambda s: s.value)
     def test_dataset_beyond_any_array(self, source):
         # 5 visible units: the most rows a float64 array can hold, for a
-        # synthetic dataset's items and for the blobs' cluster centers
+        # synthetic dataset's items and for the blobs' cluster centers; an IDX
+        # file's n_items only truncates the file
         largest = (sys.maxsize // 8) // 5
-        sized = {"n_items": {DataSource.SYNTHETIC_BLOBS, DataSource.SYNTHETIC_AUTOENCODABLE},
-                 "n_clusters": {DataSource.SYNTHETIC_BLOBS}}
-        for key, sources in sized.items():
+        keys = ("n_items", "n_clusters") if source is DataSource.SYNTHETIC_BLOBS else ("n_items",)
+        for key in keys:
             for count in (largest, largest + 1):
                 doc = {**REQUIRED, "dataset": {"source": source.value, key: count}}
                 if source is DataSource.IDX_FILE:
                     doc["dataset"]["path"] = "images.idx"
-                if source not in sources or count == largest:
+                if source is DataSource.IDX_FILE or count == largest:
                     assert getattr(experiment_spec_from_config(doc).dataset, key) == count
                 else:
                     with pytest.raises(ConfigurationError, match=f"{key} .* float64 array"):

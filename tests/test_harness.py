@@ -131,7 +131,7 @@ class TestBuildDataset:
         write_idx(path, list(range(6 * 4)), 2, 2)
         return path
 
-    @pytest.mark.parametrize("n_items, expected", [(4, 4), (0, 6), (6, 6), (9, 6)])
+    @pytest.mark.parametrize("n_items, expected", [(1, 1), (4, 4), (6, 6), (9, 6)])
     def test_idx_file_truncated_to_n_items(self, idx_path, n_items, expected):
         dspec = DatasetSpec(source="idx-file", path=str(idx_path), n_items=n_items)
         data = build_dataset(dspec, LayerSpec(sizes=(4, 3)), 0)

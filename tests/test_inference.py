@@ -127,12 +127,13 @@ class TestRelax:
             assert all(np.array_equal(x, y) for x, y in zip(sa.hidden, sb.hidden))
             assert np.array_equal(ta.step_magnitudes, tb.step_magnitudes)
 
-    def test_direct_ignores_tau(self):
+    def test_direct_is_leaky_at_tau_1(self):
         rng = np.random.default_rng(4)
         params = random_tied_params(rng, sizes=(4, 3))
         state = random_state(rng, params)
-        a, _ = relax(params, state, RelaxationConfig(tau=5.0, max_iters=10, tol=1e-300))
-        b, _ = relax(params, state, RelaxationConfig(tau=1.0, max_iters=10, tol=1e-300))
+        a, _ = relax(params, state, RelaxationConfig(max_iters=10, tol=1e-300))
+        b, _ = relax(params, state,
+                     RelaxationConfig(scheme=Scheme.LEAKY, tau=1.0, max_iters=10, tol=1e-300))
         assert all(np.array_equal(x, y) for x, y in zip(a.hidden, b.hidden))
 
     def test_leaky_moves_gradually(self):
