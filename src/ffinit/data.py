@@ -31,6 +31,7 @@ from .exceptions import (
     DatasetError,
     IdxFormatError,
     IdxLengthError,
+    check_fits,
 )
 from .network import (
     LayerSpec,
@@ -136,11 +137,17 @@ def synth_blobs(n_items: int, d: int, n_clusters: int, spread: float,
     The noise is drawn straight into the result and the centers are added
     to it a chunk of rows at a time, so the only temporary besides the
     result is one chunk.
+
+    Raises:
+        DatasetError: A bad count or spread, or an array numpy cannot hold;
+            checked before anything is drawn.
     """
     if d < 1 or n_items < 1 or n_clusters < 1:
         raise DatasetError("n_items, d, and n_clusters must all be >= 1")
     if not 0.0 <= spread < np.inf:
         raise DatasetError(f"spread must be finite and >= 0, got {spread!r}")
+    check_fits(f"n_items {n_items} at width {d}", n_items, d, DatasetError)
+    check_fits(f"n_clusters {n_clusters} at width {d}", n_clusters, d, DatasetError)
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.1, 0.9, size=(n_clusters, d))
     assignment = rng.integers(0, n_clusters, size=n_items)
@@ -173,12 +180,15 @@ def synth_autoencodable(n_items: int, spec: LayerSpec,
         suitable as an oracle for fast-inference tests.
 
     Raises:
+        DatasetError: ``n_items`` is below 1 or more than numpy can hold
+            at the visible size; checked before anything is drawn.
         ConstructionError: The built instance failed its residual check
             (reported with the worst residual).
     """
     sizes = spec.sizes
     if n_items < 1:
         raise DatasetError("n_items must be >= 1")
+    check_fits(f"n_items {n_items} at width {sizes[0]}", n_items, sizes[0], DatasetError)
     m = min(sizes)
     rng = np.random.default_rng(seed)
     bases = [np.linalg.qr(rng.standard_normal((size, m)))[0] for size in sizes]

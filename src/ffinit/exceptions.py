@@ -86,6 +86,14 @@ def check_real(name: str, value, minimum: float, strict: bool = False) -> None:
             f"{name} must be a finite number {'>' if strict else '>='} {minimum}, got {value!r}")
 
 
+def check_fits(what: str, rows: int, width: int, error: type[FfinitError]) -> None:
+    """Raise ``error`` unless ``rows`` rows of ``width`` fit one float64 array."""
+    entries = int(rows) * int(width)
+    if entries > sys.maxsize // 8:   # the float64 entries numpy can address
+        raise error(f"{what} needs {entries} entries, more than the {sys.maxsize // 8} "
+                    "a float64 array can hold")
+
+
 def check_member(name: str, value, kind: type[enum.Enum]) -> enum.Enum:
     """The member of ``kind`` that ``value`` is, or whose value string it is;
     ConfigurationError listing the allowed values otherwise."""

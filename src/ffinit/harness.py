@@ -66,13 +66,14 @@ class DatasetSpec:
     0.02) are read by ``synthetic-blobs`` alone. A source refuses a field
     it does not read, and an omitted field, like one given as None, takes
     its source's default. ``n_items``, at least 1, is the most items the
-    dataset holds: it truncates a loaded IDX file and sizes a synthetic
-    dataset. The item dimension is always the network's visible size.
+    dataset holds: it sizes a synthetic dataset (default 2000) and
+    truncates a loaded IDX file (default: the whole file). The item
+    dimension is always the network's visible size.
     """
 
     source: DataSource = DataSource.SYNTHETIC_BLOBS
     path: str | None = None
-    n_items: int = 2000
+    n_items: int | None = None
     n_clusters: int | None = None
     spread: float | None = None
 
@@ -88,7 +89,10 @@ class DatasetSpec:
                 if default is None:
                     raise ConfigurationError(f"dataset source {reader.value} needs a {key}")
                 object.__setattr__(self, key, default)
-        check_count("dataset n_items", self.n_items, 1, sys.maxsize)
+        if self.n_items is not None:
+            check_count("dataset n_items", self.n_items, 1, sys.maxsize)
+        elif self.source is not DataSource.IDX_FILE:
+            object.__setattr__(self, "n_items", 2000)
         if self.path is not None and not (isinstance(self.path, str) and self.path):
             raise ConfigurationError(f"dataset path must be a non-empty string, got {self.path!r}")
         if self.n_clusters is not None:
@@ -123,22 +127,9 @@ class ExperimentSpec:
                     f"unknown regime {regime!r}; known regimes: {KNOWN_REGIMES}")
         if len(set(self.regimes)) != len(self.regimes):
             raise ConfigurationError("regimes must not repeat")
-        # A synthetic dataset is an (n_items, visible) float64 array and the
-        # blobs' centers an (n_clusters, visible) one, whose entries numpy can
-        # address only up to sys.maxsize // 8; an IDX file's n_items only
-        # truncates the file, and n_clusters is None where no source reads it.
-        if self.dataset.source is not DataSource.IDX_FILE:
-            for key in ("n_items", "n_clusters"):
-                count = getattr(self.dataset, key)
-                n_entries = 0 if count is None else int(count) * self.sizes.visible_size
-                if n_entries > sys.maxsize // 8:
-                    raise ConfigurationError(
-                        f"dataset {key} {count} at visible size {self.sizes.visible_size} "
-                        f"needs {n_entries} entries, more than the {sys.maxsize // 8} a "
-                        "float64 array can hold")
         check_count("n_inputs_evaluated", self.n_inputs_evaluated, 0)
-        if not isinstance(self.output_dir, str):
-            raise ConfigurationError(f"output_dir must be a string, got {self.output_dir!r}")
+        if not (isinstance(self.output_dir, str) and self.output_dir):
+            raise ConfigurationError(f"output_dir must name a directory, got {self.output_dir!r}")
         check_count("seed", self.seed, 0)
 
 
@@ -163,8 +154,9 @@ class ExperimentReport:
 
 
 def build_dataset(dspec: DatasetSpec, sizes: LayerSpec, seed: int) -> DatasetHandle:
-    """Load or generate the dataset a spec names, sized for ``sizes``; an IDX
-    file must exist and hold at least one image of the visible size."""
+    """Load or generate the dataset a spec names, sized for ``sizes``: an IDX
+    file must exist and hold at least one image of the visible size, and a
+    generated dataset must fit one float64 array (DatasetError otherwise)."""
     if dspec.source is DataSource.IDX_FILE:
         try:
             data = load_idx_images(dspec.path)
@@ -172,10 +164,7 @@ def build_dataset(dspec: DatasetSpec, sizes: LayerSpec, seed: int) -> DatasetHan
             raise DatasetError(
                 f"dataset file {dspec.path} does not exist or is a directory; point "
                 "dataset.path at an IDX image file") from exc
-        data._items_for(sizes)
-        if dspec.n_items < len(data):
-            data = DatasetHandle(data.items[:dspec.n_items])
-        return data
+        return DatasetHandle(data._items_for(sizes)[:dspec.n_items])
     if dspec.source is DataSource.SYNTHETIC_BLOBS:
         return synth_blobs(dspec.n_items, sizes.visible_size, dspec.n_clusters,
                            dspec.spread, seed)
@@ -358,6 +347,13 @@ def _section(cls, doc, where: str, **convert):
                   for key, value in doc.items()})
 
 
+def _json_array(key: str, value) -> tuple:
+    """``value`` as a tuple; ConfigurationError unless it is a JSON array."""
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{key} must be a JSON array, got {value!r}")
+    return tuple(value)
+
+
 def experiment_spec_from_config(doc) -> ExperimentSpec:
     """Build an :class:`ExperimentSpec` from a parsed JSON config document.
 
@@ -369,8 +365,8 @@ def experiment_spec_from_config(doc) -> ExperimentSpec:
     try:
         return _section(
             ExperimentSpec, doc, "config",
-            sizes=lambda sizes: LayerSpec(sizes=tuple(sizes)),
-            regimes=tuple,
+            sizes=lambda sizes: LayerSpec(sizes=_json_array("sizes", sizes)),
+            regimes=lambda regimes: _json_array("regimes", regimes),
             dataset=lambda sub: _section(DatasetSpec, sub, "dataset"),
             relaxation=lambda sub: _section(RelaxationConfig, sub, "relaxation"),
             train=lambda sub: _section(TrainConfig, sub, "train"))

@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import (ConfigurationError, DimensionError, InvalidInputError,
-                         check_count, check_member)
+                         check_count, check_fits, check_member)
 
 _ARRAY_GROUPS = ("ff_weights", "fb_weights", "ff_offsets", "fb_offsets")
 
@@ -137,10 +137,8 @@ class LayerSpec:
             check_count("every layer size", n, 1, sys.maxsize)
         sizes = tuple(int(n) for n in sizes)
         for n_in, n_out in zip(sizes, sizes[1:]):
-            if n_in * n_out > sys.maxsize // 8:   # the float64 entries numpy can address
-                raise ConfigurationError(
-                    f"layer sizes {n_in} and {n_out} need a weight matrix of {n_in * n_out} "
-                    f"entries, more than the {sys.maxsize // 8} a float64 array can hold")
+            check_fits(f"the weight matrix of layer sizes {n_in} and {n_out}", n_in, n_out,
+                       ConfigurationError)
         object.__setattr__(self, "sizes", sizes)
 
     @property

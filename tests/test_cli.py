@@ -183,7 +183,12 @@ class TestErrors:
         case({"regimes": []}),
         case({"regimes": ["nope"]}),
         case({"regimes": ["random-tied", "random-tied"]}),
+        # sizes and regimes are JSON arrays, not any value tuple() accepts
+        case({"sizes": [4, 3], "regimes": {"random-tied": 1}}, "regimes", "JSON array"),
+        case({"regimes": "random-tied"}, "regimes", "JSON array"),
+        case({"sizes": "784"}, "sizes", "JSON array"),
         case({"output_dir": 7}),
+        case({"output_dir": ""}, "output_dir"),
         case({"n_inputs_evaluated": 65}),
         case({"relaxation": {"scheme": "nope"}}),
         case({"train": {"rule": 5}}),
@@ -235,6 +240,16 @@ class TestErrors:
             raise MemoryError("Unable to allocate 7.28 TiB for an array")
         monkeypatch.setattr("ffinit.cli.run_experiment", run_experiment)
         assert_usage_error(capsys, "experiment", "--config", config, "--out", tmp_path / "o")
+
+    def test_empty_out_dir(self, capsys, config):
+        assert run("experiment", "--config", config, "--out", "") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "output_dir" in err
+
+    def test_missing_checkpoint_is_an_io_error(self, tmp_path, capsys, config):
+        assert run("infer", "--config", config, "--model", tmp_path / "absent.npz") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1 and "absent.npz" in err
 
     def test_negative_seed(self, tmp_path, capsys, config):
         assert_usage_error(capsys, "experiment", "--config", config, "--seed", -1,

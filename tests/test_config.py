@@ -12,12 +12,14 @@ import math
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ffinit import (
     ConfigurationError,
+    DatasetError,
     DataSource,
     DatasetSpec,
     ExperimentSpec,
@@ -28,6 +30,7 @@ from ffinit import (
     TrainRule,
     experiment_spec_from_config,
 )
+from ffinit.harness import build_dataset
 
 ANY_VALUE = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -168,9 +171,13 @@ class TestDatasetSpec:
 
     @over(ANY_VALUE, EDGE_CASES + (sys.maxsize, sys.maxsize + 1, 10**30))
     def test_n_items(self, n):
+        ok = n is None or is_count(n, 1) and n <= sys.maxsize
         for source in DataSource:
-            assert accepts(dataset_spec, source=source, n_items=n) is (
-                is_count(n, 1) and n <= sys.maxsize)
+            assert accepts(dataset_spec, source=source, n_items=n) is ok
+            if ok:
+                # None takes the source's count: 2000 generated items, or the whole file
+                default = None if source is DataSource.IDX_FILE else 2000
+                assert dataset_spec(source, n_items=n).n_items == (default if n is None else n)
 
     @over(ANY_VALUE, EDGE_CASES + (sys.maxsize, sys.maxsize + 1, 10**30))
     def test_n_clusters(self, n):
@@ -269,10 +276,11 @@ class TestConfigSchema:
             experiment_spec_from_config(doc)
 
     @pytest.mark.parametrize("source", list(DataSource), ids=lambda s: s.value)
-    def test_dataset_beyond_any_array(self, source):
-        # 5 visible units: the most rows a float64 array can hold, for a
-        # synthetic dataset's items and for the blobs' cluster centers; an IDX
-        # file's n_items only truncates the file
+    def test_dataset_beyond_any_array(self, source, monkeypatch):
+        # 5 visible units: the most rows a float64 array can hold. The config
+        # takes any count; a generator refuses a row more before it draws
+        # anything, and an IDX file's n_items only truncates the file.
+        monkeypatch.setattr(np.random, "default_rng", None)
         largest = (sys.maxsize // 8) // 5
         keys = ("n_items", "n_clusters") if source is DataSource.SYNTHETIC_BLOBS else ("n_items",)
         for key in keys:
@@ -280,8 +288,8 @@ class TestConfigSchema:
                 doc = {**REQUIRED, "dataset": {"source": source.value, key: count}}
                 if source is DataSource.IDX_FILE:
                     doc["dataset"]["path"] = "images.idx"
-                if source is DataSource.IDX_FILE or count == largest:
-                    assert getattr(experiment_spec_from_config(doc).dataset, key) == count
-                else:
-                    with pytest.raises(ConfigurationError, match=f"{key} .* float64 array"):
-                        experiment_spec_from_config(doc)
+                spec = experiment_spec_from_config(doc)
+                assert getattr(spec.dataset, key) == count
+                if source is not DataSource.IDX_FILE and count > largest:
+                    with pytest.raises(DatasetError, match=f"{key} {count} .* float64 array"):
+                        build_dataset(spec.dataset, spec.sizes, spec.seed)

@@ -115,6 +115,15 @@ class TestSynthBlobs:
         with pytest.raises(DatasetError, match="spread"):
             synth_blobs(10, 3, 8, spread, 0)
 
+    @pytest.mark.parametrize("n_items, n_clusters, named", [
+        (2**61, 8, "n_items 2305843009213693952"),
+        (2000, 2**61, "n_clusters 2305843009213693952")])
+    def test_more_entries_than_an_array_holds_rejected(self, monkeypatch, n_items,
+                                                      n_clusters, named):
+        monkeypatch.setattr(np.random, "default_rng", None)   # refused before any draw
+        with pytest.raises(DatasetError, match=f"{named} at width 784 .* float64 array"):
+            synth_blobs(n_items, 784, n_clusters, 0.02, 0)
+
     @pytest.mark.parametrize("spread", [0.3, 0.0])
     def test_matches_straight_line_generator(self, spread):
         # 500 rows of 784 span several of the chunks the centers are added in.
@@ -168,6 +177,12 @@ class TestSynthAutoencodable:
     def test_no_items_rejected(self):
         with pytest.raises(DatasetError, match="n_items must be >= 1"):
             synth_autoencodable(0, LayerSpec(sizes=(5, 4)))
+
+    def test_more_entries_than_an_array_holds_rejected(self, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", None)   # refused before any draw
+        with pytest.raises(DatasetError,
+                           match="n_items 2305843009213693952 at width 784 .* float64 array"):
+            synth_autoencodable(2**61, LayerSpec(sizes=(784, 5)))
 
     def test_determinism(self):
         a_data, a_params = synth_autoencodable(10, LayerSpec(sizes=(5, 4)), seed=9)

@@ -12,7 +12,8 @@ from ffinit import (Activation, DataSource, DatasetError, LayerSpec, RelaxationC
                     TrainConfig, energy_model_or_none, infer_from_feedforward,
                     init_random_tied, load_idx_images, norm_matched_random,
                     synth_autoencodable, train_stacked_ae)
-from ffinit.harness import DatasetSpec, ExperimentSpec, build_dataset, run_experiment
+from ffinit.harness import (DatasetSpec, ExperimentSpec, build_dataset,
+                            experiment_spec_from_config, run_experiment)
 from helpers import write_idx
 
 N_INPUTS = 12
@@ -136,6 +137,17 @@ class TestBuildDataset:
         dspec = DatasetSpec(source="idx-file", path=str(idx_path), n_items=n_items)
         data = build_dataset(dspec, LayerSpec(sizes=(4, 3)), 0)
         assert np.array_equal(data.items, load_idx_images(idx_path).items[:expected])
+
+    @pytest.mark.parametrize("dataset", [{}, {"n_items": None}], ids=["omitted", "null"])
+    def test_idx_file_read_whole_without_n_items(self, tmp_path, dataset):
+        path = tmp_path / "images.idx"
+        write_idx(path, [i % 256 for i in range(2001 * 4)], 2, 2)
+        spec = experiment_spec_from_config({
+            "sizes": [4, 3], "regimes": ["random-tied"],
+            "dataset": {"source": "idx-file", "path": str(path), **dataset}})
+        data = build_dataset(spec.dataset, spec.sizes, spec.seed)
+        assert len(data) == 2001
+        assert np.array_equal(data.items, load_idx_images(path).items)
 
     def test_idx_dimension_mismatch(self, idx_path):
         with pytest.raises(DatasetError, match="does not match visible size 5"):

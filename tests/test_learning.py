@@ -258,6 +258,20 @@ class TestSubOuter:
             assert all(np.array_equal(x, y) for x, y in zip(getattr(bound, group),
                                                             getattr(fallback, group)))
 
+    def test_no_binding_under_another_blas(self, monkeypatch):
+        monkeypatch.setattr(np, "show_config", lambda mode: {
+            "Build Dependencies": {"blas": {"name": "openblas"}}})
+        assert learning._bind_dgemm() is None
+
+    def test_no_binding_without_a_loaded_scipy_openblas(self, monkeypatch, tmp_path):
+        # Every searched folder is empty or holds a library that is not loaded.
+        (tmp_path / "lib").mkdir()
+        (tmp_path / "lib" / "libscipy_openblas64_.so").write_bytes(b"")
+        monkeypatch.setattr(np, "show_config", lambda mode: {"Build Dependencies": {
+            "blas": {"name": "scipy-openblas", "lib directory": str(tmp_path / "lib")}}})
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        assert learning._bind_dgemm() is None
+
     def test_binds_when_numpy_uses_its_bundled_scipy_openblas(self):
         # A wheel that bundles scipy-openblas must not train on the fallback
         # unnoticed; any other BLAS must not be bound.
