@@ -56,10 +56,9 @@ def _cmd_experiment(args) -> int:
         spec = replace(spec, output_dir=args.out)
     report = run_experiment(spec)
     for rr in report.regimes:
-        if len(rr.initial_steps):
-            print(f"{rr.regime}: initial step mean {rr.initial_steps.mean():.6g}, "
-                  f"iterations-to-tol mean {rr.iters_to_tol.mean():.3g}, "
-                  f"converged {int(rr.converged.sum())}/{len(rr.converged)}")
+        print(f"{rr.regime}: initial step mean {rr.initial_steps.mean():.6g}, "
+              f"iterations-to-tol mean {rr.iters_to_tol.mean():.3g}, "
+              f"converged {int(rr.converged.sum())}/{len(rr.converged)}")
     print(f"wrote CSV outputs to {spec.output_dir}")
     return 0
 

@@ -106,6 +106,11 @@ def load_idx_images(path: str | Path) -> DatasetHandle:
         IdxLengthError: The payload is shorter or longer than the header
             declares.
     """
+    return _load_idx(path, None)
+
+
+def _load_idx(path: str | Path, n_items: int | None) -> DatasetHandle:
+    """As :func:`load_idx_images`, but only the first ``n_items`` images (all when None)."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 16:
@@ -119,7 +124,7 @@ def load_idx_images(path: str | Path) -> DatasetHandle:
     if len(raw) - 16 != expected:
         raise IdxLengthError(
             f"{path}: header declares {expected} pixel bytes, file holds {len(raw) - 16}")
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, rows * cols)
+    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, rows * cols)[:n_items]
     items = pixels.astype(float)
     items /= 255.0
     items.setflags(write=False)

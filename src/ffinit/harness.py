@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .data import (
     DataSource,
     DatasetHandle,
-    load_idx_images,
+    _load_idx,
     synth_autoencodable,
     synth_blobs,
 )
@@ -35,11 +35,11 @@ from .exceptions import (
 from .inference import ConvergenceTrace, RelaxationConfig, infer_from_feedforward
 from .learning import (
     TrainConfig,
-    init_random_tied,
+    init_random_tied,   # unused here; the benchmark's traced run wraps harness.init_random_tied
     norm_matched_random,
     train_stacked_ae,
 )
-from .network import Activation, LayerSpec, NetworkParams, mutual_prediction_residual
+from .network import LayerSpec, NetworkParams, mutual_prediction_residual
 
 REGIME_RANDOM_TIED = "random-tied"
 REGIME_TRAINED_AE = "trained-ae"
@@ -119,15 +119,15 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.regimes:
-            raise ConfigurationError("regimes must not be empty")
+        if REGIME_TRAINED_AE not in self.regimes:
+            raise ConfigurationError("regimes must include trained-ae; random-tied is its control")
         for regime in self.regimes:
             if regime not in KNOWN_REGIMES:
                 raise ConfigurationError(
                     f"unknown regime {regime!r}; known regimes: {KNOWN_REGIMES}")
         if len(set(self.regimes)) != len(self.regimes):
             raise ConfigurationError("regimes must not repeat")
-        check_count("n_inputs_evaluated", self.n_inputs_evaluated, 0)
+        check_count("n_inputs_evaluated", self.n_inputs_evaluated, 1)
         if not (isinstance(self.output_dir, str) and self.output_dir):
             raise ConfigurationError(f"output_dir must name a directory, got {self.output_dir!r}")
         check_count("seed", self.seed, 0)
@@ -150,7 +150,7 @@ class RegimeResult:
 @dataclass(frozen=True)
 class ExperimentReport:
     regimes: tuple[RegimeResult, ...]
-    training_curve: tuple[tuple[int, int, float], ...] | None
+    training_curve: tuple[tuple[int, int, float], ...]
 
 
 def build_dataset(dspec: DatasetSpec, sizes: LayerSpec, seed: int) -> DatasetHandle:
@@ -159,12 +159,12 @@ def build_dataset(dspec: DatasetSpec, sizes: LayerSpec, seed: int) -> DatasetHan
     generated dataset must fit one float64 array (DatasetError otherwise)."""
     if dspec.source is DataSource.IDX_FILE:
         try:
-            data = load_idx_images(dspec.path)
+            data = _load_idx(dspec.path, dspec.n_items)
         except (FileNotFoundError, IsADirectoryError) as exc:
             raise DatasetError(
                 f"dataset file {dspec.path} does not exist or is a directory; point "
                 "dataset.path at an IDX image file") from exc
-        return DatasetHandle(data._items_for(sizes)[:dspec.n_items])
+        return DatasetHandle(data._items_for(sizes))
     if dspec.source is DataSource.SYNTHETIC_BLOBS:
         return synth_blobs(dspec.n_items, sizes.visible_size, dspec.n_clusters,
                            dspec.spread, seed)
@@ -183,11 +183,11 @@ def _evaluate_regime(regime: str, params: NetworkParams, items: np.ndarray,
     columns = [steps[a, i] for i, a in enumerate(active)]
     return RegimeResult(
         regime=regime,
-        initial_steps=steps[:, :1].ravel(),   # empty for no inputs
+        initial_steps=steps[:, 0].copy(),
         iters_to_tol=trace.iters_run,
         converged=trace.converged,
         final_residuals=resid,
-        step_stats=np.array([(c.mean(), c.min(), c.max()) for c in columns]).reshape(-1, 3),
+        step_stats=np.array([(c.mean(), c.min(), c.max()) for c in columns]),
         n_active=active.sum(axis=1),
         energy_means=None if energy_model is None else np.array(
             [trace.energies[a, i + 1].mean() for i, a in enumerate(active)]),
@@ -197,18 +197,17 @@ def _evaluate_regime(regime: str, params: NetworkParams, items: np.ndarray,
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Run the regime comparison and write its CSV outputs.
 
-    Builds the dataset, constructs the parameters of every requested
-    regime, relaxes each evaluated input from feedforward initialization,
-    and writes per-regime per-iteration step-magnitude statistics (linear
-    and log10), the training curve when training happened, and a summary
-    table into ``spec.output_dir``.
+    Builds the dataset, trains the stacked auto-encoder, constructs the
+    parameters of every requested regime, relaxes each evaluated input
+    from feedforward initialization, and writes per-regime per-iteration
+    step-magnitude statistics (linear and log10), the training curve and a
+    summary table into ``spec.output_dir``.
 
-    When both regimes are requested, the random-tied weights are rescaled
-    per layer to match the Frobenius norm of the trained weights so that
-    the comparison is not confounded by weight scale. Requested alone,
-    random-tied is drawn at ``train.init_scale`` and not norm-matched.
-    The trained-ae weights are untied unless ``train.tie_decoder``, while
-    random-tied is always tied, so the two regimes also differ in tying.
+    The random-tied weights are ``norm_matched_random(trained, train.seed)``:
+    rescaled per layer to the trained weights' Frobenius norms, so that
+    weight scale does not confound the comparison. The trained-ae weights
+    are untied unless ``train.tie_decoder``, while random-tied is always
+    tied, so the two regimes also differ in tying.
 
     The dataset is held through training only; evaluation holds a copy
     of the evaluated rows and the parameters of every regime.
@@ -222,25 +221,20 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             f"n_inputs_evaluated={spec.n_inputs_evaluated} exceeds dataset size {len(data)}")
 
     curve: list[tuple[int, int, float]] = []
-    params_by_regime: dict[str, NetworkParams] = {}
-    if REGIME_TRAINED_AE in spec.regimes:
-        params_by_regime[REGIME_TRAINED_AE] = train_stacked_ae(
-            data, spec.sizes, spec.train,
-            progress=lambda pair, epoch, err: curve.append((pair, epoch, err)))
+    trained = train_stacked_ae(
+        data, spec.sizes, spec.train,
+        progress=lambda pair, epoch, err: curve.append((pair, epoch, err)))
     items = data.items[:spec.n_inputs_evaluated].copy()
     items.setflags(write=False)   # so the relaxation's NetworkState adopts it
     data = None   # evaluation reads the evaluated rows only
+    params_by_regime = {REGIME_TRAINED_AE: trained}
     if REGIME_RANDOM_TIED in spec.regimes:
-        trained = params_by_regime.get(REGIME_TRAINED_AE)
-        params_by_regime[REGIME_RANDOM_TIED] = (
-            init_random_tied(spec.sizes, Activation.HARD_SIGMOID, spec.train.init_scale,
-                             spec.train.seed) if trained is None
-            else norm_matched_random(trained, spec.train.seed))
+        params_by_regime[REGIME_RANDOM_TIED] = norm_matched_random(trained, spec.train.seed)
 
     results = tuple(
         _evaluate_regime(regime, params_by_regime[regime], items, spec.relaxation)
         for regime in spec.regimes)
-    report = ExperimentReport(regimes=results, training_curve=tuple(curve) if curve else None)
+    report = ExperimentReport(regimes=results, training_curve=tuple(curve))
     emit_csv(report, spec.output_dir)
     return report
 
@@ -285,14 +279,14 @@ def emit_csv(report: ExperimentReport, out_dir: str | Path) -> None:
     an energy, i.e. tied weights: always ``random-tied``, and
     ``trained-ae`` only under ``train.tie_decoder``. ``summary.csv`` holds one
     ``regime,metric,value`` row per summary statistic, and
-    ``training_curve.csv`` the per-epoch reconstruction errors when
-    training took place. Floats use shortest round-trip decimals, so
-    re-parsing reproduces them exactly.
+    ``training_curve.csv`` the per-epoch reconstruction errors. Floats use
+    shortest round-trip decimals, so re-parsing reproduces them exactly.
 
-    Summary statistics, over the evaluated inputs: ``initial_step_mag_*``
-    is the first sweep's step. ``iters_to_tol_*`` counts sweeps until the
-    step drops below the absolute ``tol`` (the budget if it never does),
-    so it measures contraction near the fixed point, not closeness to it.
+    Summary statistics, over the evaluated inputs (every regime holds at
+    least one): ``initial_step_mag_*`` is the first sweep's step.
+    ``iters_to_tol_*`` counts sweeps until the step drops below the
+    absolute ``tol`` (the budget if it never does), so it measures
+    contraction near the fixed point, not closeness to it.
     ``final_residual_*`` is the largest single-branch prediction error
     ``|d - h_k|`` over the layers of the relaxed state; predictions are
     voltages and states rates, and a fixed point matches the clipped mean
@@ -314,8 +308,6 @@ def emit_csv(report: ExperimentReport, out_dir: str | Path) -> None:
 
     lines = ["regime,metric,value"]
     for rr in report.regimes:
-        if len(rr.initial_steps) == 0:
-            continue
         metrics = (
             ("initial_step_mag_mean", rr.initial_steps.mean()),
             ("initial_step_mag_min", rr.initial_steps.min()),
@@ -331,18 +323,21 @@ def emit_csv(report: ExperimentReport, out_dir: str | Path) -> None:
             lines.append(f"{rr.regime},{name},{_fmt(value)}")
     _write_lines(out / "summary.csv", lines)
 
-    if report.training_curve is not None:
-        write_training_curve(report.training_curve, out / "training_curve.csv")
+    write_training_curve(report.training_curve, out / "training_curve.csv")
 
 
 def _section(cls, doc, where: str, **convert):
     """``cls(**doc)`` with each value first passed through its ``convert``
-    entry; a non-object ``doc`` or a key that is no field of ``cls`` is rejected."""
+    entry; a non-object ``doc``, a key that is no field of ``cls`` and a
+    missing key of a field without a default are rejected."""
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{where} must be a JSON object")
-    unknown = set(doc) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)}")
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    for what, keys in (("unknown", set(doc) - {f.name for f in fields(cls)}),
+                       ("missing", required - set(doc))):
+        if keys:
+            raise ConfigurationError(f"{what} {where} keys: {sorted(keys)}")
     return cls(**{key: convert[key](value) if key in convert else value
                   for key, value in doc.items()})
 

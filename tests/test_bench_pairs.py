@@ -36,6 +36,12 @@ def test_parse_result_reads_the_last_line():
     assert bench_pairs.parse_result(run_output(2.5, 7.0))["metrics"]["wall_s"]["value"] == 2.5
 
 
+def test_parse_run_keeps_the_detail_line():
+    run = bench_pairs.parse_run(run_output(2.5, 7.0))
+    assert run["metrics"]["wall_s"]["value"] == 2.5
+    assert run["detail"] == {"wall_s": {"median": 2.5}}
+
+
 def test_quartiles_interpolate_between_samples():
     assert bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
     assert bench_pairs.quartiles([1.0, 2.0]) == (1.25, 1.5, 1.75)
@@ -180,6 +186,33 @@ def test_every_workload_runs_by_default_with_one_summary_each(fake_runs, capsys)
         ratio = f"{(2 + i) / (3 + i):.4g}"
         detail = f"  wall_s per-pair change/parent ratio: median {ratio} [{ratio}, {ratio}]"
         assert out.splitlines().index(detail) == out.splitlines().index(found[w]) + 1
+
+
+def test_out_writes_every_run_and_summary(fake_runs, tmp_path, capsys):
+    out = tmp_path / "BENCH_x.json"
+    assert bench_pairs.main(["--rev", "HEAD", "--pairs", "2", "--seed", "5",
+                             "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}"
+    bench = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    doc = json.loads(out.read_text())
+    assert (doc["parent"], doc["run_seconds"]) == ("0" * 40, bench["run_seconds"])
+    assert list(doc["workloads"]) == WORKLOADS
+    for i, w in enumerate(WORKLOADS):
+        entry = doc["workloads"][w]
+        for side, value in (("parent", 3.0 + i), ("change", 2.0 + i)):
+            assert [run.pop("seed") for run in entry[side]] == [5, 6]
+            assert [run["metrics"]["wall_s"]["value"] for run in entry[side]] == [value] * 2
+        rows = bench_pairs.summarize(entry["parent"], entry["change"], bench["end_to_end"])
+        assert entry["summary"] == json.loads(json.dumps(rows))
+
+
+def test_an_out_file_in_a_missing_directory_is_rejected_before_any_run(
+        fake_runs, tmp_path, capsys):
+    out = tmp_path / "absent" / "BENCH_x.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--rev", "HEAD", "--pairs", "1", "--out", str(out)])
+    assert exit_info.value.code == 2 and fake_runs == []
+    assert "its directory does not exist" in capsys.readouterr().err
 
 
 def test_workload_may_be_given_more_than_once(fake_runs, capsys):

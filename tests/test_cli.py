@@ -183,6 +183,10 @@ class TestErrors:
         case({"regimes": []}),
         case({"regimes": ["nope"]}),
         case({"regimes": ["random-tied", "random-tied"]}),
+        # Every experiment is the comparison: trained-ae with random-tied as
+        # its optional control, on at least one input.
+        case({"regimes": ["random-tied"]}, "trained-ae", "random-tied"),
+        case({"n_inputs_evaluated": 0}, "n_inputs_evaluated"),
         # sizes and regimes are JSON arrays, not any value tuple() accepts
         case({"sizes": [4, 3], "regimes": {"random-tied": 1}}, "regimes", "JSON array"),
         case({"regimes": "random-tied"}, "regimes", "JSON array"),
@@ -223,6 +227,13 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert all(word in err for word in named), err
+
+    @pytest.mark.parametrize("key", ["sizes", "regimes"])
+    def test_missing_required_key(self, tmp_path, capsys, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({k: v for k, v in CONFIG.items() if k != key}))
+        assert run("experiment", "--config", path, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: missing config keys: ['{key}']\n"
 
     @pytest.mark.parametrize("text", [
         b'{"sizes": [16, 8, 4],',

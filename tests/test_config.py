@@ -208,7 +208,7 @@ class TestDatasetSpec:
 
 
 SECTIONS = {"dataset": DatasetSpec, "relaxation": RelaxationConfig, "train": TrainConfig}
-REQUIRED = {"sizes": [5, 4], "regimes": ["random-tied"]}
+REQUIRED = {"sizes": [5, 4], "regimes": ["trained-ae"]}
 # Between them these configs give every field of every section a valid value
 # other than its default, under a variant that reads it: path under idx-file,
 # n_clusters and spread under synthetic-blobs, and tie_decoder under the
@@ -246,7 +246,7 @@ class TestConfigSchema:
     @pytest.mark.parametrize("doc", NON_DEFAULT)
     def test_non_default_values_reach_the_spec(self, doc):
         spec = experiment_spec_from_config(doc)
-        default = ExperimentSpec(sizes=LayerSpec(sizes=(5, 4)), regimes=("random-tied",))
+        default = ExperimentSpec(sizes=LayerSpec(sizes=(5, 4)), regimes=("trained-ae",))
         for key, value in doc.items():
             if key in SECTIONS:
                 for name, sub_value in value.items():
@@ -258,7 +258,7 @@ class TestConfigSchema:
 
     def test_omitted_keys_take_the_dataclass_defaults(self):
         spec = experiment_spec_from_config(REQUIRED)
-        assert spec == ExperimentSpec(sizes=LayerSpec(sizes=(5, 4)), regimes=("random-tied",))
+        assert spec == ExperimentSpec(sizes=LayerSpec(sizes=(5, 4)), regimes=("trained-ae",))
         assert (spec.dataset, spec.relaxation, spec.train) == (
             DatasetSpec(), RelaxationConfig(), TrainConfig())
 

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from ffinit import harness
-from ffinit import (Activation, DataSource, DatasetError, LayerSpec, RelaxationConfig, Scheme,
+from ffinit import (DataSource, DatasetError, LayerSpec, RelaxationConfig, Scheme,
                     TrainConfig, energy_model_or_none, infer_from_feedforward,
-                    init_random_tied, load_idx_images, norm_matched_random,
-                    synth_autoencodable, train_stacked_ae)
+                    load_idx_images, norm_matched_random, synth_autoencodable,
+                    train_stacked_ae)
 from ffinit.harness import (DatasetSpec, ExperimentSpec, build_dataset,
                             experiment_spec_from_config, run_experiment)
-from helpers import write_idx
+from helpers import traced_peak, write_idx
 
 N_INPUTS = 12
 
@@ -61,28 +61,6 @@ def test_n_active_counts_the_inputs_still_relaxing(tmp_path):
         assert n_active == [int(np.sum(rr.iters_to_tol > i)) for i in range(len(rows))]
         assert n_active[0] == N_INPUTS and n_active[-1] >= 1
         assert all(a >= b for a, b in zip(n_active, n_active[1:]))
-
-
-def test_random_tied_alone_is_drawn_at_the_train_scale_and_seed(tmp_path):
-    s = replace(spec(tmp_path), regimes=("random-tied",),
-                train=TrainConfig(init_scale=0.5, seed=7))
-    report = run_experiment(s)
-    assert report.training_curve is None
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "random-tied.csv", "random-tied_log10.csv", "summary.csv"]
-    params = init_random_tied(s.sizes, Activation.HARD_SIGMOID, 0.5, 7)
-    items = build_dataset(s.dataset, s.sizes, s.seed).items[:N_INPUTS]
-    _, trace = infer_from_feedforward(params, items, s.relaxation,
-                                      energy_model=energy_model_or_none(params))
-    (rr,) = report.regimes
-    assert np.array_equal(rr.initial_steps, trace.step_magnitudes[:, 0])
-    assert np.array_equal(rr.iters_to_tol, trace.iters_run)
-
-
-def test_no_evaluated_inputs_leaves_the_summary_its_header(tmp_path):
-    report = run_experiment(replace(spec(tmp_path), n_inputs_evaluated=0))
-    assert [len(rr.iters_to_tol) for rr in report.regimes] == [0, 0]
-    assert (tmp_path / "summary.csv").read_text() == "regime,metric,value\n"
 
 
 @pytest.mark.parametrize("relaxation, train", [
@@ -143,11 +121,21 @@ class TestBuildDataset:
         path = tmp_path / "images.idx"
         write_idx(path, [i % 256 for i in range(2001 * 4)], 2, 2)
         spec = experiment_spec_from_config({
-            "sizes": [4, 3], "regimes": ["random-tied"],
+            "sizes": [4, 3], "regimes": ["trained-ae"],
             "dataset": {"source": "idx-file", "path": str(path), **dataset}})
         data = build_dataset(spec.dataset, spec.sizes, spec.seed)
         assert len(data) == 2001
         assert np.array_equal(data.items, load_idx_images(path).items)
+
+    def test_idx_rows_converted_only_when_kept(self, tmp_path):
+        # 10 of 10,000 28x28 images: the file's bytes (7.84 MB) are read, but
+        # only the 10 rows kept become float64 (62.7 KB), not all 62.7 MB.
+        path = tmp_path / "images.idx"
+        write_idx(path, (np.arange(10_000 * 784) % 256).astype(np.uint8), 28, 28)
+        dspec = DatasetSpec(source="idx-file", path=str(path), n_items=10)
+        data, peak = traced_peak(build_dataset, dspec, LayerSpec(sizes=(784, 5)), 0)
+        assert np.array_equal(data.items, load_idx_images(path).items[:10])
+        assert peak < 10e6
 
     def test_idx_dimension_mismatch(self, idx_path):
         with pytest.raises(DatasetError, match="does not match visible size 5"):

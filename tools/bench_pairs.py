@@ -1,6 +1,7 @@
 """Run the benchmark on a parent revision and on this checkout, in alternating pairs.
 
     python3 tools/bench_pairs.py --rev <parent> [--workload <name> ...] --pairs <n> [--seed 1]
+                                 [--out BENCH_<name>.json]
 
 Both sides run from copies in sibling temporary directories, which are
 removed when the script exits: the parent's committed files, exported
@@ -28,6 +29,10 @@ workload, giving per end-to-end metric of ``BENCHMARK.json``:
   more than the bound, and UNRESOLVED when the parent's IQR exceeds the
   bound times its median (too spread to tell), unless every change run
   beats every parent run.
+
+``--out`` also writes all of it to one JSON file: the parent's commit,
+``run_seconds``, and per workload every run of each side (its seed, its
+result line and its detail line's ``detail``) and the summary rows.
 """
 
 from __future__ import annotations
@@ -48,6 +53,11 @@ ROOT = Path(__file__).resolve().parent.parent
 def parse_result(stdout: str) -> dict:
     """The result line ``perfbench/run.py`` prints last, as a dict."""
     return json.loads(stdout.strip().splitlines()[-1])
+
+
+def parse_run(stdout: str) -> dict:
+    """The result line, with the ``detail`` of the detail line printed before it."""
+    return {**parse_result(stdout), **json.loads(stdout.strip().splitlines()[-2])}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -115,7 +125,7 @@ def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float) -> d
     if proc.returncode != 0:
         raise SystemExit(f"perfbench/run.py failed in {checkout} (exit {proc.returncode}):\n"
                          f"{proc.stderr[-4000:]}")
-    return parse_result(proc.stdout)
+    return parse_run(proc.stdout)
 
 
 def export(rev: str, into: Path) -> str:
@@ -146,9 +156,12 @@ def main(argv=None) -> int:
                         help="workload to run; repeat for more (default: every workload)")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--out", help="JSON file to write every run and summary to")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.out and not Path(args.out).parent.is_dir():
+        parser.error(f"--out {args.out}: its directory does not exist")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     known = [w["name"] for w in bench["workloads"]]
     workloads = args.workload or known
@@ -175,9 +188,18 @@ def main(argv=None) -> int:
                                        for k, v in results[-1]["metrics"].items())
                     print(f"pair {i + 1} seed {seed} {workload} {name}: {values}, failed "
                           f"{results[-1]['failed']}/{results[-1]['attempted']}", flush=True)
+    report = {"parent": commit, "run_seconds": seconds, "workloads": {}}
     for workload, (parent, change) in runs.items():
+        rows = summarize(parent, change, bench["end_to_end"])
         print(f"== {workload} ==")
-        print(format_rows(summarize(parent, change, bench["end_to_end"]), parent, change))
+        print(format_rows(rows, parent, change))
+        report["workloads"][workload] = {
+            "parent": [{"seed": args.seed + i, **r} for i, r in enumerate(parent)],
+            "change": [{"seed": args.seed + i, **r} for i, r in enumerate(change)],
+            "summary": rows}
+    if args.out:
+        Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+        print(f"wrote {args.out}")
     return 0
 
 
