@@ -77,8 +77,7 @@ def _cmd_train(args) -> int:
         print(f"saved training curve to {args.curve}")
     for pair in range(1, spec.sizes.n_hidden_layers + 1):
         errs = [err for p, _, err in curve if p == pair]
-        if errs:
-            print(f"pair {pair}: final reconstruction error {errs[-1]:.6g}")
+        print(f"pair {pair}: final reconstruction error {errs[-1]:.6g}")
     return 0
 
 

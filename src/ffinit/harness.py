@@ -119,14 +119,14 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if REGIME_TRAINED_AE not in self.regimes:
-            raise ConfigurationError("regimes must include trained-ae; random-tied is its control")
         for regime in self.regimes:
             if regime not in KNOWN_REGIMES:
                 raise ConfigurationError(
                     f"unknown regime {regime!r}; known regimes: {KNOWN_REGIMES}")
         if len(set(self.regimes)) != len(self.regimes):
             raise ConfigurationError("regimes must not repeat")
+        if REGIME_TRAINED_AE not in self.regimes:
+            raise ConfigurationError("regimes must include trained-ae; random-tied is its control")
         check_count("n_inputs_evaluated", self.n_inputs_evaluated, 1)
         if not (isinstance(self.output_dir, str) and self.output_dir):
             raise ConfigurationError(f"output_dir must name a directory, got {self.output_dir!r}")
@@ -183,7 +183,7 @@ def _evaluate_regime(regime: str, params: NetworkParams, items: np.ndarray,
     columns = [steps[a, i] for i, a in enumerate(active)]
     return RegimeResult(
         regime=regime,
-        initial_steps=steps[:, 0].copy(),
+        initial_steps=steps[:, :1].ravel(),
         iters_to_tol=trace.iters_run,
         converged=trace.converged,
         final_residuals=resid,

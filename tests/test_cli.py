@@ -181,8 +181,8 @@ class TestErrors:
         case({"dataset": {"source": "synthetic-autoencodable", "path": "x.idx"}},
              "path", "synthetic-autoencodable"),
         case({"regimes": []}),
-        case({"regimes": ["nope"]}),
-        case({"regimes": ["random-tied", "random-tied"]}),
+        case({"regimes": ["nope"]}, "unknown regime", "nope"),
+        case({"regimes": ["random-tied", "random-tied"]}, "repeat"),
         # Every experiment is the comparison: trained-ae with random-tied as
         # its optional control, on at least one input.
         case({"regimes": ["random-tied"]}, "trained-ae", "random-tied"),
