@@ -15,15 +15,9 @@ random-tied and trained auto-encoder weight regimes
 from .exceptions import (
     CheckpointError,
     ConfigurationError,
-    ConstructionError,
     DatasetError,
-    DimensionError,
-    DivergenceError,
     FfinitError,
-    IdxFormatError,
-    IdxLengthError,
     InvalidInputError,
-    NotAnEnergyModelError,
 )
 from .network import (
     Activation,
@@ -46,7 +40,6 @@ from .inference import (
 from .data import (
     DataSource,
     DatasetHandle,
-    load_idx_images,
     load_params,
     save_params,
     synth_autoencodable,
@@ -80,11 +73,10 @@ __all__ = [
     "direct_update_layer", "relax", "infer_from_feedforward",
     "TrainConfig", "TrainRule", "init_random_tied", "norm_matched_random",
     "train_stacked_ae", "reconstruction_error",
-    "DataSource", "DatasetHandle", "load_idx_images", "synth_blobs",
-    "synth_autoencodable", "save_params", "load_params",
+    "DataSource", "DatasetHandle", "synth_blobs", "synth_autoencodable",
+    "save_params", "load_params",
     "DatasetSpec", "ExperimentSpec", "ExperimentReport", "RegimeResult",
     "run_experiment", "emit_csv", "experiment_spec_from_config",
-    "FfinitError", "InvalidInputError", "DimensionError", "ConfigurationError",
-    "NotAnEnergyModelError", "IdxFormatError", "IdxLengthError", "DatasetError",
-    "DivergenceError", "ConstructionError", "CheckpointError",
+    "FfinitError", "ConfigurationError", "InvalidInputError", "DatasetError",
+    "CheckpointError",
 ]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import json
+import os
 import struct
 import zipfile
 from dataclasses import dataclass
@@ -25,14 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import (
-    CheckpointError,
-    ConstructionError,
-    DatasetError,
-    IdxFormatError,
-    IdxLengthError,
-    check_fits,
-)
+from .exceptions import CheckpointError, DatasetError, check_fits
 from .network import (
     LayerSpec,
     NetworkParams,
@@ -93,39 +87,42 @@ class DatasetHandle:
         return self.items
 
 
-def load_idx_images(path: str | Path) -> DatasetHandle:
-    """Load an IDX image file (unsigned bytes), scaled into ``[0, 1]``.
+def _load_idx(path: str | Path, n_items: int | None) -> DatasetHandle:
+    """The first ``n_items`` images (all when None) of an IDX image file
+    (unsigned bytes), scaled into ``[0, 1]``.
 
     The format is a big-endian header ``magic(0x00000803), count, rows,
     cols`` followed by ``count * rows * cols`` raw pixel bytes; each
     image becomes one flat vector of dimension ``rows * cols`` scaled by
-    ``1 / 255``.
+    ``1 / 255``. The payload's length is checked against the file's size,
+    and only the kept images' bytes are read.
 
     Raises:
-        IdxFormatError: Wrong magic number or malformed header.
-        IdxLengthError: The payload is shorter or longer than the header
-            declares.
+        DatasetError: Wrong magic number or malformed header, or a
+            payload shorter or longer than the header declares.
     """
-    return _load_idx(path, None)
-
-
-def _load_idx(path: str | Path, n_items: int | None) -> DatasetHandle:
-    """As :func:`load_idx_images`, but only the first ``n_items`` images (all when None)."""
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 16:
-        raise IdxFormatError(f"{path}: too short to hold an IDX image header")
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != IDX_IMAGE_MAGIC:
-        raise IdxFormatError(
-            f"{path}: magic 0x{magic:08x} is not an IDX image file "
-            f"(expected 0x{IDX_IMAGE_MAGIC:08x})")
-    expected = count * rows * cols
-    if len(raw) - 16 != expected:
-        raise IdxLengthError(
-            f"{path}: header declares {expected} pixel bytes, file holds {len(raw) - 16}")
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, rows * cols)[:n_items]
-    items = pixels.astype(float)
+    with path.open("rb") as f:
+        header = f.read(16)
+        if len(header) < 16:
+            raise DatasetError(f"{path}: too short to hold an IDX image header")
+        magic, count, rows, cols = struct.unpack(">IIII", header)
+        if magic != IDX_IMAGE_MAGIC:
+            raise DatasetError(
+                f"{path}: magic 0x{magic:08x} is not an IDX image file "
+                f"(expected 0x{IDX_IMAGE_MAGIC:08x})")
+        expected = count * rows * cols
+        held = os.fstat(f.fileno()).st_size - 16
+        if held != expected:
+            raise DatasetError(
+                f"{path}: header declares {expected} pixel bytes, file holds {held}")
+        kept = count if n_items is None else min(count, n_items)
+        raw = f.read(kept * rows * cols)
+    if len(raw) != kept * rows * cols:   # the file shrank after its size was read
+        raise DatasetError(
+            f"{path}: file ended after {len(raw)} of the {kept * rows * cols} pixel bytes "
+            f"of its first {kept} images")
+    items = np.frombuffer(raw, dtype=np.uint8).reshape(kept, rows * cols).astype(float)
     items /= 255.0
     items.setflags(write=False)
     return DatasetHandle(items)
@@ -186,9 +183,9 @@ def synth_autoencodable(n_items: int, spec: LayerSpec,
 
     Raises:
         DatasetError: ``n_items`` is below 1 or more than numpy can hold
-            at the visible size; checked before anything is drawn.
-        ConstructionError: The built instance failed its residual check
-            (reported with the worst residual).
+            at the visible size, checked before anything is drawn; or the
+            built instance failed its residual check (reported with the
+            worst residual).
     """
     sizes = spec.sizes
     if n_items < 1:
@@ -211,7 +208,7 @@ def synth_autoencodable(n_items: int, spec: LayerSpec,
     items.setflags(write=False)   # DatasetHandle adopts it
     worst = float(mutual_prediction_residual(params, feedforward_init(params, items)).max())
     if worst > 1e-9:
-        raise ConstructionError(
+        raise DatasetError(
             f"could not build an exactly reconstructing instance for sizes {sizes}: "
             f"worst feedforward residual {worst:.3e} exceeds 1e-9")
     return DatasetHandle(items), params

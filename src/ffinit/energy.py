@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NotAnEnergyModelError
+from .exceptions import ConfigurationError
 from .network import NetworkParams, NetworkState, _branch_predictions, _on_slope, _read
 
 
@@ -49,7 +49,7 @@ class EnergyModel:
     """Symmetric-coupling view over tied network parameters.
 
     Raises:
-        NotAnEnergyModelError: If any feedback matrix differs from the
+        ConfigurationError: If any feedback matrix differs from the
             transpose of its feedforward matrix. That breaks the symmetry
             the energy presupposes, and refusing beats reporting a fake
             number.
@@ -59,7 +59,7 @@ class EnergyModel:
 
     def __post_init__(self):
         if not self.params.is_tied:
-            raise NotAnEnergyModelError(
+            raise ConfigurationError(
                 "energy requires feedback weights exactly equal to transposed "
                 "feedforward weights; these parameters are untied")
 
@@ -67,10 +67,7 @@ class EnergyModel:
 def energy_model_or_none(params: NetworkParams) -> EnergyModel | None:
     """The energy model of tied parameters, or None for untied ones,
     which define no energy."""
-    try:
-        return EnergyModel(params)
-    except NotAnEnergyModelError:
-        return None
+    return EnergyModel(params) if params.is_tied else None
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

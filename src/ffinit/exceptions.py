@@ -1,5 +1,12 @@
 """Exception types raised across the package, and the value checks of the
-configuration objects that raise them."""
+configuration objects that raise them.
+
+:class:`FfinitError` is the base of four leaves, each also a
+``ValueError``: :class:`ConfigurationError`, :class:`InvalidInputError`,
+:class:`DatasetError` and :class:`CheckpointError`. The CLI exits 2 on
+any of them. A training rate that diverges on the data, and untied
+weights handed to the energy, are configuration errors.
+"""
 
 import enum
 import math
@@ -12,54 +19,16 @@ class FfinitError(Exception):
 
 
 class InvalidInputError(FfinitError, ValueError):
-    """An input value is outside the operation's domain (e.g. non-finite)."""
-
-
-class DimensionError(FfinitError, ValueError):
-    """An array argument has a shape inconsistent with the network layout."""
+    """An input array is outside the operation's domain: its shape does not
+    fit the network layout, or it holds a non-finite entry."""
 
 
 class ConfigurationError(FfinitError, ValueError):
     """A configuration object or combination of settings is invalid."""
 
 
-class NotAnEnergyModelError(FfinitError, ValueError):
-    """The parameters do not define a symmetric-coupling energy.
-
-    The scalar energy is only defined when every feedback matrix is exactly
-    the transpose of the corresponding feedforward matrix; untied weights
-    would silently report a meaningless number, so we refuse instead.
-    """
-
-
-class IdxFormatError(FfinitError, ValueError):
-    """An IDX file has the wrong magic number or malformed header."""
-
-
-class IdxLengthError(FfinitError, ValueError):
-    """An IDX file's payload does not match the size declared in its header."""
-
-
 class DatasetError(FfinitError, ValueError):
-    """A dataset is empty, missing, or inconsistent with the network."""
-
-
-class DivergenceError(FfinitError, RuntimeError):
-    """Training produced a non-finite loss or parameters.
-
-    Attributes:
-        pair_index: 1-based index of the layer pair being trained.
-        epoch: 1-based epoch at which the divergence was detected.
-    """
-
-    def __init__(self, message: str, pair_index: int, epoch: int):
-        super().__init__(message)
-        self.pair_index = pair_index
-        self.epoch = epoch
-
-
-class ConstructionError(FfinitError, RuntimeError):
-    """A synthetic ground-truth instance could not be constructed."""
+    """A dataset is empty, missing, malformed, or inconsistent with the network."""
 
 
 class CheckpointError(FfinitError, ValueError):

@@ -164,7 +164,8 @@ def build_dataset(dspec: DatasetSpec, sizes: LayerSpec, seed: int) -> DatasetHan
             raise DatasetError(
                 f"dataset file {dspec.path} does not exist or is a directory; point "
                 "dataset.path at an IDX image file") from exc
-        return DatasetHandle(data._items_for(sizes))
+        data._items_for(sizes)   # DatasetError unless it holds an image of the visible size
+        return data
     if dspec.source is DataSource.SYNTHETIC_BLOBS:
         return synth_blobs(dspec.n_items, sizes.visible_size, dspec.n_clusters,
                            dspec.spread, seed)

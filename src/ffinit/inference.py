@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (ConfigurationError, DimensionError, InvalidInputError, check_count,
+from .exceptions import (ConfigurationError, InvalidInputError, check_count,
                          check_member, check_real)
 from .network import (NetworkParams, NetworkState, _layer_target, _read, check_state,
                       feedforward_init)
@@ -136,7 +136,7 @@ def direct_update_layer(params: NetworkParams, state: NetworkState, k: int) -> n
     rates, bottom_up = _read(params, state)
     if (isinstance(k, bool) or not isinstance(k, numbers.Integral)
             or not 1 <= k <= params.n_layers):
-        raise DimensionError(f"layer index {k!r} out of range 1..{params.n_layers}")
+        raise InvalidInputError(f"layer index {k!r} out of range 1..{params.n_layers}")
     return _layer_target(params, rates, k, bottom_up.get(k))
 
 

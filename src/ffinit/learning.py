@@ -46,7 +46,6 @@ import numpy as np
 from .data import DatasetHandle
 from .exceptions import (
     ConfigurationError,
-    DivergenceError,
     InvalidInputError,
     check_count,
     check_member,
@@ -354,9 +353,9 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
 
     Raises:
         DatasetError: Empty dataset or dimension mismatch.
-        ConfigurationError: ``batch_size`` exceeds the dataset size.
-        DivergenceError: A non-finite loss or parameter appeared; the
-            exception reports the pair and epoch.
+        ConfigurationError: ``batch_size`` exceeds the dataset size, or a
+            non-finite loss or parameter appeared (the rate is too high
+            for the data); the message names the pair and epoch.
     """
     codes = data._items_for(spec)   # read-only rates; each pair's codes are a new array
     n = len(codes)
@@ -391,8 +390,7 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
             else:
                 n_dead = _ae_gradient_epoch(codes, perm, w, v, b, c, cfg)
             if not all(np.all(np.isfinite(a)) for a in (w, v, b, c)):
-                raise DivergenceError(
-                    f"non-finite parameters in pair {k} at epoch {epoch}", k, epoch)
+                raise ConfigurationError(f"non-finite parameters in pair {k} at epoch {epoch}")
             if n_dead:
                 logger.info("pair %d epoch %d: %d/%d encoder units saturated for "
                             "the entire epoch", k, epoch, n_dead, w.shape[0])
@@ -402,9 +400,8 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
                     hid = _encode(codes, w, b)
                 err = _pair_error(codes, [(w, b)], v, c, hid)
                 if not np.isfinite(err):
-                    raise DivergenceError(
-                        f"non-finite reconstruction error in pair {k} at epoch {epoch}",
-                        k, epoch)
+                    raise ConfigurationError(
+                        f"non-finite reconstruction error in pair {k} at epoch {epoch}")
                 progress(k, epoch, err)
         if lower:
             codes = hid if hid is not None else _encode(codes, w, b)

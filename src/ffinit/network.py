@@ -43,8 +43,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import (ConfigurationError, DimensionError, InvalidInputError,
-                         check_count, check_fits, check_member)
+from .exceptions import (ConfigurationError, InvalidInputError, check_count, check_fits,
+                         check_member)
 
 _ARRAY_GROUPS = ("ff_weights", "fb_weights", "ff_offsets", "fb_offsets")
 
@@ -116,7 +116,7 @@ def _frozen(x) -> np.ndarray:
 def _frozen_block(x, name: str) -> np.ndarray:
     arr = _frozen(x)
     if arr.ndim not in (1, 2):
-        raise DimensionError(
+        raise InvalidInputError(
             f"{name} must be a 1-d vector or a 2-d block, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
@@ -195,12 +195,12 @@ class NetworkParams:
             ("fb_offsets", self.fb_offsets, [(sizes[k],) for k in range(L)]),
         ):
             if len(seq) != L:
-                raise DimensionError(f"{name} must have {L} entries, got {len(seq)}")
+                raise InvalidInputError(f"{name} must have {L} entries, got {len(seq)}")
             frozen = []
             for k, (arr, shape) in enumerate(zip(seq, want)):
                 a = _frozen(arr)
                 if a.shape != shape:
-                    raise DimensionError(f"{name}[{k}] must have shape {shape}, got {a.shape}")
+                    raise InvalidInputError(f"{name}[{k}] must have shape {shape}, got {a.shape}")
                 if not np.all(np.isfinite(a)):
                     raise InvalidInputError(f"{name}[{k}] contains non-finite entries")
                 frozen.append(a)
@@ -250,8 +250,8 @@ class NetworkState:
     compares and hashes by identity.
 
     Raises:
-        DimensionError: If a layer is not a vector or a 2-d block.
-        InvalidInputError: If any entry is non-finite.
+        InvalidInputError: If a layer is not a vector or a 2-d block, or
+            any entry is non-finite.
     """
 
     visible: np.ndarray
@@ -276,21 +276,21 @@ class NetworkState:
 
 
 def check_state(params: NetworkParams, state: NetworkState) -> None:
-    """Raise DimensionError unless the state's shapes match the parameters.
+    """Raise InvalidInputError unless the state's shapes match the parameters.
 
     Every layer of a block state must have the visible layer's row count.
     """
     sizes = params.spec.sizes
     rows = state.visible.shape[:-1]
     if state.visible.shape[-1] != sizes[0]:
-        raise DimensionError(
+        raise InvalidInputError(
             f"visible has length {state.visible.shape[-1]}, expected {sizes[0]}")
     if len(state.hidden) != params.n_layers:
-        raise DimensionError(
+        raise InvalidInputError(
             f"state has {len(state.hidden)} hidden layers, expected {params.n_layers}")
     for k, h in enumerate(state.hidden, start=1):
         if h.shape != rows + (sizes[k],):
-            raise DimensionError(
+            raise InvalidInputError(
                 f"hidden layer {k} has shape {h.shape}, expected {rows + (sizes[k],)}")
 
 
@@ -362,12 +362,12 @@ def feedforward_init(params: NetworkParams, visible: np.ndarray) -> NetworkState
     agree on their predictions. Two calls with equal inputs agree exactly.
 
     Raises:
-        DimensionError: If ``visible`` has the wrong length.
-        InvalidInputError: If ``visible`` has non-finite entries.
+        InvalidInputError: If ``visible`` has the wrong length or
+            non-finite entries.
     """
     visible = np.asarray(visible, dtype=float)
     if visible.ndim not in (1, 2) or visible.shape[-1] != params.spec.visible_size:
-        raise DimensionError(
+        raise InvalidInputError(
             f"visible must have length {params.spec.visible_size}, got {visible.shape}")
     drive = _drive(params, visible)
     hidden = [drive.clip(0.0, 1.0)]

@@ -12,19 +12,17 @@ from ffinit import (
     CheckpointError,
     DatasetError,
     DatasetHandle,
-    IdxFormatError,
-    IdxLengthError,
     LayerSpec,
     NetworkParams,
     feedforward_init,
     init_random_tied,
-    load_idx_images,
     load_params,
     mutual_prediction_residual,
     save_params,
     synth_autoencodable,
     synth_blobs,
 )
+from ffinit.data import _load_idx
 from helpers import (ADOPTED_CASES, COPIED_CASES, param_bytes, random_untied_params,
                      rewrite_checkpoint, traced_peak, write_idx)
 
@@ -33,7 +31,7 @@ class TestIdxLoader:
     def test_crafted_fixture_scales_pixels(self, tmp_path):
         path = tmp_path / "two.idx"
         write_idx(path, [0, 255, 128, 0, 255, 255, 0, 0], 2, 2)
-        data = load_idx_images(path)
+        data = _load_idx(path, None)
         assert len(data) == 2 and data.dim == 4
         assert np.array_equal(data.items[0], [0.0, 1.0, 128 / 255, 0.0])
         assert np.array_equal(data.items[1], [1.0, 1.0, 0.0, 0.0])
@@ -41,34 +39,46 @@ class TestIdxLoader:
     def test_label_magic_rejected(self, tmp_path):
         path = tmp_path / "labels.idx"
         write_idx(path, [0, 0, 0, 0], 2, 2, magic=0x00000801)
-        with pytest.raises(IdxFormatError):
-            load_idx_images(path)
+        with pytest.raises(DatasetError, match="magic 0x00000801 is not an IDX image file"):
+            _load_idx(path, None)
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "short.idx"
         header = struct.pack(">IIII", 0x00000803, 2, 2, 2)
         path.write_bytes(header + bytes([1, 2, 3]))
-        with pytest.raises(IdxLengthError):
-            load_idx_images(path)
+        with pytest.raises(DatasetError, match="header declares 8 pixel bytes, file holds 3"):
+            _load_idx(path, None)
 
     def test_oversized_payload_rejected(self, tmp_path):
         path = tmp_path / "long.idx"
         header = struct.pack(">IIII", 0x00000803, 1, 2, 2)
         path.write_bytes(header + bytes(5))
-        with pytest.raises(IdxLengthError):
-            load_idx_images(path)
+        with pytest.raises(DatasetError, match="header declares 4 pixel bytes, file holds 5"):
+            _load_idx(path, None)
+
+    def test_short_read_rejected(self, tmp_path, monkeypatch):
+        # A file that shrinks after its size is read: the size seen passes the
+        # length check, and the read then ends early.
+        path = tmp_path / "shrinking.idx"
+        header = struct.pack(">IIII", 0x00000803, 2, 2, 2)
+        path.write_bytes(header + bytes(7))
+        real_fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+            (*real_fstat(fd)[:6], 16 + 8, *real_fstat(fd)[7:])))   # st_size is entry 6
+        with pytest.raises(DatasetError, match="ended after 7 of the 8 pixel bytes"):
+            _load_idx(path, None)
 
     def test_header_too_short_rejected(self, tmp_path):
         path = tmp_path / "stub.idx"
         path.write_bytes(b"\x00\x00\x08")
-        with pytest.raises(IdxFormatError):
-            load_idx_images(path)
+        with pytest.raises(DatasetError, match="too short to hold an IDX image header"):
+            _load_idx(path, None)
 
     def test_items_are_the_pixels_over_255(self, tmp_path):
         pixels = np.random.default_rng(0).integers(0, 256, size=5 * 28 * 28)
         path = tmp_path / "five.idx"
         write_idx(path, pixels.tolist(), 28, 28)
-        data = load_idx_images(path)
+        data = _load_idx(path, None)
         assert np.array_equal(data.items, pixels.reshape(5, 784) / 255.0)
         assert not data.items.flags.writeable
 
@@ -76,15 +86,15 @@ class TestIdxLoader:
         rng = np.random.default_rng(0)
         path = tmp_path / "rand.idx"
         write_idx(path, list(rng.integers(0, 256, size=3 * 4)), 2, 2)
-        data = load_idx_images(path)
+        data = _load_idx(path, None)
         assert data.items.min() >= 0.0 and data.items.max() <= 1.0
 
 
 @pytest.mark.skipif(not os.environ.get("FFINIT_MNIST_DIR"),
                     reason="FFINIT_MNIST_DIR not set")
 def test_real_mnist_train_file_shape():
-    data = load_idx_images(os.path.join(os.environ["FFINIT_MNIST_DIR"],
-                                        "train-images-idx3-ubyte"))
+    data = _load_idx(os.path.join(os.environ["FFINIT_MNIST_DIR"], "train-images-idx3-ubyte"),
+                     None)
     assert len(data) == 60000
     assert data.dim == 784
 

@@ -5,9 +5,9 @@ import pytest
 
 
 from ffinit import (
+    ConfigurationError,
     EnergyModel,
     NetworkState,
-    NotAnEnergyModelError,
     RelaxationConfig,
     Scheme,
     energy,
@@ -28,13 +28,13 @@ from helpers import (
 class TestEnergyModelValidation:
     def test_untied_params_refused(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(NotAnEnergyModelError):
+        with pytest.raises(ConfigurationError, match="energy requires .* untied"):
             EnergyModel(random_untied_params(rng, sizes=(3, 4, 2)))
 
     def test_one_ulp_asymmetry_refused(self):
         w = np.array([[0.5, -0.25]])
         params = make_params((2, 1), [w], fb_weights=[w.T * (1 + 2e-16)])
-        with pytest.raises(NotAnEnergyModelError):
+        with pytest.raises(ConfigurationError, match="energy requires .* untied"):
             EnergyModel(params)
 
 

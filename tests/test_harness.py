@@ -2,6 +2,7 @@
 per regime and the per-iteration CSV columns."""
 
 import csv
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +11,7 @@ import pytest
 from ffinit import harness
 from ffinit import (DataSource, DatasetError, LayerSpec, RelaxationConfig, Scheme,
                     TrainConfig, energy_model_or_none, infer_from_feedforward,
-                    load_idx_images, norm_matched_random, synth_autoencodable,
-                    train_stacked_ae)
+                    norm_matched_random, synth_autoencodable, train_stacked_ae)
 from ffinit.harness import (DatasetSpec, ExperimentSpec, build_dataset,
                             experiment_spec_from_config, run_experiment)
 from helpers import traced_peak, write_idx
@@ -114,28 +114,40 @@ class TestBuildDataset:
     def test_idx_file_truncated_to_n_items(self, idx_path, n_items, expected):
         dspec = DatasetSpec(source="idx-file", path=str(idx_path), n_items=n_items)
         data = build_dataset(dspec, LayerSpec(sizes=(4, 3)), 0)
-        assert np.array_equal(data.items, load_idx_images(idx_path).items[:expected])
+        assert np.array_equal(data.items, np.arange(6 * 4).reshape(6, 4)[:expected] / 255.0)
 
     @pytest.mark.parametrize("dataset", [{}, {"n_items": None}], ids=["omitted", "null"])
     def test_idx_file_read_whole_without_n_items(self, tmp_path, dataset):
         path = tmp_path / "images.idx"
-        write_idx(path, [i % 256 for i in range(2001 * 4)], 2, 2)
+        pixels = np.arange(2001 * 4) % 256
+        write_idx(path, pixels.tolist(), 2, 2)
         spec = experiment_spec_from_config({
             "sizes": [4, 3], "regimes": ["trained-ae"],
             "dataset": {"source": "idx-file", "path": str(path), **dataset}})
         data = build_dataset(spec.dataset, spec.sizes, spec.seed)
         assert len(data) == 2001
-        assert np.array_equal(data.items, load_idx_images(path).items)
+        assert np.array_equal(data.items, pixels.reshape(2001, 4) / 255.0)
 
     def test_idx_rows_converted_only_when_kept(self, tmp_path):
-        # 10 of 10,000 28x28 images: the file's bytes (7.84 MB) are read, but
-        # only the 10 rows kept become float64 (62.7 KB), not all 62.7 MB.
+        # 10 of 10,000 28x28 images: only the header and the 10 kept rows'
+        # bytes (7.8 KB) are read, not the file's 7.84 MB, and only those rows
+        # become float64 (62.7 KB), not all 62.7 MB.
         path = tmp_path / "images.idx"
-        write_idx(path, (np.arange(10_000 * 784) % 256).astype(np.uint8), 28, 28)
+        pixels = (np.arange(10_000 * 784) % 256).astype(np.uint8)
+        write_idx(path, pixels, 28, 28)
         dspec = DatasetSpec(source="idx-file", path=str(path), n_items=10)
         data, peak = traced_peak(build_dataset, dspec, LayerSpec(sizes=(784, 5)), 0)
-        assert np.array_equal(data.items, load_idx_images(path).items[:10])
-        assert peak < 10e6
+        assert np.array_equal(data.items, pixels[:10 * 784].reshape(10, 784) / 255.0)
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("held", [6 * 4 - 1, 6 * 4 + 1], ids=["truncated", "long"])
+    def test_idx_length_checked_when_reading_one_item(self, tmp_path, held):
+        # The read stops after the first image; the file's length is still checked.
+        path = tmp_path / "images.idx"
+        path.write_bytes(struct.pack(">IIII", 0x00000803, 6, 2, 2) + bytes(held))
+        dspec = DatasetSpec(source="idx-file", path=str(path), n_items=1)
+        with pytest.raises(DatasetError, match=f"declares 24 pixel bytes, file holds {held}$"):
+            build_dataset(dspec, LayerSpec(sizes=(4, 3)), 0)
 
     def test_idx_dimension_mismatch(self, idx_path):
         with pytest.raises(DatasetError, match="does not match visible size 5"):

@@ -9,7 +9,6 @@ from ffinit import (
     ConfigurationError,
     DatasetError,
     DatasetHandle,
-    DivergenceError,
     InvalidInputError,
     LayerSpec,
     TrainConfig,
@@ -389,10 +388,8 @@ class TestTrainStackedAe:
         cfg = TrainConfig(learning_rate=10.0, epochs=100, batch_size=16,
                           rule=TrainRule.LOCAL_BRANCH, seed=6)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError) as err:
+            with pytest.raises(ConfigurationError, match=r"in pair 1 at epoch [1-9]"):
                 train_stacked_ae(data, SPEC_432, cfg)
-        assert err.value.pair_index == 1
-        assert err.value.epoch >= 1
 
     def test_empty_dataset_rejected(self):
         data = DatasetHandle(items=np.empty((0, 4)))

@@ -8,7 +8,6 @@ from ffinit import (
     Activation,
     ConfigurationError,
     DatasetHandle,
-    DimensionError,
     InvalidInputError,
     LayerSpec,
     NetworkParams,
@@ -77,9 +76,10 @@ class TestSpecAndParams:
             make_params((2, 3), [np.zeros((3, 2))], activation=activation)
 
     def test_shape_validation(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(InvalidInputError,
+                           match=r"ff_weights\[0\] must have shape \(3, 2\), got \(2, 3\)"):
             make_params((2, 3), [np.zeros((2, 3))])  # transposed shape
-        with pytest.raises(DimensionError, match="fb_offsets must have 1 entries, got 2"):
+        with pytest.raises(InvalidInputError, match="fb_offsets must have 1 entries, got 2"):
             make_params((2, 3), [np.zeros((3, 2))], fb_offsets=[np.zeros(2), np.zeros(2)])
 
     def test_params_compare_by_value(self):
@@ -168,8 +168,8 @@ class TestOwnership:
 
 class TestNetworkState:
     def test_three_dimensional_layer_rejected(self):
-        with pytest.raises(DimensionError, match=r"visible must be a 1-d vector or a 2-d "
-                                                 r"block, got shape \(1, 1, 2\)"):
+        with pytest.raises(InvalidInputError, match=r"visible must be a 1-d vector or a 2-d "
+                                                    r"block, got shape \(1, 1, 2\)"):
             NetworkState(visible=np.zeros((1, 1, 2)), hidden=(np.zeros(3),))
 
     @pytest.mark.parametrize("visible, hidden, message", [
@@ -178,7 +178,7 @@ class TestNetworkState:
     ], ids=["visible-length", "hidden-layer-count"])
     def test_check_state_rejects_a_state_of_another_network(self, visible, hidden, message):
         params = make_params((2, 3), [np.zeros((3, 2))])
-        with pytest.raises(DimensionError, match=message):
+        with pytest.raises(InvalidInputError, match=message):
             network.check_state(params, NetworkState(visible=visible, hidden=hidden))
 
     def test_states_and_datasets_compare_and_hash_by_identity(self):
@@ -368,7 +368,7 @@ class TestFeedforwardInit:
 
     def test_shape_error(self):
         params = make_params((2, 3), [np.zeros((3, 2))])
-        with pytest.raises(DimensionError):
+        with pytest.raises(InvalidInputError, match=r"visible must have length 2, got \(3,\)"):
             feedforward_init(params, np.zeros(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

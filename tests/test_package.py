@@ -1,5 +1,7 @@
 """The package's public surface."""
 
+import inspect
+
 import pytest
 
 import ffinit
@@ -10,6 +12,18 @@ def test_every_public_name_resolves():
     assert len(set(ffinit.__all__)) == len(ffinit.__all__)
     missing = [name for name in ffinit.__all__ if not hasattr(ffinit, name)]
     assert not missing
+
+
+def test_exported_errors_are_the_five_kept_classes():
+    exported = {name for name in ffinit.__all__
+                if inspect.isclass(getattr(ffinit, name))
+                and issubclass(getattr(ffinit, name), BaseException)}
+    assert exported == {"FfinitError", "ConfigurationError", "InvalidInputError",
+                        "DatasetError", "CheckpointError"}
+    assert all(issubclass(getattr(ffinit, name), ffinit.FfinitError) for name in exported)
+    # Each leaf is also a ValueError, so an ``except ValueError`` caller still catches it.
+    for name in exported - {"FfinitError"}:
+        assert issubclass(getattr(ffinit, name), ValueError)
 
 
 @pytest.mark.parametrize("name", ["branch_predictions", "local_branch_update"])
