@@ -18,8 +18,9 @@ error, before the weight steps are formed from it, so no weight-sized
 array is ever scaled. Every weight step, the tied decoder's included, is
 then one dgemm into the weights (:func:`_sub_outer`), so no weight-sized
 temporary is formed either: ``cblas_dgemm`` of the scipy-openblas that
-numpy's wheel bundles and has already loaded, with the bits of numpy's
-``w -= err.T @ x``, which runs instead under another BLAS (Accelerate, MKL).
+numpy has already loaded, found through numpy's own extension module
+(:func:`_bind_dgemm`), with the bits of numpy's ``w -= err.T @ x``, which
+runs instead where that lookup finds none (another BLAS, Windows).
 
 The epoch errors and :func:`reconstruction_error` run in row blocks
 (:func:`_row_blocks`), holding one block of each layer at a time; a
@@ -38,10 +39,10 @@ import logging
 import numbers
 import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
+from numpy._core import _multiarray_umath
 
 from .data import DatasetHandle
 from .exceptions import (
@@ -61,36 +62,28 @@ _BLOCK_ROWS = 256   # rows per block of a full-data pass; see _row_blocks
 
 
 def _bind_dgemm():
-    """``scipy_cblas_dgemm64_`` of the scipy-openblas numpy has loaded, or None.
+    """``scipy_cblas_dgemm64_`` as numpy's own extension module resolves it, or None.
 
-    None unless numpy names its BLAS ``scipy-openblas`` and the library,
-    in the wheel's ``numpy.libs/`` (Linux, Windows) or ``numpy/.dylibs/``
-    (macOS) or in the build's library directory, is already loaded
-    (``RTLD_NOLOAD``): a second copy of OpenBLAS is never loaded, and the
-    gemm runs numpy's own kernels under numpy's thread cap.
+    A handle's symbol lookup also searches the libraries the module links,
+    so on Linux this is the scipy-openblas that numpy's wheel bundles and
+    has already loaded (``RTLD_NOLOAD``: no library is ever loaded), and
+    the gemm runs numpy's own kernels under numpy's thread cap. None when
+    numpy's BLAS exports no such symbol (Accelerate, MKL, a plain
+    OpenBLAS), and on Windows, where a handle's lookup does not search the
+    module's dependencies; macOS is unverified.
     """
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    if blas.get("name") != "scipy-openblas":
+    try:
+        gemm = ctypes.CDLL(_multiarray_umath.__file__, mode=getattr(os, "RTLD_NOLOAD", 0)
+                           ).scipy_cblas_dgemm64_
+    except (OSError, AttributeError):
         return None
-    root = Path(np.__file__).parent
-    folders = [root.parent / "numpy.libs", root / ".dylibs"]
-    if blas.get("lib directory"):
-        folders.append(Path(blas["lib directory"]))
-    for folder in folders:
-        for path in sorted(folder.glob("libscipy_openblas64_*")):
-            try:
-                gemm = ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0)
-                                   ).scipy_cblas_dgemm64_
-            except (OSError, AttributeError):
-                continue
-            gemm.restype = None
-            # order, transa, transb are C enums; the sizes are 64-bit (ILP64).
-            gemm.argtypes = ([ctypes.c_int] * 3 + [ctypes.c_int64] * 3
-                             + [ctypes.c_double, ctypes.c_void_p, ctypes.c_int64,
-                                ctypes.c_void_p, ctypes.c_int64,
-                                ctypes.c_double, ctypes.c_void_p, ctypes.c_int64])
-            return gemm
-    return None
+    gemm.restype = None
+    # order, transa, transb are C enums; the sizes are 64-bit (ILP64).
+    gemm.argtypes = ([ctypes.c_int] * 3 + [ctypes.c_int64] * 3
+                     + [ctypes.c_double, ctypes.c_void_p, ctypes.c_int64,
+                        ctypes.c_void_p, ctypes.c_int64,
+                        ctypes.c_double, ctypes.c_void_p, ctypes.c_int64])
+    return gemm
 
 
 _DGEMM = _bind_dgemm()
@@ -383,28 +376,31 @@ def train_stacked_ae(data: DatasetHandle, spec: LayerSpec, cfg: TrainConfig,
             hid = np.clip(pre, 0.0, 1.0, out=pre)
         for epoch in range(1, cfg.epochs + 1):
             perm = rng.permutation(n)
-            if local:
-                for start in range(0, n, cfg.batch_size):
-                    batch = perm[start:start + cfg.batch_size]
-                    _local_branch_step(v, c, codes[batch], hid[batch], cfg.learning_rate)
-            else:
-                n_dead = _ae_gradient_epoch(codes, perm, w, v, b, c, cfg)
-            if not all(np.all(np.isfinite(a)) for a in (w, v, b, c)):
-                raise ConfigurationError(f"non-finite parameters in pair {k} at epoch {epoch}")
-            if n_dead:
-                logger.info("pair %d epoch %d: %d/%d encoder units saturated for "
-                            "the entire epoch", k, epoch, n_dead, w.shape[0])
-            if progress is not None:
+            # A diverging rate overflows; the checks below raise on what it leaves.
+            with np.errstate(over="ignore", invalid="ignore"):
+                if local:
+                    for start in range(0, n, cfg.batch_size):
+                        batch = perm[start:start + cfg.batch_size]
+                        _local_branch_step(v, c, codes[batch], hid[batch], cfg.learning_rate)
+                else:
+                    n_dead = _ae_gradient_epoch(codes, perm, w, v, b, c, cfg)
+                if not all(np.all(np.isfinite(a)) for a in (w, v, b, c)):
+                    raise ConfigurationError(
+                        f"non-finite parameters in pair {k} at epoch {epoch}")
                 # Encode whole only what is read again: the next pair's codes.
                 if hid is None and lower and epoch == cfg.epochs:
                     hid = _encode(codes, w, b)
-                err = _pair_error(codes, [(w, b)], v, c, hid)
+                err = None if progress is None else _pair_error(codes, [(w, b)], v, c, hid)
+            if n_dead:
+                logger.info("pair %d epoch %d: %d/%d encoder units saturated for "
+                            "the entire epoch", k, epoch, n_dead, w.shape[0])
+            if err is not None:
                 if not np.isfinite(err):
                     raise ConfigurationError(
                         f"non-finite reconstruction error in pair {k} at epoch {epoch}")
                 progress(k, epoch, err)
         if lower:
-            codes = hid if hid is not None else _encode(codes, w, b)
+            codes = hid
 
     return _hand_over(spec, ws, vs, bs, cs)
 

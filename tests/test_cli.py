@@ -38,6 +38,13 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def run_python_m(*argv) -> subprocess.CompletedProcess:
+    """``python -m ffinit`` in a process of its own, whose stderr holds all it prints."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ffinit.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "ffinit", *map(str, argv)],
+                          capture_output=True, text=True, timeout=60, env=env)
+
+
 @pytest.fixture
 def config(tmp_path):
     return write_config(tmp_path)
@@ -298,12 +305,18 @@ class TestErrors:
         assert not UNPICKLED
 
     def test_exit_code_of_python_m_ffinit(self, config, model):
-        env = {**os.environ, "PYTHONPATH": str(Path(ffinit.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "ffinit", "infer", "--config", config, "--model", str(model),
-             "--index", "5000"], capture_output=True, text=True, timeout=60, env=env)
+        proc = run_python_m("infer", "--config", config, "--model", model, "--index", 5000)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
+
+    def test_diverging_training_prints_only_its_error_line(self, tmp_path):
+        # The delta rule at rate 10 overflows; no numpy warning may precede the error.
+        config = write_config(tmp_path, dataset={"source": "synthetic-blobs", "n_items": 200},
+                              train={"rule": "local-branch", "learning_rate": 10,
+                                     "epochs": 100})
+        proc = run_python_m("train", "--config", config, "--out", tmp_path / "m.npz")
+        assert proc.returncode == 2
+        assert re.fullmatch(r"error: non-finite [^\n]*\n", proc.stderr), proc.stderr
 
 
 class TestReadmeExample:

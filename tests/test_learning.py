@@ -1,5 +1,11 @@
+import ctypes
+import ctypes.util
 import logging
+import os
+import sys
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +17,7 @@ from ffinit import (
     DatasetHandle,
     InvalidInputError,
     LayerSpec,
+    RelaxationConfig,
     TrainConfig,
     TrainRule,
     feedforward_init,
@@ -18,6 +25,7 @@ from ffinit import (
     mutual_prediction_residual,
     norm_matched_random,
     reconstruction_error,
+    relax,
     synth_autoencodable,
     synth_blobs,
     train_stacked_ae,
@@ -28,6 +36,16 @@ from helpers import (ae_gradient_oracle, local_branch_oracle, pair_error_oracle,
                      random_untied_params, traced_peak)
 
 SPEC_432 = LayerSpec(sizes=(4, 3, 2))
+
+LINUX_MAPS = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="reads /proc/self/maps")
+
+
+def mapped_paths():
+    """The files this process has mapped, from /proc/self/maps."""
+    with open("/proc/self/maps") as maps:
+        fields = [line.split(maxsplit=5) for line in maps]
+    return {f[5].rstrip("\n") for f in fields if len(f) == 6}
 
 
 def blob_data(n=64, d=4, seed=0, spread=0.05):
@@ -258,18 +276,29 @@ class TestSubOuter:
                                                             getattr(fallback, group)))
 
     def test_no_binding_under_another_blas(self, monkeypatch):
-        monkeypatch.setattr(np, "show_config", lambda mode: {
-            "Build Dependencies": {"blas": {"name": "openblas"}}})
+        # libm is loaded and links no BLAS, as numpy's extension under another BLAS.
+        libm = ctypes.util.find_library("m")
+        ctypes.CDLL(libm, mode=os.RTLD_NOLOAD)
+        monkeypatch.setattr(learning, "_multiarray_umath", SimpleNamespace(__file__=libm))
         assert learning._bind_dgemm() is None
 
+    @LINUX_MAPS
     def test_no_binding_without_a_loaded_scipy_openblas(self, monkeypatch, tmp_path):
-        # Every searched folder is empty or holds a library that is not loaded.
-        (tmp_path / "lib").mkdir()
-        (tmp_path / "lib" / "libscipy_openblas64_.so").write_bytes(b"")
-        monkeypatch.setattr(np, "show_config", lambda mode: {"Build Dependencies": {
-            "blas": {"name": "scipy-openblas", "lib directory": str(tmp_path / "lib")}}})
-        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        path = tmp_path / "libscipy_openblas64_.so"
+        path.write_bytes(b"")
+        monkeypatch.setattr(learning, "_multiarray_umath", SimpleNamespace(__file__=str(path)))
         assert learning._bind_dgemm() is None
+        assert str(path) not in mapped_paths()
+
+    @LINUX_MAPS
+    def test_binds_the_dgemm_of_the_loaded_scipy_openblas(self):
+        libs = {p for p in mapped_paths() if Path(p).name.startswith("libscipy_openblas64_")}
+        if not libs:
+            pytest.skip("numpy has loaded no scipy-openblas")
+        (lib,) = libs
+        want = ctypes.CDLL(lib, mode=os.RTLD_NOLOAD).scipy_cblas_dgemm64_
+        assert (ctypes.cast(learning._DGEMM, ctypes.c_void_p).value
+                == ctypes.cast(want, ctypes.c_void_p).value)
 
     def test_binds_when_numpy_uses_its_bundled_scipy_openblas(self):
         # A wheel that bundles scipy-openblas must not train on the fallback
@@ -340,6 +369,29 @@ class TestTrainStackedAe:
             matched, feedforward_init(matched, x)).mean() for x in data.items[:40]])
         assert r_trained <= 0.75 * r_random
 
+    def test_trained_feedforward_state_lies_near_the_fixed_point(self):
+        """The paper's claim at the strict xfail's instance, read as a distance.
+
+        Relaxing the first 40 items with the direct scheme to tol 1e-10, the
+        median of ||h0 - h*|| / ||h*|| over the hidden layers, from the
+        feedforward state h0 to the relaxed state h*, measured 0.159 for the
+        trained net and 0.987 for its norm-matched random control: a ratio
+        of 0.16, with every row converged.
+        """
+        data = synth_blobs(128, 12, n_clusters=5, spread=0.05, seed=2)
+        spec = LayerSpec(sizes=(12, 10, 8, 6))
+        cfg = TrainConfig(learning_rate=0.02, epochs=300, batch_size=16,
+                          init_scale=0.3, seed=3)
+        trained = train_stacked_ae(data, spec, cfg)
+        medians = []
+        for params in (trained, norm_matched_random(trained, seed=3)):
+            start = feedforward_init(params, data.items[:40])
+            relaxed, trace = relax(params, start, RelaxationConfig(tol=1e-10))
+            assert np.all(trace.converged)
+            h0, h = np.hstack(start.hidden), np.hstack(relaxed.hidden)
+            medians.append(np.median(np.linalg.norm(h0 - h, axis=1) / np.linalg.norm(h, axis=1)))
+        assert medians[0] <= 0.25 * medians[1], medians
+
     def test_local_branch_rule_matches_per_row_updates(self):
         x = np.array([0.3, 0.8, 0.5])
         data = DatasetHandle(items=x[None, :])
@@ -387,9 +439,8 @@ class TestTrainStackedAe:
         data = blob_data()
         cfg = TrainConfig(learning_rate=10.0, epochs=100, batch_size=16,
                           rule=TrainRule.LOCAL_BRANCH, seed=6)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ConfigurationError, match=r"in pair 1 at epoch [1-9]"):
-                train_stacked_ae(data, SPEC_432, cfg)
+        with pytest.raises(ConfigurationError, match=r"in pair 1 at epoch [1-9]"):
+            train_stacked_ae(data, SPEC_432, cfg)
 
     def test_empty_dataset_rejected(self):
         data = DatasetHandle(items=np.empty((0, 4)))
