@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .data import save_params, load_params
 from .energy import energy_model_or_none
-from .exceptions import ConfigurationError, FfinitError, InvalidInputError
+from .exceptions import ConfigurationError, FfinitError, InvalidInputError, check_count
 from .harness import (
     build_dataset,
     experiment_spec_from_config,
@@ -88,9 +88,7 @@ def _cmd_infer(args) -> int:
         raise ConfigurationError(f"config sizes {list(spec.sizes.sizes)} differ from the "
                                  f"checkpoint's {list(params.spec.sizes)}")
     data = build_dataset(spec.dataset, params.spec, spec.seed)
-    if not 0 <= args.index < len(data):
-        raise InvalidInputError(
-            f"--index {args.index} is outside the dataset's {len(data)} items")
+    check_count("--index", args.index, 0, len(data) - 1, InvalidInputError)
     x = data.items[args.index]
     energy_model = energy_model_or_none(params)
     state, trace = infer_from_feedforward(params, x, spec.relaxation,

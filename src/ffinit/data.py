@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import CheckpointError, DatasetError, check_fits
+from .exceptions import CheckpointError, DatasetError, check_count, check_fits, check_real
 from .network import (
     LayerSpec,
     NetworkParams,
@@ -141,20 +141,21 @@ def synth_blobs(n_items: int, d: int, n_clusters: int, spread: float,
     result is one chunk.
 
     Raises:
-        DatasetError: A bad count or spread, or an array numpy cannot hold;
-            checked before anything is drawn.
+        DatasetError: A bad count, spread or seed, or an array numpy cannot
+            hold; checked before anything is drawn.
     """
-    if d < 1 or n_items < 1 or n_clusters < 1:
-        raise DatasetError("n_items, d, and n_clusters must all be >= 1")
-    if not 0.0 <= spread < np.inf:
-        raise DatasetError(f"spread must be finite and >= 0, got {spread!r}")
+    for name, count in (("n_items", n_items), ("d", d), ("n_clusters", n_clusters)):
+        check_count(name, count, 1, error=DatasetError)
+    check_real("spread", spread, 0.0, error=DatasetError)
+    check_count("seed", seed, 0, error=DatasetError)
     check_fits(f"n_items {n_items} at width {d}", n_items, d, DatasetError)
     check_fits(f"n_clusters {n_clusters} at width {d}", n_clusters, d, DatasetError)
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.1, 0.9, size=(n_clusters, d))
     assignment = rng.integers(0, n_clusters, size=n_items)
     items = rng.standard_normal((n_items, d))
-    items *= spread   # at spread 0 the noise is +-0.0, which leaves a center's bits
+    with np.errstate(over="ignore"):   # the clip below maps an overflow into the cube
+        items *= spread   # at spread 0 the noise is +-0.0, which leaves a center's bits
     chunk = max(1, _BLOB_CHUNK_BYTES // (8 * d))
     for start in range(0, n_items, chunk):
         items[start:start + chunk] += centers[assignment[start:start + chunk]]
@@ -182,14 +183,14 @@ def synth_autoencodable(n_items: int, spec: LayerSpec,
         suitable as an oracle for fast-inference tests.
 
     Raises:
-        DatasetError: ``n_items`` is below 1 or more than numpy can hold
-            at the visible size, checked before anything is drawn; or the
-            built instance failed its residual check (reported with the
-            worst residual).
+        DatasetError: A bad ``n_items`` or ``seed``, or more items than
+            numpy can hold at the visible size, checked before anything is
+            drawn; or the built instance failed its residual check (reported
+            with the worst residual).
     """
     sizes = spec.sizes
-    if n_items < 1:
-        raise DatasetError("n_items must be >= 1")
+    check_count("n_items", n_items, 1, error=DatasetError)
+    check_count("seed", seed, 0, error=DatasetError)
     check_fits(f"n_items {n_items} at width {sizes[0]}", n_items, sizes[0], DatasetError)
     m = min(sizes)
     rng = np.random.default_rng(seed)

@@ -1,5 +1,5 @@
-"""Exception types raised across the package, and the value checks of the
-configuration objects that raise them.
+"""Exception types raised across the package, and the one definition of a
+valid count, index and real, which raises the error class its caller names.
 
 :class:`FfinitError` is the base of four leaves, each also a
 ``ValueError``: :class:`ConfigurationError`, :class:`InvalidInputError`,
@@ -35,23 +35,24 @@ class CheckpointError(FfinitError, ValueError):
     """A model checkpoint file is malformed or has an unsupported version."""
 
 
-def check_count(name: str, value, minimum: int, maximum: float = math.inf) -> None:
-    """Raise ConfigurationError unless ``value`` is an integer (not a bool) in
+def check_count(name: str, value, minimum: int, maximum: float = math.inf,
+                error: type[FfinitError] = ConfigurationError) -> None:
+    """Raise ``error`` unless ``value`` is an integer (not a bool) in
     ``[minimum, maximum]``."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or not minimum <= value <= maximum):
-        raise ConfigurationError(
-            f"{name} must be an integer in [{minimum}, {maximum}], got {value!r}")
+        raise error(f"{name} must be an integer in [{minimum}, {maximum}], got {value!r}")
 
 
-def check_real(name: str, value, minimum: float, strict: bool = False) -> None:
-    """Raise ConfigurationError unless ``value`` is a finite number ``>= minimum``
+def check_real(name: str, value, minimum: float, strict: bool = False,
+               error: type[FfinitError] = ConfigurationError) -> None:
+    """Raise ``error`` unless ``value`` is a finite number ``>= minimum``
     (``> minimum`` when ``strict``); NaN and integers beyond the float range
     never pass."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not abs(value) <= sys.float_info.max   # NaN, infinite or beyond a float
             or value < minimum or (strict and value == minimum)):
-        raise ConfigurationError(
+        raise error(
             f"{name} must be a finite number {'>' if strict else '>='} {minimum}, got {value!r}")
 
 

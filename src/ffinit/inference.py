@@ -44,7 +44,6 @@ even layers; at L = 2 only the first forms a product. The block contract:
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,9 +133,7 @@ def direct_update_layer(params: NetworkParams, state: NetworkState, k: int) -> n
     is not modified; the bottom-up predictions it carries are used.
     """
     rates, bottom_up = _read(params, state)
-    if (isinstance(k, bool) or not isinstance(k, numbers.Integral)
-            or not 1 <= k <= params.n_layers):
-        raise InvalidInputError(f"layer index {k!r} out of range 1..{params.n_layers}")
+    check_count("layer index", k, 1, params.n_layers, InvalidInputError)
     return _layer_target(params, rates, k, bottom_up.get(k))
 
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 import ctypes
 import enum
 import logging
-import numbers
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -190,6 +189,7 @@ def init_random_tied(spec: LayerSpec, activation: Activation,
     """
     check_real("init_scale", init_scale, 0.0)
     check_member("activation", activation, Activation)
+    check_count("seed", seed, 0)
     ws, vs, bs, cs = _random_tied_arrays(spec, init_scale, np.random.default_rng(seed))
     return _hand_over(spec, ws, vs, bs, cs)
 
@@ -202,11 +202,18 @@ def norm_matched_random(target: NetworkParams, seed: int = 0) -> NetworkParams:
     so a comparison against ``target`` is not confounded by weight scale.
     Any other draw scale would give the same weights up to rounding, so
     there is none to choose. Feedback stays the exact transpose and
-    offsets stay zero.
+    offsets stay zero. A target norm past the float range raises
+    InvalidInputError naming its pair; a bad seed, ConfigurationError.
     """
+    check_count("seed", seed, 0)
     ws, vs, bs, cs = _random_tied_arrays(target.spec, 1.0, np.random.default_rng(seed))
-    for w, v, w_target in zip(ws, vs, target.ff_weights):
-        w *= np.linalg.norm(w_target) / np.linalg.norm(w)
+    for k, (w, v, w_target) in enumerate(zip(ws, vs, target.ff_weights), start=1):
+        with np.errstate(over="ignore"):   # refused just below
+            ratio = np.linalg.norm(w_target) / np.linalg.norm(w)
+        if not np.isfinite(ratio):
+            raise InvalidInputError(
+                f"cannot norm-match pair {k}: the norm of its trained weights overflows a float")
+        w *= ratio
         v[...] = w.T
     return _hand_over(target.spec, ws, vs, bs, cs)
 
@@ -413,10 +420,7 @@ def reconstruction_error(params: NetworkParams, data: DatasetHandle, k: int) -> 
     and decoder, and returns the mean over items of the squared error
     norm. Zero exactly when the pair reconstructs every code perfectly.
     """
-    if (isinstance(k, bool) or not isinstance(k, numbers.Integral)
-            or not 0 <= k <= params.n_layers - 1):
-        raise InvalidInputError(
-            f"pair index {k!r} out of range 0..{params.n_layers - 1}")
+    check_count("pair index", k, 0, params.n_layers - 1, InvalidInputError)
     return _pair_error(data._items_for(params.spec),
                        list(zip(params.ff_weights[:k + 1], params.ff_offsets[:k + 1])),
                        params.fb_weights[k], params.fb_offsets[k])

@@ -116,14 +116,24 @@ class TestSynthBlobs:
         assert np.array_equal(a.items, b.items)
         assert not np.array_equal(a.items, c.items)
 
-    def test_invalid_dimensions_rejected(self):
-        with pytest.raises(DatasetError):
-            synth_blobs(10, 0, 8, 0.05, 0)
+    @pytest.mark.parametrize("n_items, d, n_clusters, named", [
+        (10, 0, 8, "d"), (0, 4, 2, "n_items"), (10, 4, 0, "n_clusters"),
+        (2.5, 4, 2, "n_items"), (True, 4, 2, "n_items"), (10, 4.0, 2, "d"),
+        (10, 4, "2", "n_clusters")])
+    def test_invalid_dimensions_rejected(self, n_items, d, n_clusters, named):
+        with pytest.raises(DatasetError, match=f"^{named} must be an integer in"):
+            synth_blobs(n_items, d, n_clusters, 0.05, 0)
 
-    @pytest.mark.parametrize("spread", [np.nan, -0.5, np.inf])
+    @pytest.mark.parametrize("spread", [np.nan, -0.5, np.inf, "a", None, True], ids=repr)
     def test_invalid_spread_rejected(self, spread):
         with pytest.raises(DatasetError, match="spread"):
             synth_blobs(10, 3, 8, spread, 0)
+
+    def test_huge_spread_saturates_without_a_warning(self):
+        # The scale overflows to +-inf, which the clip maps onto the cube's
+        # faces; filterwarnings = error turns any escaping warning into a failure.
+        data = synth_blobs(50, 8, 3, 1e308, 0)
+        assert np.all((data.items == 0.0) | (data.items == 1.0))
 
     @pytest.mark.parametrize("n_items, n_clusters, named", [
         (2**61, 8, "n_items 2305843009213693952"),
@@ -184,9 +194,10 @@ class TestSynthAutoencodable:
             for x in data.items)
         assert worst > 1e-9
 
-    def test_no_items_rejected(self):
-        with pytest.raises(DatasetError, match="n_items must be >= 1"):
-            synth_autoencodable(0, LayerSpec(sizes=(5, 4)))
+    @pytest.mark.parametrize("n_items", [0, 1.5, True], ids=repr)
+    def test_no_items_rejected(self, n_items):
+        with pytest.raises(DatasetError, match=r"n_items must be an integer in \[1, inf\]"):
+            synth_autoencodable(n_items, LayerSpec(sizes=(5, 4)))
 
     def test_more_entries_than_an_array_holds_rejected(self, monkeypatch):
         monkeypatch.setattr(np.random, "default_rng", None)   # refused before any draw

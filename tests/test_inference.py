@@ -98,7 +98,7 @@ class TestDirectUpdateLayer:
         # True would read layer 1 and a float would fail in list indexing.
         rng = np.random.default_rng(3)
         params = random_tied_params(rng, sizes=(6, 4, 4, 4), with_offsets=True)
-        with pytest.raises(InvalidInputError, match="out of range 1..3"):
+        with pytest.raises(InvalidInputError, match=r"layer index must be an integer in \[1, 3\]"):
             direct_update_layer(params, random_state(rng, params), k)
 
 
