@@ -28,7 +28,7 @@ from .network import (
     feedforward_init,
     mutual_prediction_residual,
 )
-from .energy import EnergyModel, energy, energy_gradient, energy_model_or_none
+from .energy import EnergyModel, energy, energy_gradient
 from .inference import (
     ConvergenceTrace,
     RelaxationConfig,
@@ -68,7 +68,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Activation", "LayerSpec", "NetworkParams", "NetworkState",
     "apply_activation", "feedforward_init", "mutual_prediction_residual",
-    "EnergyModel", "energy", "energy_gradient", "energy_model_or_none",
+    "EnergyModel", "energy", "energy_gradient",
     "Scheme", "RelaxationConfig", "ConvergenceTrace",
     "direct_update_layer", "relax", "infer_from_feedforward",
     "TrainConfig", "TrainRule", "init_random_tied", "norm_matched_random",

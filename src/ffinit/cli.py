@@ -18,19 +18,17 @@ from dataclasses import replace
 from pathlib import Path
 
 from .data import save_params, load_params
-from .energy import energy_model_or_none
 from .exceptions import ConfigurationError, FfinitError, InvalidInputError, check_count
 from .harness import (
     build_dataset,
     experiment_spec_from_config,
     override_seed,
+    relax_input,
     run_experiment,
     write_trace,
     write_training_curve,
 )
-from .inference import infer_from_feedforward
 from .learning import train_stacked_ae
-from .network import mutual_prediction_residual
 
 
 def _load_config(args):
@@ -89,11 +87,7 @@ def _cmd_infer(args) -> int:
                                  f"checkpoint's {list(params.spec.sizes)}")
     data = build_dataset(spec.dataset, params.spec, spec.seed)
     check_count("--index", args.index, 0, len(data) - 1, InvalidInputError)
-    x = data.items[args.index]
-    energy_model = energy_model_or_none(params)
-    state, trace = infer_from_feedforward(params, x, spec.relaxation,
-                                          energy_model=energy_model)
-    residual = float(mutual_prediction_residual(params, state).max())
+    trace, residual = relax_input(params, data.items[args.index], spec.relaxation)
     if args.out:
         write_trace(trace, args.out)
         print(f"wrote trace to {args.out}")

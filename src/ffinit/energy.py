@@ -64,12 +64,6 @@ class EnergyModel:
                 "feedforward weights; these parameters are untied")
 
 
-def energy_model_or_none(params: NetworkParams) -> EnergyModel | None:
-    """The energy model of tied parameters, or None for untied ones,
-    which define no energy."""
-    return EnergyModel(params) if params.is_tied else None
-
-
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product of the last axes: a scalar for vectors, one value per row for blocks."""
     return np.einsum("...i,...i->...", a, b)

@@ -23,7 +23,7 @@ from .data import (
     synth_autoencodable,
     synth_blobs,
 )
-from .energy import energy_model_or_none
+from .energy import EnergyModel
 from .exceptions import (
     ConfigurationError,
     DatasetError,
@@ -173,11 +173,23 @@ def build_dataset(dspec: DatasetSpec, sizes: LayerSpec, seed: int) -> DatasetHan
     return data
 
 
+def relax_input(params: NetworkParams, visible: np.ndarray,
+                cfg: RelaxationConfig) -> tuple[ConvergenceTrace, np.ndarray]:
+    """Relax one clamped input, or a ``(B, n_0)`` block, from its feedforward state.
+
+    Returns the trace, which records energies exactly when ``params`` are
+    tied (untied ones define no energy), and the worst branch prediction
+    error of the relaxed state over its layers: one value for a vector,
+    one per row for a block.
+    """
+    model = EnergyModel(params) if params.is_tied else None
+    state, trace = infer_from_feedforward(params, visible, cfg, energy_model=model)
+    return trace, mutual_prediction_residual(params, state).max(axis=-1)
+
+
 def _evaluate_regime(regime: str, params: NetworkParams, items: np.ndarray,
                      cfg: RelaxationConfig) -> RegimeResult:
-    energy_model = energy_model_or_none(params)
-    state, trace = infer_from_feedforward(params, items, cfg, energy_model=energy_model)
-    resid = mutual_prediction_residual(params, state).max(axis=1)
+    trace, resid = relax_input(params, items, cfg)
     steps = trace.step_magnitudes   # (inputs, sweeps), NaN after an input's last sweep
     active = ~np.isnan(steps).T     # (sweeps, inputs)
     # Each sweep's column compacted in input order: a mean sums as over its inputs alone.
@@ -190,7 +202,7 @@ def _evaluate_regime(regime: str, params: NetworkParams, items: np.ndarray,
         final_residuals=resid,
         step_stats=np.array([(c.mean(), c.min(), c.max()) for c in columns]),
         n_active=active.sum(axis=1),
-        energy_means=None if energy_model is None else np.array(
+        energy_means=None if trace.energies is None else np.array(
             [trace.energies[a, i + 1].mean() for i, a in enumerate(active)]),
     )
 

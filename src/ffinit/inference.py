@@ -50,8 +50,8 @@ import numpy as np
 
 from .exceptions import (ConfigurationError, InvalidInputError, check_count,
                          check_member, check_real)
-from .network import (NetworkParams, NetworkState, _layer_target, _read, check_state,
-                      feedforward_init)
+from .network import (NetworkParams, NetworkState, _layer_target, _read, _row_norms,
+                      check_state, feedforward_init)
 from .energy import EnergyModel, energy
 
 
@@ -135,34 +135,6 @@ def direct_update_layer(params: NetworkParams, state: NetworkState, k: int) -> n
     rates, bottom_up = _read(params, state)
     check_count("layer index", k, 1, params.n_layers, InvalidInputError)
     return _layer_target(params, rates, k, bottom_up.get(k))
-
-
-@np.errstate(over="ignore")   # every overflow is handled here
-def _step_norms(diff: np.ndarray, work: list[np.ndarray], sweep: int) -> np.ndarray:
-    """The L2 norm of every row of ``diff``, the step of sweep ``sweep`` to ``work``.
-
-    Row by row, with the bits of np.linalg.norm of one input's vector,
-    sqrt(d @ d); a norm over axis 1 rounds differently. A row whose d @ d
-    overflows is scaled by its largest magnitude first. Raises
-    InvalidInputError when a state of ``work`` is non-finite or a step
-    exceeds the float range; a NaN step never drops below tol, so the
-    engine stops at the first one.
-    """
-    step = np.sqrt(np.vecdot(diff, diff))
-    if step.max() < np.inf:
-        return step
-    over = ~(step < np.inf)
-    if not all(np.isfinite(h[over]).all() for h in work):
-        raise InvalidInputError(
-            f"relaxation overflowed to a non-finite state in sweep {sweep}")
-    d = diff[over]
-    scale = np.abs(d).max(axis=1)
-    d /= scale[:, None]
-    step[over] = scale * np.sqrt(np.vecdot(d, d))
-    if not step.max() < np.inf:
-        raise InvalidInputError(
-            f"relaxation step exceeded the float range in sweep {sweep}")
-    return step
 
 
 def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.ndarray],
@@ -253,7 +225,12 @@ def _relax_block(params: NetworkParams, visible: np.ndarray, hidden: list[np.nda
                 np.subtract(h, work[k - 1], out=diff[:, cols[k]])
                 work[k - 1] = h
                 rates[k] = h if jump else h.clip(0.0, 1.0)
-        step = _step_norms(diff, work, sweep + 1)
+        step = _row_norms(diff)
+        if not step.max() < np.inf:   # a NaN step would never drop below tol
+            raise InvalidInputError(
+                f"relaxation step exceeded the float range in sweep {sweep + 1}"
+                if all(np.isfinite(h).all() for h in work) else
+                f"relaxation overflowed to a non-finite state in sweep {sweep + 1}")
         steps = record(steps, sweep, step)
         del h, diff   # so neither pins a block into the next snapshot or regather
     if result is None:

@@ -51,7 +51,7 @@ from .exceptions import (
     check_member,
     check_real,
 )
-from .network import Activation, LayerSpec, NetworkParams, _encode, _on_slope
+from .network import Activation, LayerSpec, NetworkParams, _encode, _on_slope, _row_norms
 
 logger = logging.getLogger(__name__)
 
@@ -202,14 +202,15 @@ def norm_matched_random(target: NetworkParams, seed: int = 0) -> NetworkParams:
     so a comparison against ``target`` is not confounded by weight scale.
     Any other draw scale would give the same weights up to rounding, so
     there is none to choose. Feedback stays the exact transpose and
-    offsets stay zero. A target norm past the float range raises
-    InvalidInputError naming its pair; a bad seed, ConfigurationError.
+    offsets stay zero. Every finite target norm is matched, even one whose
+    square overflows; a norm past the float range raises InvalidInputError
+    naming its pair, and a bad seed ConfigurationError.
     """
     check_count("seed", seed, 0)
     ws, vs, bs, cs = _random_tied_arrays(target.spec, 1.0, np.random.default_rng(seed))
     for k, (w, v, w_target) in enumerate(zip(ws, vs, target.ff_weights), start=1):
         with np.errstate(over="ignore"):   # refused just below
-            ratio = np.linalg.norm(w_target) / np.linalg.norm(w)
+            ratio = _row_norms(w_target.reshape(1, -1))[0] / _row_norms(w.reshape(1, -1))[0]
         if not np.isfinite(ratio):
             raise InvalidInputError(
                 f"cannot norm-match pair {k}: the norm of its trained weights overflows a float")

@@ -85,6 +85,24 @@ def _on_slope(x: np.ndarray) -> np.ndarray:
     return (x >= 0.0) & (x <= 1.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # what overflows is rescaled or left non-finite
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The L2 norm of every row of the 2-d ``x``, with the bits of
+    ``np.linalg.norm`` of that row, ``sqrt(r @ r)``; a norm over axis 1 rounds
+    differently. A row whose ``r @ r`` overflows is scaled by its largest
+    magnitude first, so only a norm past the float range, or a row with a
+    non-finite entry, comes out non-finite."""
+    norms = np.sqrt(np.vecdot(x, x))
+    if norms.max(initial=0.0) < np.inf:
+        return norms
+    over = ~(norms < np.inf)
+    r = x[over]
+    scale = np.abs(r).max(axis=1)
+    r /= scale[:, None]
+    norms[over] = scale * np.sqrt(np.vecdot(r, r))
+    return norms
+
+
 def _frozen(x) -> np.ndarray:
     """``x`` as a read-only float64 C array, adopted as it is or copied.
 

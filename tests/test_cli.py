@@ -319,9 +319,9 @@ class TestErrors:
         assert re.fullmatch(r"error: non-finite [^\n]*\n", proc.stderr), proc.stderr
 
     def test_overflowing_control_norm_prints_only_its_error_line(self, tmp_path):
-        # Trained entries near 1e159 are finite, but the norm the random-tied
+        # Trained entries near 1e307 are finite, but the norm the random-tied
         # control is matched to overflows; no numpy warning may precede the error.
-        config = write_config(tmp_path, train={"init_scale": 1e160, "epochs": 2})
+        config = write_config(tmp_path, train={"init_scale": 1.5e308, "epochs": 2})
         proc = run_python_m("experiment", "--config", config, "--out", tmp_path / "out")
         assert proc.returncode == 2
         assert re.fullmatch(r"error: cannot norm-match pair 1: [^\n]*\n", proc.stderr), proc.stderr

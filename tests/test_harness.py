@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from ffinit import harness
-from ffinit import (DataSource, DatasetError, LayerSpec, RelaxationConfig, Scheme,
-                    TrainConfig, energy_model_or_none, infer_from_feedforward,
-                    norm_matched_random, synth_autoencodable, train_stacked_ae)
+from ffinit import (DataSource, DatasetError, EnergyModel, LayerSpec, RelaxationConfig,
+                    Scheme, TrainConfig, infer_from_feedforward, mutual_prediction_residual,
+                    norm_matched_random, synth_autoencodable, synth_blobs, train_stacked_ae)
 from ffinit.harness import (DatasetSpec, ExperimentSpec, build_dataset,
                             experiment_spec_from_config, run_experiment)
 from helpers import traced_peak, write_idx
@@ -82,7 +82,7 @@ def test_iteration_means_average_over_the_inputs_still_relaxing(tmp_path, relaxa
     regimes = {"trained-ae": trained,
                "random-tied": norm_matched_random(trained, train.seed)}
     for regime, params in regimes.items():
-        model = energy_model_or_none(params)
+        model = EnergyModel(params) if params.is_tied else None
         traces = [infer_from_feedforward(params, x, relaxation, energy_model=model)[1]
                   for x in data.items[:N_INPUTS]]
         with (tmp_path / f"{regime}.csv").open(newline="") as f:
@@ -101,6 +101,42 @@ def test_iteration_means_average_over_the_inputs_still_relaxing(tmp_path, relaxa
             else:
                 want = np.mean([t.energies[i + 1] for t in active])
                 assert float(row["energy_mean"]) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+class TestRelaxInput:
+    """``harness.relax_input``, the one clamped relaxation of ``experiment`` and
+    ``infer``: the feedforward relaxation, with energies exactly when the
+    params are tied, and each input's worst residual over the layers."""
+
+    CFG = RelaxationConfig(max_iters=60)
+
+    @pytest.fixture(scope="class")
+    def regimes(self):
+        sizes = LayerSpec(sizes=(16, 8, 4))
+        data = synth_blobs(48, 16, 4, 0.05, 3)
+        untied = train_stacked_ae(data, sizes, TrainConfig(epochs=2, batch_size=16))
+        tied = train_stacked_ae(data, sizes,
+                                TrainConfig(epochs=2, batch_size=16, tie_decoder=True))
+        return data.items[:3], {"untied": untied, "tie_decoder": tied,
+                                "norm_matched_random": norm_matched_random(untied, 3)}
+
+    @pytest.mark.parametrize("rows", [None, 3], ids=["vector", "block"])
+    @pytest.mark.parametrize("regime", ["untied", "tie_decoder", "norm_matched_random"])
+    def test_feedforward_relaxation_and_worst_residual(self, regimes, regime, rows):
+        items, by_regime = regimes
+        params = by_regime[regime]
+        visible = items[0] if rows is None else items[:rows]
+        trace, resid = harness.relax_input(params, visible, self.CFG)
+        assert params.is_tied == (regime != "untied")
+        assert (trace.energies is not None) == params.is_tied
+        model = EnergyModel(params) if params.is_tied else None
+        state, want = infer_from_feedforward(params, visible, self.CFG, energy_model=model)
+        assert np.array_equal(trace.step_magnitudes, want.step_magnitudes, equal_nan=True)
+        assert np.array_equal(trace.converged, want.converged)
+        if model is not None:
+            assert np.array_equal(trace.energies, want.energies, equal_nan=True)
+        assert np.shape(resid) == np.shape(visible)[:-1]
+        assert np.array_equal(resid, mutual_prediction_residual(params, state).max(axis=-1))
 
 
 class TestBuildDataset:

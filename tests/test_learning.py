@@ -32,8 +32,8 @@ from ffinit import (
 )
 from ffinit import learning
 from ffinit.learning import _BLOCK_ROWS, _row_blocks
-from helpers import (ae_gradient_oracle, local_branch_oracle, pair_error_oracle, param_bytes,
-                     random_untied_params, traced_peak)
+from helpers import (ae_gradient_oracle, local_branch_oracle, make_params, pair_error_oracle,
+                     param_bytes, random_untied_params, traced_peak)
 
 SPEC_432 = LayerSpec(sizes=(4, 3, 2))
 
@@ -108,10 +108,21 @@ class TestNormMatchedRandom:
         params, peak = traced_peak(norm_matched_random, target)
         assert peak <= 1.25 * param_bytes(params)
 
-    def test_target_norm_past_the_float_range_rejected(self):
-        # Entries near 1e159 are finite, but the sum of their squares is not;
-        # filterwarnings = error turns an escaping overflow warning into a failure.
+    def test_finite_norm_whose_square_overflows_matched(self):
+        # Entries near 1e159 are finite, and so is their norm, but the sum of
+        # their squares is not; filterwarnings = error turns an escaping
+        # overflow warning into a failure.
         target = init_random_tied(SPEC_432, Activation.HARD_SIGMOID, 1e160, seed=0)
+        got = norm_matched_random(target)
+        for w, v, w_target in zip(got.ff_weights, got.fb_weights, target.ff_weights):
+            scale = np.abs(w_target).max()
+            assert np.linalg.norm(w / scale) == pytest.approx(
+                np.linalg.norm(w_target / scale), rel=1e-14)
+            assert np.array_equal(v, w.T)
+
+    def test_target_norm_past_the_float_range_rejected(self):
+        # Every entry is finite, but the norm, 1e308 * sqrt(12), is not.
+        target = make_params(SPEC_432.sizes, [np.full((3, 4), 1e308), np.full((2, 3), 1e308)])
         with pytest.raises(InvalidInputError, match="pair 1"):
             norm_matched_random(target)
 

@@ -1,4 +1,6 @@
+import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -412,6 +414,45 @@ class TestMutualPredictionResidual:
         for x in data.items:
             res = mutual_prediction_residual(params, feedforward_init(params, x))
             assert np.all(res <= 1e-12)
+
+
+class TestRowNorms:
+    """``network._row_norms``, the one L2 norm of the relaxation steps and of
+    the random-tied control's target."""
+
+    @staticmethod
+    def quietly(x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no RuntimeWarning may escape
+            return network._row_norms(x)
+
+    @pytest.mark.parametrize("width", [500, 784, 1000])
+    def test_finite_rows_have_the_bits_of_linalg_norm(self, width):
+        x = np.random.default_rng(width).normal(0.0, 3.0, size=(6, width))
+        x[1] *= 1e150   # a large square that still fits
+        got = self.quietly(x)
+        assert all(got[i] == np.linalg.norm(row) for i, row in enumerate(x))
+
+    @pytest.mark.parametrize("big", [1e155, 1e160, 1e300])
+    def test_a_row_whose_square_overflows_is_scaled_by_its_largest_magnitude(self, big):
+        rng = np.random.default_rng(1)
+        x = rng.uniform(-1.0, 1.0, size=(3, 784))
+        x[1] *= big
+        scale = np.abs(x[1]).max()
+        got = self.quietly(x)
+        assert got[1] == scale * np.linalg.norm(x[1] / scale)
+        assert got[1] == pytest.approx(math.hypot(*x[1]), rel=1e-14)
+        assert got[0] == np.linalg.norm(x[0]) and got[2] == np.linalg.norm(x[2])
+
+    def test_non_finite_and_past_range_rows_stay_non_finite(self):
+        x = np.random.default_rng(2).uniform(-1.0, 1.0, size=(5, 500))
+        x[0, 7] = np.nan
+        x[1, 3] = np.inf
+        x[2, 9] = -np.inf
+        x[3] = 1e308   # a norm of 1e308 * sqrt(500)
+        got = self.quietly(x)
+        assert not np.isfinite(got[:4]).any()
+        assert got[4] == np.linalg.norm(x[4])
 
 
 def test_shape_closure_property():
